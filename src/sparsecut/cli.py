@@ -36,7 +36,9 @@ def build_arg_parser():
     p.add_argument("--gap", type=float, default=0.0, metavar="PCT",
                    help="stop at this relative primal-dual gap in percent")
     p.add_argument("--threads", type=int, default=1,
-                   help="number of racing solver threads (default 1)")
+                   help="racing solver threads (default 1); they share the "
+                   "interpreter lock, so they interleave rather than run in "
+                   "parallel and are usually slower than one thread")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--enum-threshold", type=int, default=10, metavar="N",
                    help="enumerate components with at most N vertices")
@@ -81,15 +83,6 @@ def _detect_format(path, text):
         return "bq"
     # header sniffing: a QUBO file may carry diagonal (i, i) entries, a
     # max-cut file never does; default to max-cut otherwise
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
-            continue
-        tokens = stripped.split()
-        if len(tokens) >= 2 and tokens[0] == tokens[1]:
-            # first data line is the header; diagonal check applies afterwards
-            pass
-        break
     for line in text.splitlines()[1:]:
         stripped = line.strip()
         if not stripped or stripped[0] in "#%":

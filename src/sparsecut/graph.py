@@ -22,15 +22,9 @@ class ContractRecord:
     gone: int
 
 
-@dataclass(frozen=True)
-class FixVertexRecord:
-    vertex: int
-    value: int
-
-
 @dataclass
 class ReductionTrace:
-    """Ordered contraction/fixing log plus the accumulated cut-weight offset.
+    """Ordered contraction log plus the accumulated cut-weight offset.
 
     For any assignment ``y`` of the reduced graph:
     ``cut_original(replay(y)) == cut_reduced(y) + offset``.
@@ -43,9 +37,6 @@ class ReductionTrace:
         self.records.append(ContractRecord(kind, keep, gone))
         self.offset += offset_delta
 
-    def record_fix_vertex(self, vertex, value):
-        self.records.append(FixVertexRecord(vertex, value))
-
     def replay(self, y):
         """Extend an assignment of the reduced graph to the original vertices.
 
@@ -54,13 +45,10 @@ class ReductionTrace:
         """
         out = np.asarray(y, dtype=np.int8).copy()
         for rec in reversed(self.records):
-            if isinstance(rec, ContractRecord):
-                if rec.kind == "same":
-                    out[rec.gone] = out[rec.keep]
-                else:
-                    out[rec.gone] = 1 - out[rec.keep]
+            if rec.kind == "same":
+                out[rec.gone] = out[rec.keep]
             else:
-                out[rec.vertex] = rec.value
+                out[rec.gone] = 1 - out[rec.keep]
         return out
 
 
@@ -181,11 +169,6 @@ class CutSolution:
     def from_assignment(cls, g, y):
         y = np.asarray(y, dtype=np.int8)
         return cls(y=y, weight=cut_weight(g, y))
-
-    def edge_incidence(self, g):
-        if g.m == 0:
-            return np.zeros(0, dtype=np.int8)
-        return (self.y[g.edge_u] != self.y[g.edge_v]).astype(np.int8)
 
 
 def merge_vertices(g: WeightedGraph, keep, gone, opposite, trace=None):

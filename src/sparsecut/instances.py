@@ -62,7 +62,7 @@ class ResultReport:
     bnb_nodes: int
     wall_time_s: float
     partition: dict[int, int] = field(default_factory=dict)
-    status: str = "optimal"  # optimal | gap_limit | time_limit | infeasible_input
+    status: str = "optimal"  # optimal | gap_limit | time_limit | node_limit
 
 
 def _data_lines(text):

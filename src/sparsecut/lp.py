@@ -13,7 +13,7 @@ edge to its opposite bound degrades the LP bound by at least |reduced cost|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,12 +90,6 @@ class CutPool:
 
     def __len__(self):
         return len(self.entries)
-
-    def __contains__(self, cut: CycleCut):
-        return cut.key() in self._keys
-
-    def cuts(self):
-        return [entry.cut for entry in self.entries]
 
     def add(self, cut: CycleCut):
         key = cut.key()
@@ -414,7 +408,6 @@ class LpEngine:
         self._simplex = _BoundedSimplex(
             graph.edge_w, np.zeros(graph.m), np.ones(graph.m)
         )
-        self.last_state: LpState | None = None
 
     def solve(self, lb=None, ub=None) -> LpState:
         """Solve the relaxation under the given per-edge bounds (warm-started)."""
@@ -429,7 +422,7 @@ class LpEngine:
             self._simplex.reset_basis()
             feasible = self._simplex.solve()
         if not feasible:
-            state = LpState(
+            return LpState(
                 x=np.zeros(m),
                 objective=-np.inf,
                 reduced_costs=np.zeros(m),
@@ -437,8 +430,6 @@ class LpEngine:
                 iterations=self._simplex.iterations,
                 feasible=False,
             )
-            self.last_state = state
-            return state
         state = LpState(
             x=np.clip(self._simplex.solution(), 0.0, 1.0),
             objective=self._simplex.objective(),
@@ -446,7 +437,6 @@ class LpEngine:
             basis_status=self._simplex.statuses(),
             iterations=self._simplex.iterations,
         )
-        self.last_state = state
         self._age_cuts()
         return state
 

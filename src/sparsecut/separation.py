@@ -1,14 +1,21 @@
 """Exact and heuristic separation of cycle inequalities.
 
-Exact separation searches a two-copy auxiliary graph: copy arcs carry weight
-x(e), crossing arcs 1 - x(e). A path from a vertex to its twin of length < 1
+Exact separation (Barahona and Mahjoub, "On the cut polytope", Math. Prog.
+1986) searches a two-copy auxiliary graph: copy arcs carry weight x(e),
+crossing arcs 1 - x(e). A path from a vertex to its twin of length < 1
 corresponds to a violated cycle inequality; its crossing arcs form the odd
-set F. Found closed walks are split into simple cycles and decomposed along
-chords into chordless violated cuts.
+set F. One Dijkstra search serves two forms of that graph: the plain one from
+``build_aux_graph`` and the one from ``contract_zero_arcs``, whose nodes are
+supernodes of aux vertices joined by zero-weight arcs. Found paths are walked
+back through their arcs, with zero-arc segments expanded on the contracted
+graph, projected to closed walks in the base graph, split into simple cycles
+and decomposed along chords into chordless violated cuts.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +25,7 @@ from .lp import VIOLATION_TOL, CycleCut
 EPS_SKIP = 1e-6        # aux arcs with weight >= 1 - EPS_SKIP are never built
 SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
 EMIT_TOL = 1e-9        # emitted cuts must have slack-form value < 1 - EMIT_TOL
+ZERO_ARC_EPS = 1e-9    # arcs this light are merged by contract_zero_arcs
 TRIANGLE_BUDGET = 50_000
 DEGREE_CAP = 512
 
@@ -34,185 +42,189 @@ class ClosedWalk:
     edge_ids: list[int]
     in_f: list[bool]
 
-    def length(self, x):
-        total = 0.0
-        for e, flag in zip(self.edge_ids, self.in_f):
-            total += (1.0 - x[e]) if flag else x[e]
-        return total
-
 
 class AuxGraph:
-    """Static CSR over 2|V| vertices; twin of v is v + |V|."""
+    """CSR over the nodes of a two-copy auxiliary graph.
 
-    def __init__(self, n, arcs):
-        # arcs: list of (tail, head, weight, edge_id); both directions included
+    Aux vertex v < n is base vertex v in the first copy and v + n is its twin
+    in the second. ``node_of`` maps aux vertices to nodes: the identity on the
+    plain graph, supernode ids on a contracted one. Arc ``pos`` leaves node
+    ``node_of[arc_tail[pos]]`` for node ``heads[pos]``; ``arc_tail`` and
+    ``arc_head`` keep its aux endpoints. ``zero_arcs`` lists, per aux vertex,
+    the contracted zero-weight arcs as (aux head, edge id).
+    """
+
+    def __init__(self, n, tails, heads, weights, edge_ids,
+                 node_of=None, twins=None, zero_arcs=None):
         self.n = n
-        self.num_vertices = 2 * n
-        deg = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        for tail, _, _, _ in arcs:
-            deg[tail + 1] += 1
-        self.offsets = np.cumsum(deg)
-        self.heads = np.empty(len(arcs), dtype=np.int64)
-        self.weights = np.empty(len(arcs), dtype=np.float64)
-        self.edge_ids = np.empty(len(arcs), dtype=np.int64)
-        cursor = self.offsets[:-1].copy()
-        for tail, head, weight, eid in arcs:
-            pos = cursor[tail]
-            self.heads[pos] = head
-            self.weights[pos] = weight
-            self.edge_ids[pos] = eid
-            cursor[tail] += 1
+        if node_of is None:
+            node_of = np.arange(2 * n)
+            twins = np.concatenate([node_of[n:], node_of[:n]])
+        self.node_of = node_of
+        self.num_vertices = len(twins)
+        self.zero_arcs = zero_arcs or {}
+        tail_nodes = node_of[tails]
+        order = np.argsort(tail_nodes, kind="stable")
+        self.arc_tail = tails[order]
+        self.arc_head = heads[order]
+        self.heads = node_of[self.arc_head]
+        self.weights = weights[order]
+        self.edge_ids = edge_ids[order]
+        self.offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail_nodes, minlength=self.num_vertices),
+                  out=self.offsets[1:])
+        # Python lists for the search and the path walk-back:
+        # adjacency[node] = [(head node, weight, arc pos)],
+        # arcs[pos] = (tail node, aux tail, aux head, edge id)
+        out_arcs = list(zip(self.heads.tolist(), self.weights.tolist(),
+                            range(len(order))))
+        offs = self.offsets.tolist()
+        self.adjacency = [out_arcs[offs[v]:offs[v + 1]]
+                          for v in range(self.num_vertices)]
+        self.arcs = list(zip(tail_nodes[order].tolist(), self.arc_tail.tolist(),
+                             self.arc_head.tolist(), self.edge_ids.tolist()))
+        self.twins = twins.tolist()
 
     def twin(self, v):
-        return v + self.n if v < self.n else v - self.n
+        return self.twins[v]
 
 
 def build_aux_graph(g, x, eps_skip=EPS_SKIP) -> AuxGraph:
-    """Two-copy auxiliary graph; arcs of weight >= 1 - eps_skip are omitted."""
+    """Two-copy auxiliary graph; arcs of weight >= 1 - eps_skip are omitted.
+
+    Each vertex's arcs are ordered by edge id, copy arc before crossing arc.
+    """
     n = g.n
-    arcs = []
-    for e in range(g.m):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        xe = float(x[e])
-        if xe < 1.0 - eps_skip:
-            arcs.append((u, v, xe, e))
-            arcs.append((v, u, xe, e))
-            arcs.append((u + n, v + n, xe, e))
-            arcs.append((v + n, u + n, xe, e))
-        cross = 1.0 - xe
-        if cross < 1.0 - eps_skip:
-            arcs.append((u, v + n, cross, e))
-            arcs.append((v + n, u, cross, e))
-            arcs.append((v, u + n, cross, e))
-            arcs.append((u + n, v, cross, e))
-    return AuxGraph(n, arcs)
+    x = np.asarray(x, dtype=np.float64)
+    eids = np.arange(g.m)
+    copy = x < 1.0 - eps_skip
+    cross = 1.0 - x < 1.0 - eps_skip
+    u, v, e, w = g.edge_u[copy], g.edge_v[copy], eids[copy], x[copy]
+    cu, cv, ce, cw = g.edge_u[cross], g.edge_v[cross], eids[cross], 1.0 - x[cross]
+    tails = np.concatenate([u, v, u + n, v + n, cu, cv + n, cv, cu + n])
+    heads = np.concatenate([v, u, v + n, u + n, cv + n, cu, cu + n, cv])
+    weights = np.concatenate([w, w, w, w, cw, cw, cw, cw])
+    arc_eids = np.concatenate([e, e, e, e, ce, ce, ce, ce])
+    kind = np.repeat([0, 1], [4 * len(e), 4 * len(ce)])
+    order = np.lexsort((kind, arc_eids, tails))
+    return AuxGraph(n, tails[order], heads[order], weights[order], arc_eids[order])
 
 
-class _PositionalHeap:
-    """Binary min-heap keyed by distance with a positions array for decrease-key."""
+def contract_zero_arcs(aux: AuxGraph) -> AuxGraph:
+    """Merge the aux vertices joined by zero-weight arcs into supernodes.
 
-    def __init__(self, size):
-        self.keys = np.empty(size, dtype=np.float64)
-        self.items: list[int] = []
-        self.pos = np.full(size, -1, dtype=np.int64)
+    Zero arcs come in pairs (both directions, both copies), so the twin of a
+    supernode -- the supernode of any member's twin -- is well defined and
+    all distances between supernodes are those between their members.
+    """
+    n = aux.n
+    zero = aux.weights <= ZERO_ARC_EPS
+    parent = list(range(2 * n))
 
-    def __len__(self):
-        return len(self.items)
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    def push_or_decrease(self, v, key):
-        if self.pos[v] < 0:
-            self.keys[v] = key
-            self.items.append(v)
-            self.pos[v] = len(self.items) - 1
-            self._sift_up(len(self.items) - 1)
-        elif key < self.keys[v]:
-            self.keys[v] = key
-            self._sift_up(self.pos[v])
-
-    def pop_min(self):
-        items = self.items
-        top = items[0]
-        last = items.pop()
-        self.pos[top] = -1
-        if items:
-            items[0] = last
-            self.pos[last] = 0
-            self._sift_down(0)
-        return top, self.keys[top]
-
-    def _sift_up(self, i):
-        items, keys, pos = self.items, self.keys, self.pos
-        v = items[i]
-        key = keys[v]
-        while i > 0:
-            parent = (i - 1) >> 1
-            p = items[parent]
-            if keys[p] <= key:
-                break
-            items[i] = p
-            pos[p] = i
-            i = parent
-        items[i] = v
-        pos[v] = i
-
-    def _sift_down(self, i):
-        items, keys, pos = self.items, self.keys, self.pos
-        size = len(items)
-        v = items[i]
-        key = keys[v]
-        while True:
-            child = 2 * i + 1
-            if child >= size:
-                break
-            if child + 1 < size and keys[items[child + 1]] < keys[items[child]]:
-                child += 1
-            c = items[child]
-            if key <= keys[c]:
-                break
-            items[i] = c
-            pos[c] = i
-            i = child
-        items[i] = v
-        pos[v] = i
+    zero_arcs: dict[int, list[tuple[int, int]]] = {}
+    for t, h, e in zip(aux.arc_tail[zero].tolist(), aux.arc_head[zero].tolist(),
+                       aux.edge_ids[zero].tolist()):
+        zero_arcs.setdefault(t, []).append((h, e))
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            parent[rt] = rh
+    _, node_of = np.unique([find(v) for v in range(2 * n)], return_inverse=True)
+    twins = np.empty(node_of.max() + 1, dtype=np.int64)
+    twins[node_of] = np.concatenate([node_of[n:], node_of[:n]])
+    keep = ~zero & (node_of[aux.arc_tail] != node_of[aux.arc_head])
+    return AuxGraph(n, aux.arc_tail[keep], aux.arc_head[keep], aux.weights[keep],
+                    aux.edge_ids[keep], node_of, twins, zero_arcs)
 
 
 @dataclass
 class DijkstraResult:
     dist: np.ndarray
-    parent: np.ndarray      # predecessor aux vertex, -1 if none
-    parent_edge: np.ndarray  # base-graph edge id of the incoming arc
+    parent_arc: list[int]  # arc position of the incoming arc, -1 if none
     scanned: np.ndarray
     hit_twin: bool
 
 
 def dijkstra_mod(aux: AuxGraph, source) -> DijkstraResult:
-    """Dijkstra from ``source`` with the stop-at-1 and twin pruning rules."""
-    size = aux.num_vertices
-    dist = np.full(size, np.inf)
-    parent = np.full(size, -1, dtype=np.int64)
-    parent_edge = np.full(size, -1, dtype=np.int64)
-    scanned = np.zeros(size, dtype=bool)
-    target = aux.twin(source)
+    """Dijkstra from node ``source`` with the stop-at-1 and twin pruning rules.
 
-    heap = _PositionalHeap(size)
+    Heap entries are (distance, push counter, node), so equal distances pop
+    in insertion order; stale entries are skipped on pop.
+    """
+    size = aux.num_vertices
+    dist = [np.inf] * size
+    parent_arc = [-1] * size
+    scanned = [False] * size
+    adjacency, twins = aux.adjacency, aux.twins
+    target = twins[source]
     dist[source] = 0.0
-    heap.push_or_decrease(source, 0.0)
+    heap = [(0.0, 0, source)]
+    pushes = 1
     hit_twin = False
-    while len(heap):
-        v, dv = heap.pop_min()
+    while heap:
+        dv, _, v = heapq.heappop(heap)
+        if dv > dist[v]:
+            continue
         if dv >= 1.0:
             break
         scanned[v] = True
         if v == target:
             hit_twin = True
             break
-        tw = aux.twin(v)
+        tw = twins[v]
         if scanned[tw] and dv + dist[tw] >= 1.0:
             continue
-        for pos in range(aux.offsets[v], aux.offsets[v + 1]):
-            w = int(aux.heads[pos])
-            if scanned[w]:
-                continue
-            cand = dv + aux.weights[pos]
+        for w, weight, pos in adjacency[v]:
+            cand = dv + weight
             if cand < dist[w]:
                 dist[w] = cand
-                parent[w] = v
-                parent_edge[w] = aux.edge_ids[pos]
-                heap.push_or_decrease(w, cand)
-    return DijkstraResult(dist, parent, parent_edge, scanned, hit_twin)
+                parent_arc[w] = pos
+                heapq.heappush(heap, (cand, pushes, w))
+                pushes += 1
+    return DijkstraResult(np.array(dist), parent_arc, np.array(scanned), hit_twin)
 
 
-def _aux_path(result: DijkstraResult, target):
-    """Aux-vertex sequence and arc edge ids from the search source to target."""
-    verts = [int(target)]
-    eids = []
-    v = int(target)
-    while result.parent[v] >= 0:
-        eids.append(int(result.parent_edge[v]))
-        v = int(result.parent[v])
+def _zero_segment(aux: AuxGraph, start, goal, verts, eids):
+    """Append a path of zero arcs from aux vertex ``start`` to ``goal``."""
+    if start == goal:
+        return
+    prev = {start: None}
+    queue = deque([start])
+    while goal not in prev:
+        v = queue.popleft()
+        for h, e in aux.zero_arcs.get(v, ()):
+            if h not in prev:
+                prev[h] = (v, e)
+                queue.append(h)
+    segment = []
+    v = goal
+    while prev[v] is not None:
+        segment.append((v, prev[v][1]))
+        v = prev[v][0]
+    for v, e in reversed(segment):
         verts.append(v)
-    verts.reverse()
-    eids.reverse()
+        eids.append(e)
+
+
+def _aux_path(aux: AuxGraph, result: DijkstraResult, start, goal):
+    """Aux-vertex sequence and edge ids of the found path from aux vertex
+    ``start`` (in the search source) to aux vertex ``goal``."""
+    hops = []
+    pos = result.parent_arc[aux.node_of[goal]]
+    while pos >= 0:
+        hops.append(aux.arcs[pos])
+        pos = result.parent_arc[aux.arcs[pos][0]]
+    verts, eids = [start], []
+    for _, tail, head, eid in reversed(hops):
+        _zero_segment(aux, verts[-1], tail, verts, eids)
+        verts.append(head)
+        eids.append(eid)
+    _zero_segment(aux, verts[-1], goal, verts, eids)
     return verts, eids
 
 
@@ -347,22 +359,20 @@ def symmetric_extra_paths(aux: AuxGraph, result: DijkstraResult, source, path_ve
 
     A twin pair (u, u+n) with both labels finalized and d(u) + d(u+n) < 1
     yields a source-to-twin walk of that length by reflecting the second path.
+    Only valid on the plain aux graph, where nodes are aux vertices.
     """
+    n = aux.n
+    dist, scanned = result.dist, result.scanned
+    pairs = scanned[:n] & scanned[n:] & (dist[:n] + dist[n:] < 1.0 - SEP_GATE)
+    pairs[source % n] = False
     on_path = set(path_verts)
     walks = []
-    n = aux.n
-    for u in range(n):
-        if u == source % n:
-            continue
+    for u in np.flatnonzero(pairs).tolist():
         ut = u + n
         if u in on_path or ut in on_path:
             continue
-        if not (result.scanned[u] and result.scanned[ut]):
-            continue
-        if result.dist[u] + result.dist[ut] >= 1.0 - SEP_GATE:
-            continue
-        verts1, eids1 = _aux_path(result, u)
-        verts2, eids2 = _aux_path(result, ut)
+        verts1, eids1 = _aux_path(aux, result, source, u)
+        verts2, eids2 = _aux_path(aux, result, source, ut)
         # reflect the source->u+n path into a twin path and reverse it: u -> twin(source)
         verts2 = [aux.twin(v) for v in reversed(verts2)]
         eids2 = list(reversed(eids2))
@@ -386,167 +396,32 @@ def separate_exact(g, x, eps_skip=EPS_SKIP, use_symmetry=True,
     """All-sources exact separation; empty iff no cycle inequality is violated
     beyond tolerance. Returned cuts are deduplicated and chordless.
 
-    With ``contract_zeros`` the search runs on the auxiliary graph with
-    zero-weight arcs contracted into supernodes (walks are expanded back
-    through the contracted arcs); symmetric extra paths are skipped then.
+    One ``dijkstra_mod`` search runs from every non-isolated vertex. With
+    ``contract_zeros`` it runs on the graph from ``contract_zero_arcs``: a
+    smaller search that finds the same twin distances, and no symmetric extra
+    walks are taken. Otherwise, with ``use_symmetry``, every finalized twin
+    pair off the source's twin path adds a walk (``symmetric_extra_paths``),
+    which yields more cuts per search.
     """
     if g.m == 0:
         return []
-    if contract_zeros:
-        return _separate_exact_contracted(g, x, eps_skip)
     aux = build_aux_graph(g, x, eps_skip)
+    if contract_zeros:
+        aux = contract_zero_arcs(aux)
     seen = set()
     cuts: list[CycleCut] = []
     for v in range(g.n):
         if g.degree(v) == 0:
             continue
-        result = dijkstra_mod(aux, v)
-        target = aux.twin(v)
+        source = int(aux.node_of[v])
+        result = dijkstra_mod(aux, source)
         path_verts: list[int] = []
-        if result.dist[target] < 1.0 - SEP_GATE:
-            path_verts, path_eids = _aux_path(result, target)
+        if result.dist[aux.twin(source)] < 1.0 - SEP_GATE:
+            path_verts, path_eids = _aux_path(aux, result, v, v + g.n)
             _walk_cuts(_project_walk(aux, path_verts, path_eids), x, g, seen, cuts)
-        if use_symmetry:
+        if use_symmetry and not contract_zeros:
             for walk in symmetric_extra_paths(aux, result, v, path_verts):
                 _walk_cuts(walk, x, g, seen, cuts)
-    return cuts
-
-
-ZERO_ARC_EPS = 1e-9
-
-
-def _raw_arcs(g, x, eps_skip):
-    n = g.n
-    arcs = []
-    for e in range(g.m):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        xe = float(x[e])
-        if xe < 1.0 - eps_skip:
-            arcs += [(u, v, xe, e), (v, u, xe, e),
-                     (u + n, v + n, xe, e), (v + n, u + n, xe, e)]
-        cross = 1.0 - xe
-        if cross < 1.0 - eps_skip:
-            arcs += [(u, v + n, cross, e), (v + n, u, cross, e),
-                     (v, u + n, cross, e), (u + n, v, cross, e)]
-    return arcs
-
-
-def _separate_exact_contracted(g, x, eps_skip):
-    """Exact separation on the aux graph with zero-weight arcs contracted.
-
-    Zero arcs come in bidirectional pairs, so the supernodes they induce
-    preserve all shortest-path distances; found supernode paths are expanded
-    back through the contracted arcs before the usual cycle splitting.
-    """
-    import heapq
-
-    n = g.n
-    size = 2 * n
-    arcs = _raw_arcs(g, x, eps_skip)
-
-    parent = list(range(size))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    zero_adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for t, h, w, e in arcs:
-        if w <= ZERO_ARC_EPS:
-            zero_adj[t].append((h, e))
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[rt] = rh
-    comp = [find(v) for v in range(size)]
-    labels = sorted(set(comp))
-    relabel = {r: i for i, r in enumerate(labels)}
-    comp = [relabel[c] for c in comp]
-    ns = len(labels)
-
-    # supernode arcs keep their original aux endpoints for path expansion
-    sadj: list[list[tuple[int, float, int, int, int]]] = [[] for _ in range(ns)]
-    for t, h, w, e in arcs:
-        if w > ZERO_ARC_EPS and comp[t] != comp[h]:
-            sadj[comp[t]].append((comp[h], w, e, t, h))
-
-    def expand(entry, goal):
-        """Aux-level path entry -> goal through zero arcs of one supernode."""
-        if entry == goal:
-            return [entry], []
-        prev = {entry: (-1, -1)}
-        queue = [entry]
-        while queue:
-            v = queue.pop(0)
-            if v == goal:
-                break
-            for h, e in zero_adj[v]:
-                if h not in prev:
-                    prev[h] = (v, e)
-                    queue.append(h)
-        verts, eids = [goal], []
-        v = goal
-        while prev[v][0] >= 0:
-            pv, e = prev[v]
-            eids.append(e)
-            verts.append(pv)
-            v = pv
-        verts.reverse()
-        eids.reverse()
-        return verts, eids
-
-    seen: set = set()
-    cuts: list[CycleCut] = []
-    aux_shim = AuxGraph(n, [])  # only used for twin()/projection bookkeeping
-    for src in range(n):
-        if g.degree(src) == 0:
-            continue
-        s0, st = comp[src], comp[src + n]
-        dist = [float("inf")] * ns
-        pred: list[tuple | None] = [None] * ns  # (prev supernode, eid, tail, head)
-        dist[s0] = 0.0
-        heap = [(0.0, s0)]
-        done = [False] * ns
-        while heap:
-            dv, v = heapq.heappop(heap)
-            if done[v] or dv > dist[v]:
-                continue
-            if dv >= 1.0:
-                break
-            done[v] = True
-            if v == st:
-                break
-            for h, w, e, at, ah in sadj[v]:
-                cand = dv + w
-                if cand < dist[h]:
-                    dist[h] = cand
-                    pred[h] = (v, e, at, ah)
-                    heapq.heappush(heap, (cand, h))
-        if dist[st] >= 1.0 - SEP_GATE:
-            continue
-        # walk the supernode path back, then expand zero segments forward
-        hops = []
-        v = st
-        while pred[v] is not None:
-            pv, e, at, ah = pred[v]
-            hops.append((e, at, ah))
-            v = pv
-        hops.reverse()
-        verts = [src]
-        eids: list[int] = []
-        cur = src
-        for e, at, ah in hops:
-            seg_v, seg_e = expand(cur, at)
-            verts += seg_v[1:]
-            eids += seg_e
-            verts.append(ah)
-            eids.append(e)
-            cur = ah
-        seg_v, seg_e = expand(cur, src + n)
-        verts += seg_v[1:]
-        eids += seg_e
-        _walk_cuts(_project_walk(aux_shim, verts, eids), x, g, seen, cuts)
     return cuts
 
 

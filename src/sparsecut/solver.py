@@ -14,7 +14,7 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .graph import (
     ReductionTrace,
     biconnected_components,
     build_graph,
-    cut_weight,
     induce_subgraph,
 )
 from .heuristics import burer_rank2, spanning_tree_rounding
@@ -102,7 +101,7 @@ class _Shared:
             return CutSolution(self.best.y.copy(), self.best.weight)
 
 
-def enumerate_component(g, deadline=None) -> tuple[CutSolution, float]:
+def enumerate_component(g) -> tuple[CutSolution, float]:
     """Optimal cut by enumeration over 2^(k-1) bipartitions of the alive vertices."""
     alive = g.alive_vertices()
     k = len(alive)
@@ -387,14 +386,12 @@ def _worker_presets(cfg: Config, k):
     return presets
 
 
-def _race_component(g, cfg, all_integral, deadline, initial):
+def _race_component(g, cfg, all_integral, deadline):
     """Run cfg.threads workers on one component; first optimal finish wins.
 
     One worker only runs primal heuristics and feeds the shared incumbent.
     """
     shared = _Shared()
-    if initial is not None:
-        shared.offer(initial)
     n_solvers = max(1, cfg.threads - 1)
     solvers = [
         ComponentSolver(g, preset, all_integral, deadline, shared=shared)
@@ -452,15 +449,13 @@ def _race_component(g, cfg, all_integral, deadline, initial):
 def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
     alive = len(sub.alive_vertices())
     if alive <= cfg.enum_threshold:
-        sol, value = enumerate_component(sub, deadline)
+        sol, value = enumerate_component(sub)
         return sol, value, "optimal"
     budget = cfg.node_limit or 0
     if budget:
         budget = max(1, budget - stats.nodes)
     if cfg.threads > 1:
-        sol, dual, status, nodes = _race_component(
-            sub, cfg, all_integral, deadline, None
-        )
+        sol, dual, status, nodes = _race_component(sub, cfg, all_integral, deadline)
         stats.nodes += nodes
         return sol, dual, status
     solver = ComponentSolver(sub, cfg, all_integral, deadline, node_budget=budget)
@@ -563,24 +558,31 @@ def _gap_percent(primal, dual):
     return abs(dual - primal) / max(1.0, abs(primal)) * 100.0
 
 
-def solve_maxcut(raw: RawMaxCutInstance, cfg: Config | None = None) -> ResultReport:
-    """Solve a parsed max-cut instance and assemble the result report."""
-    cfg = cfg or Config()
-    start = time.monotonic()
-    g = build_graph(raw)
-    solution, dual, status, stats = solve_graph(g, cfg, raw.all_integral)
-    elapsed = time.monotonic() - start
+def _solve_instance(mc: RawMaxCutInstance, cfg: Config | None):
+    """Solve a max-cut instance; returns (1-based partition, dual, status, nodes)."""
+    g = build_graph(mc)
+    solution, dual, status, stats = solve_graph(g, cfg or Config(), mc.all_integral)
     partition = {v + 1: int(solution.y[v]) for v in range(g.n)}
-    value = raw.cut_value(partition)
+    return partition, dual, status, stats.nodes
+
+
+def _report(start, value, dual, status, nodes, partition) -> ResultReport:
     gap = 0.0 if status == "optimal" else _gap_percent(value, dual)
     return ResultReport(
         best_value=value,
         primal_dual_gap_percent=gap,
-        bnb_nodes=stats.nodes,
-        wall_time_s=elapsed,
+        bnb_nodes=nodes,
+        wall_time_s=time.monotonic() - start,
         partition=partition,
         status=status,
     )
+
+
+def solve_maxcut(raw: RawMaxCutInstance, cfg: Config | None = None) -> ResultReport:
+    """Solve a parsed max-cut instance and assemble the result report."""
+    start = time.monotonic()
+    partition, dual, status, nodes = _solve_instance(raw, cfg)
+    return _report(start, raw.cut_value(partition), dual, status, nodes, partition)
 
 
 def racing_solve(raw: RawMaxCutInstance, cfg: Config | None = None,
@@ -592,23 +594,10 @@ def racing_solve(raw: RawMaxCutInstance, cfg: Config | None = None,
 
 def solve_qubo(raw: RawQuboInstance, cfg: Config | None = None) -> ResultReport:
     """Solve min x^T Q x through the max-cut reduction; reports the QUBO value."""
-    cfg = cfg or Config()
     start = time.monotonic()
     mc, cert = qubo_to_maxcut(raw)
-    g = build_graph(mc)
-    solution, dual, status, stats = solve_graph(g, cfg, mc.all_integral)
-    elapsed = time.monotonic() - start
-    mc_partition = {v + 1: int(solution.y[v]) for v in range(g.n)}
+    mc_partition, dual, status, nodes = _solve_instance(mc, cfg)
     x = qubo_assignment_from_maxcut(mc_partition, cert, raw.dimension)
-    value = raw.objective(x)
     # a max-cut upper bound maps to a QUBO lower bound with the same gap size
     qubo_dual = cert.sign * dual + cert.constant_offset
-    gap = 0.0 if status == "optimal" else _gap_percent(value, qubo_dual)
-    return ResultReport(
-        best_value=value,
-        primal_dual_gap_percent=gap,
-        bnb_nodes=stats.nodes,
-        wall_time_s=elapsed,
-        partition=x,
-        status=status,
-    )
+    return _report(start, raw.objective(x), qubo_dual, status, nodes, x)

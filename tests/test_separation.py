@@ -7,9 +7,11 @@ import pytest
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import CycleCut
 from sparsecut.separation import (
+    SEP_GATE,
     ClosedWalk,
     build_aux_graph,
     chordless_decompose,
+    contract_zero_arcs,
     dijkstra_mod,
     extract_simple_cycles,
     separate_exact,
@@ -174,6 +176,38 @@ def test_zero_contraction_handles_integral_coordinates():
         assert bool(plain) == bool(contracted)
         for cut in contracted:
             assert cut.violation(x) > 0
+
+
+@pytest.mark.parametrize("contract", [False, True], ids=["plain", "contracted"])
+def test_shortest_twin_distance_matches_most_violated_inequality(contract):
+    # the twin distance, minimised over sources, is 1 - (largest violation)
+    rng = random.Random(15 + contract)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        edges = random_graph(rng, n, 0.5)
+        if len(edges) < 3:
+            continue
+        g = WeightedGraph(n, edges)
+        x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()])
+                      for _ in range(g.m)])
+        aux = build_aux_graph(g, x)
+        if contract:
+            aux = contract_zero_arcs(aux)
+        best = math.inf
+        for v in range(n):
+            if g.degree(v) > 0:
+                source = int(aux.node_of[v])
+                result = dijkstra_mod(aux, source)
+                if result.hit_twin:
+                    best = min(best, result.dist[aux.twin(source)])
+        viol, _ = most_violated_cycle_inequality(n, g.edge_list(), x)
+        if viol > SEP_GATE:
+            assert best == pytest.approx(1.0 - viol, abs=1e-9)
+            checked += 1
+        else:
+            assert best >= 1.0 - SEP_GATE
+    assert checked > 10
 
 
 def test_emitted_cuts_are_chordless():

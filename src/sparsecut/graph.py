@@ -1,4 +1,5 @@
-"""CSR graph representation, signed edge contraction and biconnected components.
+"""CSR graph representation, a mutable adjacency for signed contraction, and
+biconnected components.
 
 Vertex ids are 0-based and stable under contraction: the absorbed endpoint
 simply becomes isolated, so reduction records can refer to vertex ids of the
@@ -66,48 +67,29 @@ class WeightedGraph:
             (u, v, w) if u <= v else (v, u, w) for u, v, w in edges
         )
         self.m = len(edges)
-        self.edge_u = np.empty(self.m, dtype=np.int64)
-        self.edge_v = np.empty(self.m, dtype=np.int64)
-        self.edge_w = np.empty(self.m, dtype=np.float64)
         self.edge_index = {}
-        for e, (u, v, w) in enumerate(edges):
+        for e, (u, v, _) in enumerate(edges):
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
             if (u, v) in self.edge_index:
                 raise ValueError(f"parallel edge ({u}, {v})")
-            self.edge_u[e] = u
-            self.edge_v[e] = v
-            self.edge_w[e] = w
             self.edge_index[(u, v)] = e
+        self.edge_u = np.array([u for u, _, _ in edges], dtype=np.int64)
+        self.edge_v = np.array([v for _, v, _ in edges], dtype=np.int64)
+        self.edge_w = np.array([w for _, _, w in edges], dtype=np.float64)
 
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v, _ in edges:
-            deg[u] += 1
-            deg[v] += 1
+        # both arcs of every edge, ordered by (tail, head), so that every
+        # vertex's neighbor list is sorted
+        tails = np.concatenate([self.edge_u, self.edge_v])
+        heads = np.concatenate([self.edge_v, self.edge_u])
+        order = np.lexsort((heads, tails))
+        self.csr_heads = heads[order]
+        self.csr_eids = np.concatenate([np.arange(self.m, dtype=np.int64)] * 2)[order]
+        self.csr_weights = self.edge_w[self.csr_eids]
         self.csr_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.csr_offsets[1:])
-        self.csr_heads = np.empty(2 * self.m, dtype=np.int64)
-        self.csr_eids = np.empty(2 * self.m, dtype=np.int64)
-        self.csr_weights = np.empty(2 * self.m, dtype=np.float64)
-        cursor = self.csr_offsets[:-1].copy()
-        for e, (u, v, w) in enumerate(edges):
-            for a, b in ((u, v), (v, u)):
-                pos = cursor[a]
-                self.csr_heads[pos] = b
-                self.csr_eids[pos] = e
-                self.csr_weights[pos] = w
-                cursor[a] += 1
-        # neighbor lists come out sorted because edges are sorted and each
-        # vertex's slice is filled in increasing (u, v) order only for the
-        # lower endpoint; sort explicitly for both.
-        for v in range(self.n):
-            lo, hi = self.csr_offsets[v], self.csr_offsets[v + 1]
-            order = np.argsort(self.csr_heads[lo:hi], kind="stable")
-            self.csr_heads[lo:hi] = self.csr_heads[lo:hi][order]
-            self.csr_eids[lo:hi] = self.csr_eids[lo:hi][order]
-            self.csr_weights[lo:hi] = self.csr_weights[lo:hi][order]
+        np.cumsum(np.bincount(tails, minlength=self.n), out=self.csr_offsets[1:])
 
     # -- queries ----------------------------------------------------------
 
@@ -171,39 +153,68 @@ class CutSolution:
         return cls(y=y, weight=cut_weight(g, y))
 
 
-def merge_vertices(g: WeightedGraph, keep, gone, opposite, trace=None):
-    """Merge ``gone`` into ``keep`` (same side, or opposite side with sign flip).
+class Adjacency:
+    """Mutable form of a graph that contracts in place: ``adj[v]`` maps each
+    neighbor of ``v`` to the edge weight and ``abs_sum[v]`` sums their |w|."""
 
-    Returns the new graph. For an opposite-side merge all weights incident to
-    ``gone`` are negated first; the accumulated constant (sum of the original
-    incident weights) goes into the trace offset. Resulting parallel edges are
-    summed and cancelled pairs removed.
-    """
-    if keep == gone:
-        raise ValueError("cannot merge a vertex with itself")
-    offset_delta = 0.0
-    sign = 1.0
-    if opposite:
-        _, _, wts = g.incident(gone)
-        offset_delta = float(wts.sum())
-        sign = -1.0
+    def __init__(self, g: WeightedGraph):
+        self.adj = [{} for _ in range(g.n)]
+        self.abs_sum = [0.0] * g.n
+        for u, v, w in g.edge_list():
+            self._link(u, v, w)
 
-    merged: dict[tuple[int, int], float] = {}
-    for e in range(g.m):
-        u, v, w = int(g.edge_u[e]), int(g.edge_v[e]), float(g.edge_w[e])
-        if u == gone or v == gone:
+    def _link(self, u, v, w):
+        self.adj[u][v] = self.adj[v][u] = w
+        self.abs_sum[u] += abs(w)
+        self.abs_sum[v] += abs(w)
+
+    def _unlink(self, u, v):
+        w = self.adj[u].pop(v)
+        del self.adj[v][u]
+        self.abs_sum[u] -= abs(w)
+        self.abs_sum[v] -= abs(w)
+        return w
+
+    def merge(self, keep, gone, opposite, trace=None):
+        """Merge ``gone`` into ``keep`` in O(deg(gone)); returns the touched
+        vertices: ``keep``, ``gone`` and the former neighbors of ``gone``.
+
+        For an opposite-side merge all weights incident to ``gone`` are negated
+        first; the accumulated constant (sum of the original incident weights)
+        goes into the trace offset. Resulting parallel edges are summed and
+        cancelled pairs removed.
+        """
+        if keep == gone:
+            raise ValueError("cannot merge a vertex with itself")
+        moved = list(self.adj[gone].items())
+        sign = -1.0 if opposite else 1.0
+        for z, w in moved:
+            self._unlink(gone, z)
+            if z == keep:
+                continue  # the merged edge itself: contributes only to the offset
             w *= sign
-            u = keep if u == gone else u
-            v = keep if v == gone else v
-        if u == v:
-            continue  # the merged edge itself: contributes only to the offset
-        key = (u, v) if u < v else (v, u)
-        merged[key] = merged.get(key, 0.0) + w
+            if z in self.adj[keep]:
+                w += self._unlink(keep, z)
+            if abs(w) > ZERO_EPS:
+                self._link(keep, z, w)
+        self.abs_sum[gone] = 0.0  # exactly, whatever the rounding of the updates
+        if trace is not None:
+            offset_delta = sum(w for _, w in moved) if opposite else 0.0
+            trace.record_contraction("opposite" if opposite else "same", keep, gone, offset_delta)
+        return [keep, gone] + [z for z, _ in moved]
 
-    edges = [(u, v, w) for (u, v), w in merged.items() if abs(w) > ZERO_EPS]
-    if trace is not None:
-        trace.record_contraction("opposite" if opposite else "same", keep, gone, offset_delta)
-    return WeightedGraph(g.n, edges)
+    def to_graph(self) -> WeightedGraph:
+        return WeightedGraph(len(self.adj), [
+            (u, v, w) for u, nbrs in enumerate(self.adj) for v, w in nbrs.items() if u < v
+        ])
+
+
+def merge_vertices(g: WeightedGraph, keep, gone, opposite, trace=None):
+    """Merge ``gone`` into ``keep`` with ``Adjacency.merge`` and return the
+    new graph; ``g`` is unchanged."""
+    adj = Adjacency(g)
+    adj.merge(keep, gone, opposite, trace)
+    return adj.to_graph()
 
 
 def contract_edge(g: WeightedGraph, e, mode, trace=None):

@@ -1,10 +1,15 @@
 """Iterated weight-based reductions: dominating edges, triangle fixings and
-symmetric vertex merges, applied in rounds with trace recording.
+symmetric vertex merges, applied to a fixpoint with trace recording.
 
-Each rule first scans the whole graph for candidates; candidates are then
-applied one at a time and re-validated against the current graph right before
-application, since an earlier contraction can invalidate (or jointly
-contradict) later candidates.
+The rules run as a vertex worklist on one mutable ``Adjacency``. Round 1
+visits every vertex in id order, each later round the vertices the previous
+round touched (``keep``, ``gone`` and the former neighbors of ``gone``). At a
+visited vertex the rules are tried in ``RULE_NAMES`` order on the current
+graph and the first site that applies is contracted. Whether a rule applies
+at a site depends only on the edges and |w|-degree sums of its vertices, and
+a contraction touches every vertex whose edges or sums change, so a round
+that contracts nothing leaves no site where a rule applies. The CSR graph is
+built once, at the end.
 """
 
 from __future__ import annotations
@@ -12,9 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .graph import ReductionTrace, WeightedGraph, contract_edge, merge_vertices
+from .graph import Adjacency, ReductionTrace, WeightedGraph
 
 REL_TOL = 1e-9
 DEFAULT_MAX_ROUNDS = 10
@@ -32,15 +35,6 @@ class PresolveStats:
     elapsed: float = 0.0
 
 
-def _abs_degree_sums(g):
-    s = np.zeros(g.n)
-    for e in range(g.m):
-        w = abs(g.edge_w[e])
-        s[g.edge_u[e]] += w
-        s[g.edge_v[e]] += w
-    return s
-
-
 def _geq(a, b):
     return a >= b - REL_TOL * max(1.0, abs(a), abs(b))
 
@@ -51,19 +45,10 @@ def _gt(a, b):
 
 # -- dominating edge (singleton cut check) --------------------------------
 
-def _check_dominating(g, u, v, sums=None):
+def _check_dominating(a, u, v):
     """Fix value for edge {u,v} if it dominates one endpoint's cut, else None."""
-    e = g.find_edge(u, v)
-    if e is None:
-        return None
-    if sums is None:
-        _, _, wu = g.incident(u)
-        _, _, wv = g.incident(v)
-        su, sv = np.abs(wu).sum(), np.abs(wv).sum()
-    else:
-        su, sv = sums[u], sums[v]
-    w = float(g.edge_w[e])
-    rest = min(su, sv) - abs(w)
+    w = a.adj[u][v]
+    rest = min(a.abs_sum[u], a.abs_sum[v]) - abs(w)
     if _gt(abs(w), rest):
         return 1 if w > 0 else 0
     return None
@@ -71,243 +56,211 @@ def _check_dominating(g, u, v, sums=None):
 
 def rule_dominating_edge(g):
     """Candidates (u, v, fix-to) where |w(e)| strictly dominates a singleton cut."""
-    sums = _abs_degree_sums(g)
-    out = []
-    for e in range(g.m):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        fix = _check_dominating(g, u, v, sums)
-        if fix is not None:
-            out.append((u, v, fix))
-    return out
+    a = Adjacency(g)
+    sites = ((u, v, _check_dominating(a, u, v)) for u, v, _ in g.edge_list())
+    return [site for site in sites if site[2] is not None]
 
 
 # -- triangle rules --------------------------------------------------------
 
-def _triangles(g):
-    """Each triangle once, as (a, b, c) with a < b < c."""
-    for e in range(g.m):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        if g.degree(u) > TRIANGLE_DEGREE_CAP or g.degree(v) > TRIANGLE_DEGREE_CAP:
-            continue
-        common = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
-        for z in common:
-            if int(z) > v:
-                yield u, v, int(z)
+def _triangles_at(a, v):
+    """Triangles through ``v``, each once as (x, y, z) with x < y < z, whose
+    two lowest vertices have degree at most ``TRIANGLE_DEGREE_CAP``."""
+    adj = a.adj
+    nv = adj[v]
+    for y in nv:
+        ny = adj[y]
+        for z in (nv if len(nv) <= len(ny) else ny):
+            if z > y and z in nv and z in ny:
+                x, y2, z2 = sorted((v, y, z))
+                if len(adj[x]) <= TRIANGLE_DEGREE_CAP and len(adj[y2]) <= TRIANGLE_DEGREE_CAP:
+                    yield x, y2, z2
 
 
-def _check_triangle_zero(g, v1, v2, v3, sums=None):
-    """True if x(v1 v2) = 0 is optimal-preserving for this labeled triangle."""
-    e12 = g.find_edge(v1, v2)
-    e13 = g.find_edge(v1, v3)
-    e23 = g.find_edge(v2, v3)
-    if e12 is None or e13 is None or e23 is None:
-        return False
-    if sums is None:
-        sums = _abs_degree_sums(g)
-    w12, w13, w23 = (float(g.edge_w[e]) for e in (e12, e13, e23))
-    a12, a13, a23 = abs(w12), abs(w13), abs(w23)
-    # flipping a set with {v1,v2}, {v1,v3} in its cut removes w12 + w13 from
-    # the objective and changes the remaining crossing edges by at most the
-    # right-hand side, so the fix is safe when -(w12 + w13) covers that loss
-    rhs1 = min(
-        sums[v1] - a12 - a13,                                  # V1 = {v1}
-        sums[v2] + sums[v3] - 2 * a23 - a12 - a13,             # V1 = {v2, v3}
-    )
-    rhs2 = min(
-        sums[v2] - a12 - a23,                                  # V2 = {v2}
-        sums[v1] + sums[v3] - 2 * a13 - a12 - a23,             # V2 = {v1, v3}
-    )
-    return _geq(-(w13 + w12), rhs1) and _geq(-(w12 + w23), rhs2)
+def _triangle_sites(g, site_of):
+    a = Adjacency(g)
+    sites = (site_of(a, t) for v in range(g.n) for t in _triangles_at(a, v) if t[0] == v)
+    return [site for site in sites if site is not None]
+
+
+def _triangle_zero_site(a, t):
+    """The first labeling (v1, v2, v3) of triangle ``t`` that admits
+    x(v1 v2) = 0, or None. The check is symmetric in v1 and v2."""
+    adj, sums = a.adj, a.abs_sum
+    x, y, z = t
+    for v1, v2, v3 in ((x, y, z), (x, z, y), (y, z, x)):
+        w12, w13, w23 = adj[v1][v2], adj[v1][v3], adj[v2][v3]
+        a12, a13, a23 = abs(w12), abs(w13), abs(w23)
+        # flipping a set with {v1,v2}, {v1,v3} in its cut removes w12 + w13
+        # from the objective and changes the remaining crossing edges by at
+        # most the right-hand side, so the fix is safe when -(w12 + w13)
+        # covers that loss
+        rhs1 = min(
+            sums[v1] - a12 - a13,                              # V1 = {v1}
+            sums[v2] + sums[v3] - 2 * a23 - a12 - a13,         # V1 = {v2, v3}
+        )
+        rhs2 = min(
+            sums[v2] - a12 - a23,                              # V2 = {v2}
+            sums[v1] + sums[v3] - 2 * a13 - a12 - a23,         # V2 = {v1, v3}
+        )
+        if _geq(-(w13 + w12), rhs1) and _geq(-(w12 + w23), rhs2):
+            return v1, v2, v3
+    return None
 
 
 def rule_triangle_zero(g):
     """Candidates (v1, v2, v3) whose labeled triangle admits x(v1 v2) = 0."""
-    sums = _abs_degree_sums(g)
-    out = []
-    for a, b, c in _triangles(g):
-        for v1, v2, v3 in ((a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)):
-            if v2 < v1:
-                continue  # the fixed edge {v1,v2} is unordered
-            if _check_triangle_zero(g, v1, v2, v3, sums):
-                out.append((v1, v2, v3))
-                break
-    return out
+    return _triangle_sites(g, _triangle_zero_site)
 
 
-def _check_triangle_one(g, v1, v2, v3, sums=None):
-    """True if x(v1 v2) = 1 is optimal-preserving: requires w12>0, w13>0, w23<0."""
-    e12 = g.find_edge(v1, v2)
-    e13 = g.find_edge(v1, v3)
-    e23 = g.find_edge(v2, v3)
-    if e12 is None or e13 is None or e23 is None:
-        return False
-    w12, w13, w23 = (float(g.edge_w[e]) for e in (e12, e13, e23))
-    if not (w12 > 0 and w13 > 0 and w23 < 0):
-        return False
-    if sums is None:
-        sums = _abs_degree_sums(g)
-    a12, a13, a23 = abs(w12), abs(w13), abs(w23)
-    rhs1 = min(
-        sums[v1] - a12 - a13,                                  # V1 = {v1}
-        sums[v2] + sums[v3] - 2 * a23 - a12 - a13,             # V1 = {v2, v3}
-    )
-    # the excluded set is {e12, e13}, so w23 stays on the right-hand side
-    rhs2 = min(
-        sums[v2] - a12,                                        # V2 = {v2}
-        sums[v1] + sums[v3] - 2 * a13 - a12,                   # V2 = {v1, v3}
-    )
-    return _geq(w12 + w13, rhs1) and _geq(w12 - w23, rhs2)
+def _triangle_one_site(a, t):
+    """The first labeling (v1, v2, v3) of triangle ``t`` that admits
+    x(v1 v2) = 1, or None: requires w12 > 0, w13 > 0 and w23 < 0, so v1 is
+    the apex opposite the only negative edge."""
+    adj, sums = a.adj, a.abs_sum
+    x, y, z = t
+    if adj[y][z] < 0:
+        v1, p, r = x, y, z
+    elif adj[x][z] < 0:
+        v1, p, r = y, x, z
+    else:
+        v1, p, r = z, x, y
+    for v2, v3 in ((p, r), (r, p)):
+        w12, w13, w23 = adj[v1][v2], adj[v1][v3], adj[v2][v3]
+        if not (w12 > 0 and w13 > 0 and w23 < 0):
+            return None
+        a12, a13, a23 = abs(w12), abs(w13), abs(w23)
+        rhs1 = min(
+            sums[v1] - a12 - a13,                              # V1 = {v1}
+            sums[v2] + sums[v3] - 2 * a23 - a12 - a13,         # V1 = {v2, v3}
+        )
+        # the excluded set is {e12, e13}, so w23 stays on the right-hand side
+        rhs2 = min(
+            sums[v2] - a12,                                    # V2 = {v2}
+            sums[v1] + sums[v3] - 2 * a13 - a12,               # V2 = {v1, v3}
+        )
+        if _geq(w12 + w13, rhs1) and _geq(w12 - w23, rhs2):
+            return v1, v2, v3
+    return None
 
 
 def rule_triangle_one(g):
     """Candidates (v1, v2, v3) whose labeled triangle admits x(v1 v2) = 1."""
-    sums = _abs_degree_sums(g)
-    out = []
-    for a, b, c in _triangles(g):
-        eids = (g.find_edge(a, b), g.find_edge(a, c), g.find_edge(b, c))
-        ws = [float(g.edge_w[e]) for e in eids]
-        if sum(1 for w in ws if w < 0) != 1:
-            continue
-        # v1 = apex off the negative edge; try both endpoint orders
-        if ws[2] < 0:
-            apex, p, r = a, b, c
-        elif ws[1] < 0:
-            apex, p, r = b, a, c
-        else:
-            apex, p, r = c, a, b
-        for v2, v3 in ((p, r), (r, p)):
-            if _check_triangle_one(g, apex, v2, v3, sums):
-                out.append((apex, v2, v3))
-                break
-    return out
+    return _triangle_sites(g, _triangle_one_site)
 
 
 # -- symmetric vertex pairs ------------------------------------------------
 
-def _proportional(g, u, v, common):
-    """Proportionality factor alpha with w(u,z) = alpha * w(v,z) on the common
-    neighborhood, or None."""
-    alpha = None
-    for z in common:
-        wu = float(g.edge_w[g.find_edge(u, z)])
-        wv = float(g.edge_w[g.find_edge(v, z)])
-        if alpha is None:
-            alpha = wu / wv
-        elif abs(wu - alpha * wv) > REL_TOL * max(1.0, abs(wu), abs(alpha * wv)):
-            return None
-    return alpha
-
-
-def _check_symmetry(g, u, v):
+def _check_symmetry(a, u, v):
     """Merge sign (+1 same side / -1 opposite) for a symmetric pair, or None."""
-    nu = set(int(z) for z in g.neighbors(u)) - {v}
-    nv = set(int(z) for z in g.neighbors(v)) - {u}
-    if nu != nv or not nu:
+    nu, nv = a.adj[u], a.adj[v]
+    if len(nu) - (v in nu) != len(nv) - (u in nv):
         return None
-    alpha = _proportional(g, u, v, sorted(nu))
-    if alpha is None or alpha == 0.0:
+    common = nu.keys() - {v}
+    if not common or common != nv.keys() - {u}:
         return None
-    e_uv = g.find_edge(u, v)
-    if e_uv is not None:
-        w_uv = float(g.edge_w[e_uv])
-        if alpha > 0 and not w_uv < 0:
+    # proportionality factor alpha with w(u,z) = alpha * w(v,z) on the
+    # common neighborhood, taken at its lowest vertex
+    z0 = min(common)
+    alpha = nu[z0] / nv[z0]
+    if alpha == 0.0:
+        return None
+    for z in common:
+        wu, wv = nu[z], alpha * nv[z]
+        if abs(wu - wv) > REL_TOL * max(1.0, abs(wu), abs(wv)):
             return None
-        if alpha < 0 and not w_uv > 0:
-            return None
+    # a connecting edge must have the sign opposite to alpha
+    w_uv = nu.get(v)
+    if w_uv is not None and not w_uv * alpha < 0:
+        return None
     return 1 if alpha > 0 else -1
+
+
+def _symmetric_pairs(a, v):
+    """Symmetric pairs (lo, hi, sign) containing ``v``.
+
+    A partner u shares every neighbor of v other than u, so for the
+    lowest-degree neighbor z of v, u is z or a neighbor of z: a hub vertex
+    is searched only when v has no neighbor of lower degree.
+    """
+    adj = a.adj
+    if not adj[v]:
+        return
+    z = min(adj[v], key=lambda y: len(adj[y]))
+    for u in (z, *adj[z]):
+        if u != v:
+            lo, hi = min(u, v), max(u, v)
+            sign = _check_symmetry(a, lo, hi)
+            if sign is not None:
+                yield lo, hi, sign
 
 
 def rule_symmetry_merge(g):
     """Candidates (u, v, sign) of vertices with identical punctured neighborhoods
     and proportional weights; sign +1 merges same side, -1 opposite sides."""
-    out = []
-    emitted = set()
-    # adjacent pairs
-    for e in range(g.m):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        sign = _check_symmetry(g, u, v)
-        if sign is not None:
-            out.append((u, v, sign))
-            emitted.add((u, v))
-    # non-adjacent pairs share their full neighborhood: group by hash and verify
-    groups: dict = {}
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            continue
-        key = hash(tuple(int(z) for z in g.neighbors(v)))
-        groups.setdefault(key, []).append(v)
-    for members in groups.values():
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if (u, v) in emitted:
-                    continue
-                sign = _check_symmetry(g, u, v)
-                if sign is not None:
-                    out.append((u, v, sign))
-                    emitted.add((u, v))
-    out.sort()
-    return out
+    a = Adjacency(g)
+    return sorted({pair for v in range(g.n) for pair in _symmetric_pairs(a, v)})
 
 
 # -- driver ----------------------------------------------------------------
 
+def _reduction_at(a, v):
+    """(rule, keep, gone, opposite) for the first site at ``v`` where a rule
+    applies, trying the rules in ``RULE_NAMES`` order, or None. The
+    lower-indexed vertex survives."""
+    for z in a.adj[v]:
+        fix = _check_dominating(a, v, z)
+        if fix is not None:
+            return "dominating_edge", min(v, z), max(v, z), fix == 1
+    triangles = list(_triangles_at(a, v))
+    for rule, site_of in (("triangle_zero", _triangle_zero_site),
+                          ("triangle_one", _triangle_one_site)):
+        for t in triangles:
+            site = site_of(a, t)
+            if site is not None:
+                return rule, min(site[:2]), max(site[:2]), rule == "triangle_one"
+    pair = next(_symmetric_pairs(a, v), None)
+    if pair is not None:
+        lo, hi, sign = pair
+        return "symmetry_merge", lo, hi, sign < 0
+    return None
+
+
 def presolve_loop(g: WeightedGraph, max_rounds=DEFAULT_MAX_ROUNDS,
                   trace: ReductionTrace | None = None):
-    """Apply all rules in rounds until a round contracts nothing.
+    """Apply all rules in worklist rounds until a round contracts nothing.
 
-    Returns (reduced graph, trace, stats). The trace replay plus its offset
-    reproduce original optimal solutions from reduced ones.
+    Returns (reduced graph, trace, stats); the reduced graph is ``g`` itself
+    when nothing was contracted. The trace replay plus its offset reproduce
+    original optimal solutions from reduced ones.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     start = time.perf_counter()
     trace = trace if trace is not None else ReductionTrace()
     stats = PresolveStats()
+    a = Adjacency(g)
 
+    queue = range(g.n)
     for _ in range(max_rounds):
-        progress = False
         stats.rounds += 1
-
-        for u, v, fix in rule_dominating_edge(g):
-            if _check_dominating(g, u, v) == fix:
-                g = _apply_edge_fix(g, u, v, fix, trace, stats, "dominating_edge")
-                progress = True
-
-        for v1, v2, v3 in rule_triangle_zero(g):
-            if _check_triangle_zero(g, v1, v2, v3):
-                g = _apply_edge_fix(g, v1, v2, 0, trace, stats, "triangle_zero")
-                progress = True
-
-        for v1, v2, v3 in rule_triangle_one(g):
-            if _check_triangle_one(g, v1, v2, v3):
-                g = _apply_edge_fix(g, v1, v2, 1, trace, stats, "triangle_one")
-                progress = True
-
-        for u, v, sign in rule_symmetry_merge(g):
-            if _check_symmetry(g, u, v) == sign:
-                before = g.m
-                g = merge_vertices(g, min(u, v), max(u, v), sign < 0, trace)
-                stats.rule_hits["symmetry_merge"] += 1
-                stats.vertices_merged += 1
-                stats.edges_contracted += before - g.m
-                progress = True
-
-        if not progress:
+        touched = set()
+        for v in queue:
+            found = _reduction_at(a, v)
+            if found is None:
+                continue
+            rule, keep, gone, opposite = found
+            touched.update(a.merge(keep, gone, opposite, trace))
+            stats.rule_hits[rule] += 1
+            stats.vertices_merged += 1
+        if not touched:
             break
+        queue = sorted(touched)
 
+    reduced = a.to_graph() if stats.vertices_merged else g
+    stats.edges_contracted = g.m - reduced.m
     stats.elapsed = time.perf_counter() - start
-    return g, trace, stats
-
-
-def _apply_edge_fix(g, u, v, fix, trace, stats, rule):
-    e = g.find_edge(u, v)
-    before = g.m
-    mode = "same_side" if fix == 0 else "opposite_side"
-    g = contract_edge(g, e, mode, trace)
-    stats.rule_hits[rule] += 1
-    stats.vertices_merged += 1
-    stats.edges_contracted += before - g.m
-    return g
+    return reduced, trace, stats
 
 
 def format_stats(stats: PresolveStats) -> str:

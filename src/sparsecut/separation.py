@@ -396,10 +396,11 @@ def separate_exact(g, x, eps_skip=EPS_SKIP, use_symmetry=True,
     """All-sources exact separation; empty iff no cycle inequality is violated
     beyond tolerance. Returned cuts are deduplicated and chordless.
 
-    One ``dijkstra_mod`` search runs from every non-isolated vertex. With
-    ``contract_zeros`` it runs on the graph from ``contract_zero_arcs``: a
-    smaller search that finds the same twin distances, and no symmetric extra
-    walks are taken. Otherwise, with ``use_symmetry``, every finalized twin
+    One ``dijkstra_mod`` search runs from the source node of every
+    non-isolated vertex. With ``contract_zeros`` it runs on the graph from
+    ``contract_zero_arcs``: a smaller search that finds the same twin
+    distances, run once per supernode that holds a source, and no symmetric
+    extra walks are taken. Otherwise, with ``use_symmetry``, every finalized twin
     pair off the source's twin path adds a walk (``symmetric_extra_paths``),
     which yields more cuts per search.
     """
@@ -408,13 +409,18 @@ def separate_exact(g, x, eps_skip=EPS_SKIP, use_symmetry=True,
     aux = build_aux_graph(g, x, eps_skip)
     if contract_zeros:
         aux = contract_zero_arcs(aux)
+    sources = aux.node_of[:g.n].tolist()
+    last_use = {source: v for v, source in enumerate(sources)}
+    searched = {}  # one search per source node, kept until its last use
     seen = set()
     cuts: list[CycleCut] = []
     for v in range(g.n):
         if g.degree(v) == 0:
             continue
-        source = int(aux.node_of[v])
-        result = dijkstra_mod(aux, source)
+        source = sources[v]
+        if source not in searched:
+            searched[source] = dijkstra_mod(aux, source)
+        result = searched[source] if last_use[source] > v else searched.pop(source)
         path_verts: list[int] = []
         if result.dist[aux.twin(source)] < 1.0 - SEP_GATE:
             path_verts, path_eids = _aux_path(aux, result, v, v + g.n)

@@ -49,7 +49,6 @@ class Config:
     enum_threshold: int = DEFAULT_ENUM_THRESHOLD
     node_limit: int = 0          # 0 = unlimited
     presolve: bool = True
-    max_presolve_rounds: int = 10
     propagation: bool = True
     heuristics: bool = True
     heur_restarts: int = 8
@@ -514,7 +513,7 @@ def solve_graph(g, cfg: Config, all_integral=False):
     trace = ReductionTrace()
     reduced = g
     if cfg.presolve:
-        reduced, trace, pstats = presolve_loop(g, cfg.max_presolve_rounds, trace)
+        reduced, trace, pstats = presolve_loop(g, trace=trace)
         stats.presolve = pstats
         log.info("%s", format_stats(pstats))
 

@@ -32,6 +32,21 @@ def test_csr_adjacency_is_sorted_and_complete():
     assert g.find_edge(1, 3) is None
 
 
+def test_csr_matches_a_per_vertex_scan_of_the_edge_list():
+    rng = random.Random(4)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        edges = random_graph(rng, n, 0.4, integral=False)
+        rng.shuffle(edges)
+        g = make(n, [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges])
+        for v in range(n):
+            expected = sorted(
+                (b if a == v else a, e, w) for e, (a, b, w) in enumerate(g.edge_list()) if v in (a, b)
+            )
+            heads, eids, weights = g.incident(v)
+            assert list(zip(heads.tolist(), eids.tolist(), weights.tolist())) == expected
+
+
 def test_rejects_self_loops_and_parallel_edges():
     with pytest.raises(ValueError):
         make(2, [(1, 1, 1.0)])

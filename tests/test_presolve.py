@@ -3,8 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from sparsecut.graph import ReductionTrace, WeightedGraph, cut_weight
+import sparsecut.graph
+from sparsecut.graph import ReductionTrace, WeightedGraph, build_graph, cut_weight
+from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
 from sparsecut.presolve import (
+    DEFAULT_MAX_ROUNDS,
     presolve_loop,
     rule_dominating_edge,
     rule_symmetry_merge,
@@ -12,7 +15,9 @@ from sparsecut.presolve import (
     rule_triangle_zero,
 )
 
-from oracles import brute_force_maxcut, random_graph
+from sparsecut.transform import maxcut_to_qubo, qubo_to_maxcut
+
+from oracles import brute_force_maxcut, exhaustive_maxcut, random_graph
 
 
 def solve_by_presolve(n, edges):
@@ -159,3 +164,62 @@ def test_presolve_terminates_within_max_rounds():
     g = WeightedGraph(12, edges)
     _, _, stats = presolve_loop(g, max_rounds=3)
     assert stats.rounds <= 3
+
+
+def _hub_image(rng, n):
+    """Max-cut image of a QUBO with a field on every variable: the root,
+    vertex 0, is adjacent to (almost) every other vertex."""
+    edges = random_graph(rng, n, 0.4)
+    qubo, _ = maxcut_to_qubo(RawMaxCutInstance(n, [(u + 1, v + 1, w) for u, v, w in edges]))
+    field = [(i, i, float(rng.choice([-2, -1, 1, 2]))) for i in range(1, n)]
+    image, _ = qubo_to_maxcut(RawQuboInstance(qubo.dimension, qubo.entries + field))
+    return build_graph(image)
+
+
+def test_presolve_reaches_a_rule_fixpoint():
+    rng = random.Random(33)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(3, 12)
+        graphs.append(WeightedGraph(n, random_graph(rng, n, rng.uniform(0.3, 0.8))))
+    for _ in range(20):
+        # plant a twin of vertex 0 so that symmetry merges occur
+        n = rng.randint(4, 11)
+        edges = random_graph(rng, n, 0.6)
+        alpha = rng.choice([1.0, -1.0, 2.0, -0.5])
+        edges += [(v if u == 0 else u, n, alpha * w) for u, v, w in edges if 0 in (u, v)]
+        if rng.random() < 0.5:
+            edges.append((0, n, -0.5 * alpha))  # adjacent twins
+        graphs.append(WeightedGraph(n + 1, edges))
+    hubs = [_hub_image(rng, rng.randint(5, 14)) for _ in range(40)]
+    assert sum(g.degree(0) >= g.n - 2 for g in hubs) >= 30
+    merged = 0
+    for g in graphs + hubs:
+        reduced, trace, stats = presolve_loop(g)
+        merged += stats.vertices_merged
+        if stats.rounds < DEFAULT_MAX_ROUNDS:
+            assert rule_dominating_edge(reduced) == []
+            assert rule_triangle_zero(reduced) == []
+            assert rule_triangle_one(reduced) == []
+            assert rule_symmetry_merge(reduced) == []
+        best, _ = exhaustive_maxcut(g.n, g.edge_list())
+        red_best, red_y = exhaustive_maxcut(reduced.n, reduced.edge_list())
+        assert red_best + trace.offset == pytest.approx(best)
+        assert cut_weight(g, trace.replay(red_y)) == pytest.approx(best)
+    assert merged >= len(graphs + hubs)
+
+
+def test_presolve_builds_the_reduced_graph_once(monkeypatch):
+    # a weighted path: every edge dominates at a leaf, so all 7 contract
+    g = WeightedGraph(8, [(i, i + 1, float((-1) ** i * (i + 1))) for i in range(7)])
+    built = []
+    init = sparsecut.graph.WeightedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparsecut.graph.WeightedGraph, "__init__", counting_init)
+    reduced, _, stats = presolve_loop(g)
+    assert stats.vertices_merged == 7 and reduced.m == 0
+    assert len(built) == 1

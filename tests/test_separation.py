@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import sparsecut.separation
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import CycleCut
 from sparsecut.separation import (
@@ -176,6 +177,31 @@ def test_zero_contraction_handles_integral_coordinates():
         assert bool(plain) == bool(contracted)
         for cut in contracted:
             assert cut.violation(x) > 0
+
+
+def test_contracted_search_runs_once_per_source_supernode(monkeypatch):
+    # 6x6 +-1 torus with x mostly exactly 0 or 1: many zero arcs, so vertices
+    # share supernodes, and a shared supernode needs only one search
+    rng = random.Random(17)
+    L = 6
+    edges = [(r * L + c, r * L + (c + 1) % L, rng.choice([-1.0, 1.0]))
+             for r in range(L) for c in range(L)]
+    edges += [(r * L + c, ((r + 1) % L) * L + c, rng.choice([-1.0, 1.0]))
+              for r in range(L) for c in range(L)]
+    g = WeightedGraph(L * L, edges)
+    x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()]) for _ in range(g.m)])
+    aux = contract_zero_arcs(build_aux_graph(g, x))
+    supernodes = {int(aux.node_of[v]) for v in range(g.n)}
+    assert len(supernodes) < g.n // 2
+    sources = []
+
+    def counting_dijkstra(aux, source):
+        sources.append(source)
+        return dijkstra_mod(aux, source)
+
+    monkeypatch.setattr(sparsecut.separation, "dijkstra_mod", counting_dijkstra)
+    separate_exact(g, x, contract_zeros=True)
+    assert sorted(sources) == sorted(supernodes)
 
 
 @pytest.mark.parametrize("contract", [False, True], ids=["plain", "contracted"])

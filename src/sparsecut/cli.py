@@ -58,8 +58,6 @@ def build_arg_parser():
                    help="restarts of the angular heuristic (default 8)")
     p.add_argument("--heur-off", action="store_true",
                    help="disable primal heuristics")
-    p.add_argument("--sepa-contract-zeros", action="store_true",
-                   help="contract zero-weight arcs in the separation graph")
     p.add_argument("--sepa-triangle-budget", type=int, default=50_000,
                    help="triangle inspection budget per separation round")
     p.add_argument("--sepa-max-cuts-per-round", type=int, default=0,
@@ -105,7 +103,6 @@ def config_from_args(args) -> Config:
         propagation=not args.no_propagation,
         heuristics=not args.heur_off,
         heur_restarts=args.heur_restarts,
-        contract_zero_arcs=args.sepa_contract_zeros,
         triangle_budget=args.sepa_triangle_budget,
         max_cuts_per_round=args.sepa_max_cuts_per_round,
     )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .graph import Adjacency, ReductionTrace, WeightedGraph
 
 REL_TOL = 1e-9
-DEFAULT_MAX_ROUNDS = 10
 TRIANGLE_DEGREE_CAP = 512
 
 RULE_NAMES = ("dominating_edge", "triangle_zero", "triangle_one", "symmetry_merge")
@@ -226,23 +225,20 @@ def _reduction_at(a, v):
     return None
 
 
-def presolve_loop(g: WeightedGraph, max_rounds=DEFAULT_MAX_ROUNDS,
-                  trace: ReductionTrace | None = None):
+def presolve_loop(g: WeightedGraph, trace: ReductionTrace | None = None):
     """Apply all rules in worklist rounds until a round contracts nothing.
 
     Returns (reduced graph, trace, stats); the reduced graph is ``g`` itself
     when nothing was contracted. The trace replay plus its offset reproduce
     original optimal solutions from reduced ones.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     start = time.perf_counter()
     trace = trace if trace is not None else ReductionTrace()
     stats = PresolveStats()
     a = Adjacency(g)
 
     queue = range(g.n)
-    for _ in range(max_rounds):
+    while True:  # ends: every contraction removes a vertex
         stats.rounds += 1
         touched = set()
         for v in queue:

@@ -52,7 +52,6 @@ class Config:
     propagation: bool = True
     heuristics: bool = True
     heur_restarts: int = 8
-    contract_zero_arcs: bool = False
     triangle_budget: int = 50_000
     max_cuts_per_round: int = 0  # 0 = twice the vertex count
     tailing_off_tol: float = 1e-4
@@ -290,9 +289,7 @@ class ComponentSolver:
             x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
             cuts = separate_triangles(g, state.x, budget=cfg.triangle_budget)
             if not cuts:
-                cuts = separate_exact(
-                    g, state.x, contract_zeros=cfg.contract_zero_arcs
-                )
+                cuts = separate_exact(g, state.x)
             if not cuts:
                 if x_integral:
                     # the point is the incidence vector of a cut: certify it

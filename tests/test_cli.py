@@ -114,7 +114,7 @@ def test_solver_flags_are_accepted(tmp_path, capsys):
     rc, out = run_cli(
         tmp_path, capsys, MC_TRIANGLE, "tri.mc",
         ["--no-presolve", "--no-propagation", "--heur-off", "--seed", "3",
-         "--enum-threshold", "0", "--sepa-contract-zeros",
+         "--enum-threshold", "0",
          "--sepa-triangle-budget", "100", "--sepa-max-cuts-per-round", "4",
          "--time-limit", "60", "--gap", "0", "--threads", "1"],
     )

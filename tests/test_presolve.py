@@ -7,7 +7,6 @@ import sparsecut.graph
 from sparsecut.graph import ReductionTrace, WeightedGraph, build_graph, cut_weight
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
 from sparsecut.presolve import (
-    DEFAULT_MAX_ROUNDS,
     presolve_loop,
     rule_dominating_edge,
     rule_symmetry_merge,
@@ -158,12 +157,24 @@ def test_presolve_stats_are_populated():
     assert stats.elapsed >= 0.0
 
 
-def test_presolve_terminates_within_max_rounds():
-    rng = random.Random(32)
-    edges = random_graph(rng, 12, 0.3)
-    g = WeightedGraph(12, edges)
-    _, _, stats = presolve_loop(g, max_rounds=3)
-    assert stats.rounds <= 3
+def test_presolve_runs_to_its_fixpoint_on_a_field_torus_image():
+    # QUBO with +-4 couplings on a 30 x 30 torus and a +-1 field: in the
+    # max-cut image, dominating edges propagate one hop per round along
+    # chains through the hub, so the fixpoint takes a dozen rounds
+    L = 30
+    rng = np.random.default_rng(1)
+    pairs = [(v, nb) for v in range(L * L)
+             for nb in (v - v % L + (v + 1) % L, (v + L) % (L * L))]
+    entries = [(min(u, v) + 1, max(u, v) + 1, 4 * int(q))
+               for (u, v), q in zip(pairs, rng.choice([-1, 1], size=len(pairs)))]
+    entries += [(i + 1, i + 1, int(h))
+                for i, h in enumerate(rng.choice([-1, 1], size=L * L))]
+    image, _ = qubo_to_maxcut(RawQuboInstance(L * L, entries))
+    reduced, _, _ = presolve_loop(build_graph(image))
+    assert rule_dominating_edge(reduced) == []
+    assert rule_triangle_zero(reduced) == []
+    assert rule_triangle_one(reduced) == []
+    assert rule_symmetry_merge(reduced) == []
 
 
 def _hub_image(rng, n):
@@ -197,11 +208,10 @@ def test_presolve_reaches_a_rule_fixpoint():
     for g in graphs + hubs:
         reduced, trace, stats = presolve_loop(g)
         merged += stats.vertices_merged
-        if stats.rounds < DEFAULT_MAX_ROUNDS:
-            assert rule_dominating_edge(reduced) == []
-            assert rule_triangle_zero(reduced) == []
-            assert rule_triangle_one(reduced) == []
-            assert rule_symmetry_merge(reduced) == []
+        assert rule_dominating_edge(reduced) == []
+        assert rule_triangle_zero(reduced) == []
+        assert rule_triangle_one(reduced) == []
+        assert rule_symmetry_merge(reduced) == []
         best, _ = exhaustive_maxcut(g.n, g.edge_list())
         red_best, red_y = exhaustive_maxcut(reduced.n, reduced.edge_list())
         assert red_best + trace.offset == pytest.approx(best)

@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-import sparsecut.separation
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import CycleCut
 from sparsecut.separation import (
@@ -12,7 +11,6 @@ from sparsecut.separation import (
     ClosedWalk,
     build_aux_graph,
     chordless_decompose,
-    contract_zero_arcs,
     dijkstra_mod,
     extract_simple_cycles,
     separate_exact,
@@ -134,7 +132,7 @@ def test_separate_exact_empty_at_integral_cut_point():
     assert separate_exact(g, x) == []
 
 
-def _exactness_check(seed, trials, contract_zeros=False):
+def _exactness_check(seed, trials):
     rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(4, 8)
@@ -142,8 +140,10 @@ def _exactness_check(seed, trials, contract_zeros=False):
         if len(edges) < 3:
             continue
         g = WeightedGraph(n, edges)
-        x = np.array([rng.random() for _ in range(g.m)])
-        cuts = separate_exact(g, x, contract_zeros=contract_zeros)
+        # many coordinates exactly 0 or 1 give zero-weight aux arcs
+        x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()])
+                      for _ in range(g.m)])
+        cuts = separate_exact(g, x)
         viol, _ = most_violated_cycle_inequality(n, edges, x)
         if cuts:
             for cut in cuts:
@@ -158,56 +158,11 @@ def test_separate_exact_matches_enumeration_oracle():
     _exactness_check(seed=10, trials=40)
 
 
-def test_separate_exact_with_zero_contraction_matches_oracle():
-    _exactness_check(seed=11, trials=25, contract_zeros=True)
-
-
-def test_zero_contraction_handles_integral_coordinates():
-    rng = random.Random(12)
-    for _ in range(25):
-        n = rng.randint(4, 8)
-        edges = random_graph(rng, n, 0.5)
-        if len(edges) < 3:
-            continue
-        g = WeightedGraph(n, edges)
-        # many coordinates exactly 0 or 1 to force zero-weight aux arcs
-        x = np.array([rng.choice([0.0, 1.0, rng.random()]) for _ in range(g.m)])
-        plain = separate_exact(g, x, contract_zeros=False)
-        contracted = separate_exact(g, x, contract_zeros=True)
-        assert bool(plain) == bool(contracted)
-        for cut in contracted:
-            assert cut.violation(x) > 0
-
-
-def test_contracted_search_runs_once_per_source_supernode(monkeypatch):
-    # 6x6 +-1 torus with x mostly exactly 0 or 1: many zero arcs, so vertices
-    # share supernodes, and a shared supernode needs only one search
-    rng = random.Random(17)
-    L = 6
-    edges = [(r * L + c, r * L + (c + 1) % L, rng.choice([-1.0, 1.0]))
-             for r in range(L) for c in range(L)]
-    edges += [(r * L + c, ((r + 1) % L) * L + c, rng.choice([-1.0, 1.0]))
-              for r in range(L) for c in range(L)]
-    g = WeightedGraph(L * L, edges)
-    x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()]) for _ in range(g.m)])
-    aux = contract_zero_arcs(build_aux_graph(g, x))
-    supernodes = {int(aux.node_of[v]) for v in range(g.n)}
-    assert len(supernodes) < g.n // 2
-    sources = []
-
-    def counting_dijkstra(aux, source):
-        sources.append(source)
-        return dijkstra_mod(aux, source)
-
-    monkeypatch.setattr(sparsecut.separation, "dijkstra_mod", counting_dijkstra)
-    separate_exact(g, x, contract_zeros=True)
-    assert sorted(sources) == sorted(supernodes)
-
-
-@pytest.mark.parametrize("contract", [False, True], ids=["plain", "contracted"])
-def test_shortest_twin_distance_matches_most_violated_inequality(contract):
+@pytest.mark.parametrize("build", [build_aux_graph], ids=["plain"])
+def test_shortest_twin_distance_matches_most_violated_inequality(build):
     # the twin distance, minimised over sources, is 1 - (largest violation)
-    rng = random.Random(15 + contract)
+    # on the plain two-copy graph, the one aux graph the separator searches
+    rng = random.Random(15)
     checked = 0
     for _ in range(40):
         n = rng.randint(4, 8)
@@ -217,16 +172,13 @@ def test_shortest_twin_distance_matches_most_violated_inequality(contract):
         g = WeightedGraph(n, edges)
         x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()])
                       for _ in range(g.m)])
-        aux = build_aux_graph(g, x)
-        if contract:
-            aux = contract_zero_arcs(aux)
+        aux = build(g, x)
         best = math.inf
         for v in range(n):
             if g.degree(v) > 0:
-                source = int(aux.node_of[v])
-                result = dijkstra_mod(aux, source)
+                result = dijkstra_mod(aux, v)
                 if result.hit_twin:
-                    best = min(best, result.dist[aux.twin(source)])
+                    best = min(best, result.dist[aux.twin(v)])
         viol, _ = most_violated_cycle_inequality(n, g.edge_list(), x)
         if viol > SEP_GATE:
             assert best == pytest.approx(1.0 - viol, abs=1e-9)

@@ -4,6 +4,7 @@ and spanning-tree rounding of LP points."""
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -22,25 +23,61 @@ def angular_energy(g, theta):
     return float(np.sum(g.edge_w * np.cos(theta[g.edge_u] - theta[g.edge_v])))
 
 
+def _csr_lists(g):
+    """(offsets, heads, weights) of the CSR as plain lists: per-vertex loops
+    over a few neighbors index lists far faster than numpy slices."""
+    return g.csr_offsets.tolist(), g.csr_heads.tolist(), g.csr_weights.tolist()
+
+
+def _flip_gain(v, y, offsets, heads, weights):
+    """Change in cut weight when v moves to the other side under y."""
+    same = diff = 0.0
+    side = y[v]
+    for k in range(offsets[v], offsets[v + 1]):
+        if y[heads[k]] == side:
+            same += weights[k]
+        else:
+            diff += weights[k]
+    return same - diff
+
+
 def _local_minimize(g, theta):
     """Coordinate-wise angle updates to a local minimum of the angular energy."""
+    offsets, heads, weights = _csr_lists(g)
+    angle = theta.tolist()
+    # refreshed only when an angle moves, so a field needs no trig calls
+    cos_a = [math.cos(t) for t in angle]
+    sin_a = [math.sin(t) for t in angle]
+    two_pi = 2 * math.pi
     for _ in range(MAX_SWEEPS):
         max_move = 0.0
         for v in range(g.n):
-            heads, _, weights = g.incident(v)
-            if len(heads) == 0:
+            lo, hi = offsets[v], offsets[v + 1]
+            if lo == hi:
                 continue
             # optimal angle against the complex field of the neighbors
-            field = np.sum(weights * np.exp(1j * theta[heads]))
-            if abs(field) < 1e-15:
+            re = im = 0.0
+            for k in range(lo, hi):
+                u, w = heads[k], weights[k]
+                re += w * cos_a[u]
+                im += w * sin_a[u]
+            if math.hypot(re, im) < 1e-15:
                 continue
-            new = (math.pi + np.angle(field)) % (2 * math.pi)
-            move = abs(new - theta[v])
-            move = min(move, 2 * math.pi - move)
-            theta[v] = new
-            max_move = max(max_move, move)
+            new = (math.pi + math.atan2(im, re)) % two_pi
+            old = angle[v]
+            if new == old:
+                continue
+            move = abs(new - old)
+            if move > math.pi:
+                move = two_pi - move
+            angle[v] = new
+            cos_a[v] = math.cos(new)
+            sin_a[v] = math.sin(new)
+            if move > max_move:
+                max_move = move
         if max_move < GRAD_TOL:
             break
+    theta[:] = angle
     return theta
 
 
@@ -52,27 +89,26 @@ def _best_diameter_cut(g, theta):
     """
     order = np.argsort(theta, kind="stable")
     # initial diameter just below the smallest angle: side = angle in [a, a+pi)
-    alpha = theta[order[0]] - 1e-12
+    alpha = float(theta[order[0]]) - 1e-12
     rel = (theta - alpha) % (2 * math.pi)
     y = (rel < math.pi).astype(np.int8)
     weight = cut_weight(g, y)
-    best_w, best_y = weight, y.copy()
+    y = y.tolist()
+    best_w, best_y = weight, list(y)
 
     # events: passing a vertex angle flips that vertex out of the arc,
     # passing angle+pi flips it in; process in increasing angle order
+    offsets, heads, weights = _csr_lists(g)
     events = []
-    for v in range(g.n):
-        events.append(((theta[v] - alpha) % (2 * math.pi), v))
-        events.append(((theta[v] + math.pi - alpha) % (2 * math.pi), v))
+    for v, t in enumerate(theta.tolist()):
+        events.append(((t - alpha) % (2 * math.pi), v))
+        events.append(((t + math.pi - alpha) % (2 * math.pi), v))
     events.sort()
     for _, v in events:
-        heads, _, weights = g.incident(v)
-        same = weights[y[heads] == y[v]].sum()
-        diff = weights[y[heads] != y[v]].sum()
-        weight += same - diff
+        weight += _flip_gain(v, y, offsets, heads, weights)
         y[v] ^= 1
         if weight > best_w + 1e-12:
-            best_w, best_y = weight, y.copy()
+            best_w, best_y = weight, list(y)
     return CutSolution.from_assignment(g, best_y)
 
 
@@ -81,44 +117,40 @@ def kernighan_lin(g, solution: CutSolution) -> CutSolution:
 
     Never returns a worse cut than its input.
     """
-    y = solution.y.copy()
+    offsets, heads, weights = _csr_lists(g)
+    y = solution.y.tolist()
     best_total = solution.weight
     n = g.n
     while True:
-        gains = np.zeros(n)
+        gains = np.empty(n)
         for v in range(n):
-            heads, _, weights = g.incident(v)
-            if len(heads) == 0:
+            if offsets[v] == offsets[v + 1]:
                 gains[v] = -np.inf  # isolated vertices never help
-                continue
-            same = weights[y[heads] == y[v]].sum()
-            diff = weights[y[heads] != y[v]].sum()
-            gains[v] = same - diff
-        locked = np.zeros(n, dtype=bool)
-        locked[gains == -np.inf] = True
-        trial = y.copy()
+            else:
+                gains[v] = _flip_gain(v, y, offsets, heads, weights)
+        # a locked vertex holds gain -inf, which the updates below keep, so
+        # argmax (first maximum on ties) only picks unlocked vertices
+        trial = list(y)
         running = best_total
         best_prefix_gain = 0.0
         best_prefix = 0
         flips = []
-        while not locked.all():
-            v = int(np.argmax(np.where(locked, -np.inf, gains)))
-            if not np.isfinite(gains[v]):
+        for _ in range(n):
+            v = int(np.argmax(gains))
+            gain = float(gains[v])
+            if gain == -math.inf:
                 break
-            running += gains[v]
+            running += gain
             flips.append(v)
-            locked[v] = True
-            heads, _, weights = g.incident(v)
+            gains[v] = -np.inf
             trial_side = trial[v] ^ 1
             trial[v] = trial_side
-            for u, w in zip(heads, weights):
-                if locked[u]:
-                    continue
+            for k in range(offsets[v], offsets[v + 1]):
+                u = heads[k]
                 if trial[u] == trial_side:
-                    gains[u] += 2 * w
+                    gains[u] += 2 * weights[k]
                 else:
-                    gains[u] -= 2 * w
-            gains[v] = -gains[v]
+                    gains[u] -= 2 * weights[k]
             if running - best_total > best_prefix_gain + 1e-12:
                 best_prefix_gain = running - best_total
                 best_prefix = len(flips)
@@ -131,10 +163,12 @@ def kernighan_lin(g, solution: CutSolution) -> CutSolution:
 
 
 def burer_rank2(g, seed=0, init: CutSolution | None = None,
-                restarts=DEFAULT_RESTARTS) -> CutSolution:
+                restarts=DEFAULT_RESTARTS, deadline=None) -> CutSolution:
     """Angular rank-2 local search with diameter cut extraction and KL polish.
 
     A warm-start solution is mapped to angles 0 / pi and never worsened.
+    Once ``time.monotonic()`` passes ``deadline``, no further restart starts;
+    the first one always runs.
     """
     rng = np.random.default_rng(seed)
     if init is not None:
@@ -146,6 +180,8 @@ def burer_rank2(g, seed=0, init: CutSolution | None = None,
 
     base = theta.copy()
     for attempt in range(max(1, restarts)):
+        if attempt > 0 and deadline is not None and time.monotonic() >= deadline:
+            break
         theta = base.copy()
         if attempt > 0:
             theta = (theta + rng.uniform(-PERTURBATION, PERTURBATION, size=g.n)) % (

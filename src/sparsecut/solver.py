@@ -169,7 +169,8 @@ class ComponentSolver:
         if initial is not None:
             self._offer(initial)
         if cfg.heuristics:
-            self._offer(burer_rank2(g, seed=cfg.seed, restarts=cfg.heur_restarts))
+            self._offer(burer_rank2(g, seed=cfg.seed, restarts=cfg.heur_restarts,
+                                    deadline=self.deadline))
         else:
             self._offer(CutSolution.from_assignment(g, np.zeros(g.n, dtype=np.int8)))
 
@@ -409,7 +410,8 @@ def _race_component(g, cfg, all_integral, deadline):
             if deadline is not None and time.monotonic() >= deadline:
                 return
             shared.offer(
-                burer_rank2(g, seed=rng_seed, init=shared.solution(), restarts=2)
+                burer_rank2(g, seed=rng_seed, init=shared.solution(), restarts=2,
+                            deadline=deadline)
             )
             rng_seed += 1
 
@@ -526,7 +528,7 @@ def solve_graph(g, cfg: Config, all_integral=False):
         sub, verts = induce_subgraph(reduced, comp_edges)
         if deadline is not None and time.monotonic() >= deadline:
             comp_status = "time_limit"
-            sol = burer_rank2(sub, seed=cfg.seed, restarts=2)
+            sol = burer_rank2(sub, seed=cfg.seed, restarts=2, deadline=deadline)
             dual = float(np.clip(sub.edge_w, 0.0, None).sum())  # trivial bound
         else:
             sol, dual, comp_status = _solve_component(

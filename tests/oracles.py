@@ -3,6 +3,7 @@ values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -167,3 +168,113 @@ def has_chord(g, verts):
             if d not in (0, 1, k - 1):
                 return True
     return False
+
+
+# -- reference copies of the numpy per-vertex primal heuristics -------------
+# Frozen from the implementation they were rewritten from; the rewrite must
+# follow the same search. They read only the CSR arrays of the graph.
+
+def _incident(g, v):
+    lo, hi = g.csr_offsets[v], g.csr_offsets[v + 1]
+    return g.csr_heads[lo:hi], g.csr_weights[lo:hi]
+
+
+def _cut_value(g, y):
+    return float(np.sum(g.edge_w[y[g.edge_u] != y[g.edge_v]]))
+
+
+def reference_local_minimize(g, theta, grad_tol=1e-4, max_sweeps=300):
+    """Gauss-Seidel angle sweeps with one complex numpy field per vertex."""
+    theta = np.array(theta, dtype=float)
+    for _ in range(max_sweeps):
+        max_move = 0.0
+        for v in range(g.n):
+            heads, weights = _incident(g, v)
+            if len(heads) == 0:
+                continue
+            field = np.sum(weights * np.exp(1j * theta[heads]))
+            if abs(field) < 1e-15:
+                continue
+            new = (math.pi + np.angle(field)) % (2 * math.pi)
+            move = abs(new - theta[v])
+            move = min(move, 2 * math.pi - move)
+            theta[v] = new
+            max_move = max(max_move, move)
+        if max_move < grad_tol:
+            break
+    return theta
+
+
+def reference_best_diameter_cut(g, theta):
+    """0/1 assignment of the best diameter cut through the sorted angles."""
+    order = np.argsort(theta, kind="stable")
+    alpha = theta[order[0]] - 1e-12
+    rel = (theta - alpha) % (2 * math.pi)
+    y = (rel < math.pi).astype(np.int8)
+    weight = _cut_value(g, y)
+    best_w, best_y = weight, y.copy()
+    events = []
+    for v in range(g.n):
+        events.append(((theta[v] - alpha) % (2 * math.pi), v))
+        events.append(((theta[v] + math.pi - alpha) % (2 * math.pi), v))
+    events.sort()
+    for _, v in events:
+        heads, weights = _incident(g, v)
+        same = weights[y[heads] == y[v]].sum()
+        diff = weights[y[heads] != y[v]].sum()
+        weight += same - diff
+        y[v] ^= 1
+        if weight > best_w + 1e-12:
+            best_w, best_y = weight, y.copy()
+    return best_y
+
+
+def reference_kernighan_lin(g, y):
+    """0/1 assignment after best-prefix locked single-flip passes from y."""
+    y = np.array(y, dtype=np.int8)
+    best_total = _cut_value(g, y)
+    n = g.n
+    while True:
+        gains = np.zeros(n)
+        for v in range(n):
+            heads, weights = _incident(g, v)
+            if len(heads) == 0:
+                gains[v] = -np.inf
+                continue
+            same = weights[y[heads] == y[v]].sum()
+            diff = weights[y[heads] != y[v]].sum()
+            gains[v] = same - diff
+        locked = np.zeros(n, dtype=bool)
+        locked[gains == -np.inf] = True
+        trial = y.copy()
+        running = best_total
+        best_prefix_gain = 0.0
+        best_prefix = 0
+        flips = []
+        while not locked.all():
+            v = int(np.argmax(np.where(locked, -np.inf, gains)))
+            if not np.isfinite(gains[v]):
+                break
+            running += gains[v]
+            flips.append(v)
+            locked[v] = True
+            heads, weights = _incident(g, v)
+            trial_side = trial[v] ^ 1
+            trial[v] = trial_side
+            for u, w in zip(heads, weights):
+                if locked[u]:
+                    continue
+                if trial[u] == trial_side:
+                    gains[u] += 2 * w
+                else:
+                    gains[u] -= 2 * w
+            gains[v] = -gains[v]
+            if running - best_total > best_prefix_gain + 1e-12:
+                best_prefix_gain = running - best_total
+                best_prefix = len(flips)
+        if best_prefix == 0:
+            break
+        for v in flips[:best_prefix]:
+            y[v] ^= 1
+        best_total += best_prefix_gain
+    return y

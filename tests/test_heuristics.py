@@ -1,18 +1,28 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
+import sparsecut.heuristics as heuristics
 from sparsecut.graph import CutSolution, WeightedGraph, cut_weight
 from sparsecut.heuristics import (
+    _best_diameter_cut,
+    _local_minimize,
     angular_energy,
     burer_rank2,
     kernighan_lin,
     spanning_tree_rounding,
 )
 
-from oracles import brute_force_maxcut, random_graph
+from oracles import (
+    brute_force_maxcut,
+    random_graph,
+    reference_best_diameter_cut,
+    reference_kernighan_lin,
+    reference_local_minimize,
+)
 
 
 def test_angular_energy_extremes():
@@ -109,3 +119,87 @@ def test_spanning_tree_rounding_handles_fractional_points():
     x = np.array([0.9, 0.9, 0.9, 0.1])
     sol = spanning_tree_rounding(g, x)
     assert sol.weight >= 2.0  # the 4-cycle optimum is 4, rounding gets >= 2
+
+
+def _hub_graphs(seed, count, integral):
+    """Random graphs with n <= 14, a hub of degree >= 9 at a random vertex and
+    two isolated vertices, so sums over the hub run past numpy's 8-way
+    unrolled block and vertex loops meet empty CSR rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(12, 14)
+        hub, *isolated = rng.sample(range(n), 3)
+        active = [v for v in range(n) if v not in isolated]
+        local = random_graph(rng, len(active), 0.3, integral=integral)
+        edges = {(active[a], active[b]): w for a, b, w in local}
+        for v in active:
+            if v != hub:
+                key = (min(hub, v), max(hub, v))
+                edges.setdefault(key, float(rng.choice([-3, -2, -1, 1, 2, 3])))
+        g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+        assert g.degree(hub) >= 9 and all(g.degree(v) == 0 for v in isolated)
+        yield rng, g
+
+
+def _circular_distance(a, b):
+    d = np.abs(a - b) % (2 * math.pi)
+    return np.minimum(d, 2 * math.pi - d)
+
+
+@pytest.mark.parametrize("integral", [True, False])
+def test_local_minimize_matches_the_numpy_reference(integral):
+    for rng, g in _hub_graphs(31 + integral, 40, integral):
+        for start in (
+            np.array([rng.uniform(0, 2 * math.pi) for _ in range(g.n)]),
+            np.array([rng.choice([0.0, math.pi]) for _ in range(g.n)]),
+        ):
+            expected = reference_local_minimize(g, start)
+            got = _local_minimize(g, start.copy())
+            assert _circular_distance(got, expected).max() < 1e-9
+
+
+def test_diameter_cut_and_kernighan_lin_match_the_numpy_reference():
+    for rng, g in _hub_graphs(33, 40, integral=True):
+        theta = np.array([rng.uniform(0, 2 * math.pi) for _ in range(g.n)])
+        for angles in (theta, reference_local_minimize(g, theta)):
+            cut = _best_diameter_cut(g, angles)
+            assert np.array_equal(cut.y, reference_best_diameter_cut(g, angles))
+        y = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=np.int8)
+        out = kernighan_lin(g, CutSolution.from_assignment(g, y))
+        assert np.array_equal(out.y, reference_kernighan_lin(g, y))
+
+
+def test_kernighan_lin_is_one_flip_optimal():
+    for integral in (True, False):
+        for rng, g in _hub_graphs(34 + integral, 30, integral):
+            y = np.array([rng.randint(0, 1) for _ in range(g.n)], dtype=np.int8)
+            out = kernighan_lin(g, CutSolution.from_assignment(g, y))
+            for v in range(g.n):
+                flipped = out.y.copy()
+                flipped[v] ^= 1
+                assert cut_weight(g, flipped) <= out.weight + 1e-9
+
+
+def test_local_minimize_never_raises_the_angular_energy():
+    for integral in (True, False):
+        for rng, g in _hub_graphs(36 + integral, 30, integral):
+            theta = np.array([rng.uniform(0, 2 * math.pi) for _ in range(g.n)])
+            before = angular_energy(g, theta)
+            after = angular_energy(g, _local_minimize(g, theta.copy()))
+            assert after <= before + 1e-9
+
+
+def test_burer_rank2_runs_one_restart_after_the_deadline(monkeypatch):
+    calls = []
+    real = heuristics._local_minimize
+
+    def counting(g, theta):
+        calls.append(g.n)
+        return real(g, theta)
+
+    monkeypatch.setattr(heuristics, "_local_minimize", counting)
+    rng = random.Random(26)
+    g = WeightedGraph(12, random_graph(rng, 12, 0.5))
+    sol = burer_rank2(g, seed=3, restarts=8, deadline=time.monotonic() - 1.0)
+    assert calls == [12]
+    assert sol.weight == cut_weight(g, sol.y)

@@ -1,8 +1,11 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
+import sparsecut.heuristics as heuristics
+import sparsecut.solver as solver_mod
 from sparsecut.graph import WeightedGraph, build_graph
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
 from sparsecut.solver import (
@@ -149,6 +152,38 @@ def test_time_limit_is_respected():
                                       heur_restarts=1))
     assert report.status in ("optimal", "time_limit")
     assert report.wall_time_s < 20.0
+
+
+def test_heuristic_restarts_stop_at_the_time_limit(monkeypatch):
+    """Past the deadline every burer_rank2 call runs its first restart only:
+    at the root of a component solve and for components left at time out."""
+    local_calls, rank2_calls = [], []
+    real_local, real_rank2 = heuristics._local_minimize, solver_mod.burer_rank2
+
+    def local(g, theta):
+        local_calls.append(g.n)
+        return real_local(g, theta)
+
+    def rank2(g, *args, **kwargs):
+        rank2_calls.append(g.n)
+        return real_rank2(g, *args, **kwargs)
+
+    monkeypatch.setattr(heuristics, "_local_minimize", local)
+    monkeypatch.setattr(solver_mod, "burer_rank2", rank2)
+    rng = random.Random(58)
+    g = WeightedGraph(12, random_graph(rng, 12, 0.5))
+    _, _, status = ComponentSolver(g, Config(), True, time.monotonic() - 1.0).solve()
+    assert status == "time_limit"
+    assert local_calls == rank2_calls == [12]
+
+    local_calls.clear()
+    rank2_calls.clear()
+    edges = [(u + 12 * c, v + 12 * c, w)
+             for c in range(3) for u, v, w in random_graph(rng, 12, 0.5)]
+    report = solve_maxcut(raw_from_edges(36, edges), Config(time_limit_s=1e-9))
+    assert report.status == "time_limit"
+    assert len(rank2_calls) >= 3
+    assert local_calls == rank2_calls
 
 
 def test_qubo_end_to_end():

@@ -20,10 +20,10 @@ from pathlib import Path
 
 from sparsecut.cli import _detect_format
 from sparsecut.instances import parse_maxcut, parse_qubo
-from sparsecut.solver import Config, racing_solve, solve_maxcut, solve_qubo
+from sparsecut.solver import Config, solve_maxcut, solve_qubo
 
 
-def run_one(path, cfg, threads):
+def run_one(path, cfg):
     text = path.read_text()
     fmt = _detect_format(str(path), text)
     start = time.monotonic()
@@ -32,10 +32,6 @@ def run_one(path, cfg, threads):
         report = solve_qubo(raw, cfg)
         size = raw.dimension
         nnz = len(raw.entries)
-    elif threads > 1:
-        raw = parse_maxcut(text)
-        report = racing_solve(raw, cfg, workers=threads)
-        size, nnz = raw.num_vertices, len(raw.edges)
     else:
         raw = parse_maxcut(text)
         report = solve_maxcut(raw, cfg)
@@ -57,7 +53,8 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("directory", help="directory with .mc / .bq instances")
     p.add_argument("--time-limit", type=float, default=3600.0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored: the solver is single-threaded")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pattern", default="*", help="filename glob filter")
     p.add_argument("--csv", metavar="FILE", help="also write results as CSV")
@@ -79,7 +76,7 @@ def main(argv=None):
     print("  ".join(f"{h:>12}" for h in header))
     for path in paths:
         try:
-            row = run_one(path, cfg, args.threads)
+            row = run_one(path, cfg)
         except Exception as exc:  # keep going over a long batch
             print(f"{path.name:>12}  error: {exc}", file=sys.stderr)
             continue

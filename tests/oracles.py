@@ -135,6 +135,17 @@ def random_graph(rng, n, density, weight_lo=-5, weight_hi=5, integral=True):
     return edges
 
 
+def torus_edges(rng, L):
+    """0-based edges of an L x L toroidal grid with uniform +-1 weights."""
+    edges = []
+    for i in range(L):
+        for j in range(L):
+            v = i * L + j
+            for nb in (i * L + (j + 1) % L, ((i + 1) % L) * L + j):
+                edges.append((min(v, nb), max(v, nb), float(rng.choice((-1, 1)))))
+    return edges
+
+
 def cycle_vertices(g, eids):
     """Vertex sequence of a simple cycle given by its (unordered) edge ids."""
     adj = {}

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from sparsecut.cli import _detect_format, main
+
+from oracles import torus_edges
 
 MC_TRIANGLE = "3 3\n1 2 1\n1 3 1\n2 3 1\n"
 BQ_SMALL = "2 3\n1 1 -2\n2 2 -1\n1 2 3\n"
@@ -108,6 +111,25 @@ def test_limit_hit_exit_code(tmp_path, capsys):
         assert rc == 2
         assert payload["status"] == "node_limit"
         assert payload["primal_dual_gap_percent"] > 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_time_limited_run_prints_strict_json(tmp_path, capsys):
+    # the root of this torus cannot finish within the limit, so the run stops
+    # with the root still open
+    edges = torus_edges(random.Random(7), 20)
+    content = f"400 {len(edges)}\n" + "".join(
+        f"{u + 1} {v + 1} {int(w)}\n" for u, v, w in edges
+    )
+    rc, out = run_cli(tmp_path, capsys, content, "torus.mc",
+                      ["--time-limit", "0.5"])
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert rc == 2
+    assert payload["status"] == "time_limit"
+    assert 0.0 < payload["primal_dual_gap_percent"] < 100.0
 
 
 def test_solver_flags_are_accepted(tmp_path, capsys):

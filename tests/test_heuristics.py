@@ -74,20 +74,6 @@ def test_burer_rank2_finds_optimum_on_small_instances():
     assert hits >= int(0.8 * total)
 
 
-def test_burer_rank2_warm_start_never_worsens():
-    rng = random.Random(23)
-    for _ in range(10):
-        n = rng.randint(4, 8)
-        edges = random_graph(rng, n, 0.6)
-        if not edges:
-            continue
-        g = WeightedGraph(n, edges)
-        y = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.int8)
-        init = CutSolution.from_assignment(g, y)
-        out = burer_rank2(g, seed=2, init=init, restarts=2)
-        assert out.weight >= init.weight - 1e-12
-
-
 def test_burer_rank2_is_deterministic_per_seed():
     rng = random.Random(24)
     edges = random_graph(rng, 10, 0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,12 @@ def test_report_json_roundtrip_and_key_order():
     ]
     back = read_report_json(text)
     assert back == report
+
+
+def test_json_report_rejects_non_finite_numbers():
+    report = ResultReport(5.0, math.inf, 0, 0.1, {}, "time_limit")
+    with pytest.raises(ValueError):
+        write_report(report, format="json")
 
 
 def test_report_text_format():

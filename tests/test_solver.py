@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sparsecut.solver import (
     solve_qubo,
 )
 
-from oracles import brute_force_maxcut, brute_force_qubo, random_graph
+from oracles import brute_force_maxcut, brute_force_qubo, random_graph, torus_edges
 
 
 def raw_from_edges(n, edges):
@@ -216,6 +217,34 @@ def test_racing_matches_single_threaded_value():
                              workers=3)
         assert raced.status == "optimal"
         assert raced.best_value == pytest.approx(single.best_value)
+
+
+def _answer(report):
+    return (report.status, report.best_value, report.bnb_nodes, report.partition)
+
+
+def test_racing_and_threads_give_the_plain_answer():
+    rng = random.Random(60)
+    cases = [(raw_from_edges(64, torus_edges(rng, 8)), Config()) for _ in range(3)]
+    # needs three nodes in the plain solve, so a one-node limit must stop it
+    node_cfg = Config(node_limit=1, enum_threshold=0, heur_restarts=2)
+    cases.append((raw_from_edges(14, random_graph(random.Random(15), 14, 0.5)),
+                  node_cfg))
+    for raw, cfg in cases:
+        plain = _answer(solve_maxcut(raw, cfg))
+        for k in (2, 3):
+            assert _answer(racing_solve(raw, cfg, workers=k)) == plain
+            assert _answer(solve_maxcut(raw, replace(cfg, threads=k))) == plain
+    assert plain[0] == "node_limit"
+
+
+def test_stopped_root_reports_a_finite_dual():
+    rng = random.Random(61)
+    g = WeightedGraph(12, random_graph(rng, 12, 0.5))
+    sol, dual, status = ComponentSolver(
+        g, Config(), True, time.monotonic() - 1.0).solve()
+    assert status == "time_limit"
+    assert sol.weight <= dual <= float(np.clip(g.edge_w, 0.0, None).sum())
 
 
 def test_incumbent_injection_cannot_increase_nodes():

@@ -18,14 +18,13 @@ import sys
 import time
 from pathlib import Path
 
-from sparsecut.cli import _detect_format
-from sparsecut.instances import parse_maxcut, parse_qubo
+from sparsecut.instances import detect_format, parse_maxcut, parse_qubo
 from sparsecut.solver import Config, solve_maxcut, solve_qubo
 
 
 def run_one(path, cfg):
     text = path.read_text()
-    fmt = _detect_format(str(path), text)
+    fmt = detect_format(str(path), text)
     start = time.monotonic()
     if fmt == "bq":
         raw = parse_qubo(text)

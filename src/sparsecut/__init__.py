@@ -6,6 +6,7 @@ from .instances import (
     RawMaxCutInstance,
     RawQuboInstance,
     ResultReport,
+    detect_format,
     parse_maxcut,
     parse_qubo,
     read_report_json,
@@ -28,6 +29,7 @@ __all__ = [
     "WeightedGraph",
     "build_graph",
     "cut_weight",
+    "detect_format",
     "maxcut_to_qubo",
     "parse_maxcut",
     "parse_qubo",

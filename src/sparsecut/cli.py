@@ -12,7 +12,13 @@ import logging
 import os
 import sys
 
-from .instances import ParseError, parse_maxcut, parse_qubo, write_report
+from .instances import (
+    ParseError,
+    detect_format,
+    parse_maxcut,
+    parse_qubo,
+    write_report,
+)
 from .solver import Config, solve_maxcut, solve_qubo
 
 log = logging.getLogger("sparsecut")
@@ -73,23 +79,6 @@ def _configure_logging(force_info=False):
     logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
 
 
-def _detect_format(path, text):
-    if path.endswith(".mc"):
-        return "mc"
-    if path.endswith(".bq"):
-        return "bq"
-    # header sniffing: a QUBO file may carry diagonal (i, i) entries, a
-    # max-cut file never does; default to max-cut otherwise
-    for line in text.splitlines()[1:]:
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
-            continue
-        tokens = stripped.split()
-        if len(tokens) == 3 and tokens[0] == tokens[1]:
-            return "bq"
-    return "mc"
-
-
 def config_from_args(args) -> Config:
     return Config(
         time_limit_s=args.time_limit,
@@ -119,7 +108,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
         return 1
 
-    fmt = args.format if args.format != "auto" else _detect_format(args.instance, text)
+    fmt = args.format if args.format != "auto" else detect_format(args.instance, text)
     cfg = config_from_args(args)
     try:
         if fmt == "bq":

@@ -76,6 +76,24 @@ def _data_lines(text):
         yield line_no, stripped.split()
 
 
+def detect_format(path, text) -> str:
+    """Guess an instance file's format, "mc" or "bq", from path and text."""
+    if path.endswith(".mc"):
+        return "mc"
+    if path.endswith(".bq"):
+        return "bq"
+    # header sniffing: a QUBO file may carry diagonal (i, i) entries, a
+    # max-cut file never does; default to max-cut otherwise
+    for line in text.splitlines()[1:]:
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#%":
+            continue
+        tokens = stripped.split()
+        if len(tokens) == 3 and tokens[0] == tokens[1]:
+            return "bq"
+    return "mc"
+
+
 def _parse_weight(token, line_no):
     try:
         return float(token)

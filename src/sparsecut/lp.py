@@ -1,10 +1,10 @@
 """LP relaxation over the current cycle-cut pool.
 
 The relaxation is  max w^T x  subject to the pool's cycle inequalities and the
-per-edge bounds [lb, ub] within [0, 1]. It is solved by a built-in
-bounded-variable revised simplex (dense basis inverse, periodic
-refactorization) hidden behind :class:`LpEngine`, so an external LP backend
-could be substituted without touching callers.
+per-edge bounds [lb, ub] within [0, 1]. :class:`LpEngine` owns the cut pool
+and a warm-started bounded-variable primal simplex: a dense basis inverse kept
+by product-form (eta) updates with periodic refactorization, and one numpy
+iteration -- pricing, ratio test, eta update -- shared by phase 1 and phase 2.
 
 Reduced-cost sign convention (maximization): nonbasic-at-lower variables have
 reduced cost <= 0, nonbasic-at-upper >= 0, basic exactly 0. Forcing a nonbasic
@@ -161,15 +161,16 @@ class _BoundedSimplex:
     # -- solve ------------------------------------------------------------
 
     def solve(self):
+        """Phase 1 to a feasible basis, then phase 2; False if infeasible."""
         m = len(self.rows)
         ncols = self.n + m
-        A = np.vstack(self.rows) if m else np.zeros((0, self.n))
-        self._A = np.hstack([A, np.eye(m)]) if m else A
-        self._b = np.asarray(self.rhs)
+        A = np.array(self.rows, dtype=float).reshape(m, self.n)
+        self._A = np.hstack([A, np.eye(m)])
+        self._b = np.asarray(self.rhs, dtype=float)
         self._l = np.concatenate([self.lb, np.zeros(m)])
         self._u = np.concatenate([self.ub, np.full(m, np.inf)])
         self._cost = np.concatenate([self.c, np.zeros(m)])
-        self._m, self._ncols = m, ncols
+        self._movable = self._u - self._l > FEAS_TOL
 
         if (
             self.basis is None
@@ -180,38 +181,25 @@ class _BoundedSimplex:
             self._cold_basis()
         else:
             # clamp remembered nonbasic statuses to the current bounds
-            for j in range(self.n):
-                if self.stat[j] == AT_UPPER and not np.isfinite(self._u[j]):
-                    self.stat[j] = AT_LOWER
+            stat = self.stat[: self.n]
+            stat[(stat == AT_UPPER) & ~np.isfinite(self.ub)] = AT_LOWER
 
         self._refactor()
         self._compute_x()
         self.iterations = 0
-
-        if not self._phase1():
-            return False
-        self._phase2()
-        return True
+        return self._iterate(phase1=True) and self._iterate(phase1=False)
 
     def _cold_basis(self):
-        m, ncols = self._m, self._ncols
+        ncols = len(self._cost)
         stat = np.full(ncols, AT_LOWER, dtype=np.int8)
-        for j in range(self.n):
-            if self.c[j] > 0 and np.isfinite(self._u[j]):
-                stat[j] = AT_UPPER
-        basis = np.arange(self.n, ncols)
-        stat[basis] = BASIC
-        self.basis = basis
+        stat[: self.n][(self.c > 0) & np.isfinite(self.ub)] = AT_UPPER
+        self.basis = np.arange(self.n, ncols)
+        stat[self.basis] = BASIC
         self.stat = stat
 
     def _refactor(self):
-        m = self._m
-        if m == 0:
-            self._Binv = np.zeros((0, 0))
-            return
-        B = self._A[:, self.basis]
         try:
-            self._Binv = np.linalg.inv(B)
+            self._Binv = np.linalg.inv(self._A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise LpError("basis matrix singular") from exc
         self._since_refactor = 0
@@ -220,162 +208,120 @@ class _BoundedSimplex:
         x = np.where(self.stat == AT_UPPER, self._u, self._l)
         x[~np.isfinite(x)] = 0.0
         x[self.basis] = 0.0
-        if self._m:
-            x[self.basis] = self._Binv @ (self._b - self._A @ x)
+        x[self.basis] = self._Binv @ (self._b - self._A @ x)
         self._x = x
 
     def _infeasible_rows(self):
+        """Masks of the basic rows below their lower / above their upper bound."""
         xb = self._x[self.basis]
-        low = xb < self._l[self.basis] - FEAS_TOL
-        up = xb > self._u[self.basis] + FEAS_TOL
-        return low, up
+        below = xb < self._l[self.basis] - FEAS_TOL
+        above = xb > self._u[self.basis] + FEAS_TOL
+        return below, above
 
-    def _phase1(self):
+    def _iterate(self, phase1):
+        """Pivot until no column prices out; False if phase 1 gets stuck.
+
+        Phase 1 maximizes g . x_B with g = +1 on rows below their lower bound
+        and -1 on rows above their upper bound, all column costs 0; phase 2
+        maximizes c^T x. Both price with d = c - (c_B B^-1) A.
+        """
         stall = 0
         while True:
-            low, up = self._infeasible_rows()
-            if not (low.any() or up.any()):
-                return True
-            if self.iterations > self.MAX_ITERS:
-                raise LpError("phase-1 iteration limit exceeded")
-            g = np.zeros(self._m)
-            g[low] = 1.0
-            g[up] = -1.0
-            yvec = g @ self._Binv
-            price = yvec @ self._A  # g . Binv A_j per column
-            bland = stall > self.BLAND_AFTER
-            j, s = self._choose_entering_phase1(price, bland)
-            if j is None:
-                return False  # infeasibility cannot be reduced: LP infeasible
-            moved = self._step(j, s, phase1=True, bland=bland)
-            stall = 0 if moved else stall + 1
-
-    def _choose_entering_phase1(self, price, bland):
-        best, best_rate = None, OPT_TOL
-        for j in range(self._ncols):
-            st = self.stat[j]
-            if st == BASIC or self._u[j] - self._l[j] <= FEAS_TOL:
-                continue
-            if st == AT_LOWER and -price[j] > best_rate:
-                cand = (j, 1.0)
-            elif st == AT_UPPER and price[j] > best_rate:
-                cand = (j, -1.0)
+            if phase1:
+                below, above = self._infeasible_rows()
+                if not (below.any() or above.any()):
+                    return True
+                c, c_basic = 0.0, below.astype(float) - above
             else:
-                continue
-            if bland:
-                return cand
-            best_rate = abs(price[j])
-            best = cand
-        return best if best else (None, None)
-
-    def _phase2(self):
-        stall = 0
-        while True:
+                below = above = np.zeros(len(self.basis), dtype=bool)
+                c, c_basic = self._cost, self._cost[self.basis]
             if self.iterations > self.MAX_ITERS:
-                raise LpError("phase-2 iteration limit exceeded")
-            yvec = self._cost[self.basis] @ self._Binv if self._m else np.zeros(0)
-            d = self._cost - (yvec @ self._A if self._m else 0.0)
+                raise LpError("simplex iteration limit exceeded")
+            d = c - (c_basic @ self._Binv) @ self._A
             bland = stall > self.BLAND_AFTER
-            j, s = self._choose_entering_phase2(d, bland)
+            j = self._choose_entering(d, bland)
             if j is None:
                 self._d = d
-                return
-            moved = self._step(j, s, phase1=False, bland=bland)
+                # phase 1: infeasibility cannot be reduced, the LP is infeasible
+                return not phase1
+            moved = self._step(j, below, above, bland)
             stall = 0 if moved else stall + 1
 
-    def _choose_entering_phase2(self, d, bland):
-        best, best_rate = None, OPT_TOL
-        for j in range(self._ncols):
-            st = self.stat[j]
-            if st == BASIC or self._u[j] - self._l[j] <= FEAS_TOL:
-                continue
-            if st == AT_LOWER and d[j] > best_rate:
-                cand = (j, 1.0)
-            elif st == AT_UPPER and d[j] < -best_rate:
-                cand = (j, -1.0)
-            else:
-                continue
-            if bland:
-                return cand
-            best_rate = abs(d[j])
-            best = cand
-        return best if best else (None, None)
+    def _choose_entering(self, d, bland):
+        """Column whose reduced cost improves the objective, or None.
 
-    def _step(self, j, s, phase1, bland):
-        """Move entering column j in direction s; returns True if t > 0."""
-        alpha = self._Binv @ self._A[:, j] if self._m else np.zeros(0)
+        Dantzig takes the first largest |d|, Bland the first eligible column.
+        """
+        eligible = self._movable & (
+            ((self.stat == AT_LOWER) & (d > OPT_TOL))
+            | ((self.stat == AT_UPPER) & (d < -OPT_TOL))
+        )
+        if not eligible.any():
+            return None
+        if bland:
+            return int(np.argmax(eligible))
+        return int(np.argmax(np.where(eligible, np.abs(d), 0.0)))
+
+    def _step(self, j, below, above, bland):
+        """Move entering column j off its bound; returns True if t > 0.
+
+        ``below`` and ``above`` mark the basic rows outside their bounds in
+        phase 1; both are all False in phase 2.
+        """
+        s = 1.0 if self.stat[j] == AT_LOWER else -1.0
+        alpha = self._Binv @ self._A[:, j]
         delta = -s * alpha  # change of basic values per unit step
         xb = self._x[self.basis]
         lB, uB = self._l[self.basis], self._u[self.basis]
 
-        t_best = self._u[j] - self._l[j]
+        # ratio test: a feasible row blocks at the bound it moves toward; a
+        # row below its lower bound blocks there only while rising, a row
+        # above its upper bound only while falling
+        rising = delta > 0
+        to_upper = (rising & ~below) | above
+        target = np.where(to_upper, uB, lB)
+        away = (below & ~rising) | (above & rising)
+        blocks = (np.abs(delta) >= self.PIVOT_TOL) & ~away & np.isfinite(target)
+        rows = np.flatnonzero(blocks)
+        ratio = np.maximum((target[rows] - xb[rows]) / delta[rows], 0.0)
+
+        t = self._u[j] - self._l[j]
         leave_row = None
-        leave_bound = None
-        for i in range(self._m):
-            di = delta[i]
-            if abs(di) < self.PIVOT_TOL:
-                continue
-            if phase1 and xb[i] < lB[i] - FEAS_TOL:
-                # infeasible below: blocks only when rising to its lower bound
-                if di > 0:
-                    ratio, bound = (lB[i] - xb[i]) / di, AT_LOWER
-                else:
-                    continue
-            elif phase1 and xb[i] > uB[i] + FEAS_TOL:
-                if di < 0:
-                    ratio, bound = (uB[i] - xb[i]) / di, AT_UPPER
-                else:
-                    continue
+        if rows.size and (t_min := ratio.min()) < t - 1e-12:
+            # ties within 1e-12 of the minimum: the largest pivot, or the
+            # lowest basis index under Bland
+            near = np.flatnonzero(ratio < t_min + 1e-12)
+            if bland:
+                k = near[np.argmin(self.basis[rows[near]])]
             else:
-                if di < 0:
-                    ratio, bound = (lB[i] - xb[i]) / di, AT_LOWER
-                elif di > 0:
-                    if not np.isfinite(uB[i]):
-                        continue
-                    ratio, bound = (uB[i] - xb[i]) / di, AT_UPPER
-            ratio = max(ratio, 0.0)
-            take = ratio < t_best - 1e-12
-            if not take and ratio < t_best + 1e-12 and leave_row is not None:
-                # tie-break: prefer the larger pivot (or lowest index under Bland)
-                if bland:
-                    take = self.basis[i] < self.basis[leave_row]
-                else:
-                    take = abs(delta[i]) > abs(delta[leave_row])
-            if take:
-                t_best, leave_row, leave_bound = ratio, i, bound
-
-        if not np.isfinite(t_best):
+                k = near[np.argmax(np.abs(delta[rows[near]]))]
+            leave_row, t = int(rows[k]), float(ratio[k])
+        if not np.isfinite(t):
             raise LpError("unbounded simplex direction")
-
         self.iterations += 1
-        t = t_best
-        if t > 0:
-            self._x[j] += s * t
-            self._x[self.basis] = xb + t * delta
 
         if leave_row is None:
             # entering variable hits its own opposite bound
+            if t > 0:
+                self._x[j] += s * t
+                self._x[self.basis] = xb + t * delta
             self.stat[j] = AT_UPPER if s > 0 else AT_LOWER
             return t > 1e-12
 
         leaving = self.basis[leave_row]
-        self.stat[leaving] = leave_bound
-        self._x[leaving] = self._l[leaving] if leave_bound == AT_LOWER else self._u[leaving]
+        self.stat[leaving] = AT_UPPER if to_upper[leave_row] else AT_LOWER
         self.stat[j] = BASIC
         self.basis[leave_row] = j
 
-        # product-form update of the basis inverse
-        piv = alpha[leave_row]
-        if abs(piv) < self.PIVOT_TOL:
+        # product-form update of the basis inverse; |pivot| >= PIVOT_TOL
+        pivot_row = self._Binv[leave_row]
+        pivot_row /= alpha[leave_row]
+        others = np.abs(alpha) > 1e-14
+        others[leave_row] = False
+        self._Binv[others] -= np.outer(alpha[others], pivot_row)
+        self._since_refactor += 1
+        if self._since_refactor >= self.REFACTOR_EVERY:
             self._refactor()
-        else:
-            self._Binv[leave_row] /= piv
-            for i in range(self._m):
-                if i != leave_row and abs(alpha[i]) > 1e-14:
-                    self._Binv[i] -= alpha[i] * self._Binv[leave_row]
-            self._since_refactor += 1
-            if self._since_refactor >= self.REFACTOR_EVERY:
-                self._refactor()
         self._compute_x()
         return t > 1e-12
 

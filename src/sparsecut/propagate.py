@@ -86,7 +86,8 @@ def rebuild_partial_assignment(g, fixed_edges) -> PartialAssignment:
     return out
 
 
-def _effective_bound(bound, integral):
+def effective_bound(bound, integral):
+    """An LP bound rounded down to the next integer when all weights are."""
     if integral:
         return math.floor(bound + INT_SNAP)
     return bound
@@ -104,7 +105,7 @@ def reduced_cost_fix(g, state, upper_bound, incumbent, lb, ub, integral=False):
             continue
         status = state.basis_status[e]
         if status == AT_LOWER or status == AT_UPPER:
-            degraded = _effective_bound(
+            degraded = effective_bound(
                 upper_bound - abs(state.reduced_costs[e]), integral
             )
             if degraded < incumbent - FIX_TOL:
@@ -149,7 +150,7 @@ def implication_fix(g, state, upper_bound, incumbent, lb, ub, assignment,
                     elif status == AT_UPPER and required == 0:
                         penalty[s] += abs(state.reduced_costs[e])
             dead = [
-                _effective_bound(upper_bound - penalty[s], integral)
+                effective_bound(upper_bound - penalty[s], integral)
                 < incumbent - FIX_TOL
                 for s in (0, 1)
             ]

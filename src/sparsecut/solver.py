@@ -28,7 +28,7 @@ from .heuristics import burer_rank2, spanning_tree_rounding
 from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
 from .lp import LpEngine
 from .presolve import PresolveStats, format_stats, presolve_loop
-from .propagate import propagate
+from .propagate import effective_bound, propagate
 from .separation import separate_exact, separate_triangles
 from .transform import qubo_assignment_from_maxcut, qubo_to_maxcut
 
@@ -157,16 +157,17 @@ class ComponentSolver:
                 heap = []
                 break
             self.stats.nodes += 1
-            outcome, children = self._process_node(depth, fixed, branch)
-            if outcome == "abort":
-                heapq.heappush(heap, (neg_bound, counter, depth, fixed, branch))
-                status = self._stop_status()
-                break
+            outcome, children = self._process_node(
+                -neg_bound, depth, fixed, branch
+            )
             for child in children:
                 counter += 1
                 heapq.heappush(
                     heap, (child[0], counter, child[1], child[2], child[3])
                 )
+            if outcome == "abort":
+                status = self._stop_status()
+                break
 
         dual = self._incumbent_value()
         if heap:
@@ -190,18 +191,16 @@ class ComponentSolver:
     def _gap_closed(self, dual, primal):
         if primal == -math.inf:
             return False
-        gap = abs(dual - primal) / max(1.0, abs(primal)) * 100.0
-        return gap <= self.cfg.gap_percent + 1e-12
-
-    def _effective(self, bound):
-        if self.integral:
-            return math.floor(bound + INT_TOL)
-        return bound
+        return _gap_percent(primal, dual) <= self.cfg.gap_percent + 1e-12
 
     # -- node processing ---------------------------------------------------
 
-    def _process_node(self, depth, fixed, branch):
-        """Cutting-plane loop at one node; returns (outcome, children)."""
+    def _process_node(self, parent_bound, depth, fixed, branch):
+        """Cutting-plane loop at one node; returns (outcome, children).
+
+        On "abort" the only child is the node itself, re-queued at the
+        smaller of ``parent_bound`` and its last effective LP bound.
+        """
         g, cfg = self.g, self.cfg
         fixed = dict(fixed)
         lb = np.zeros(g.m)
@@ -211,12 +210,14 @@ class ComponentSolver:
 
         self.engine.purge_cuts()
         prev_bound = math.inf
+        eff = math.inf
         tail = 0
         first_lp = True
         rounds = 0
         while True:
             if self._should_stop():
-                return "abort", []
+                requeued = (-min(parent_bound, eff), depth, fixed, branch)
+                return "abort", [requeued]
             state = self.engine.solve(lb, ub)
             self.stats.lp_solves += 1
             if not state.feasible:
@@ -226,7 +227,7 @@ class ComponentSolver:
                 self._update_pseudo(branch, bound)
                 first_lp = False
             inc = self._incumbent_value()
-            eff = self._effective(bound)
+            eff = effective_bound(bound, self.integral)
             if eff <= inc + PRUNE_TOL:
                 return "pruned", []
 
@@ -283,7 +284,7 @@ class ComponentSolver:
     def _branch(self, state, fixed, depth, bound):
         e = self._select_edge(state, fixed)
         frac = float(state.x[e])
-        eff = self._effective(bound)
+        eff = effective_bound(bound, self.integral)
         children = []
         for val in (0, 1):  # down child first
             child_fixed = dict(fixed)

@@ -1,11 +1,14 @@
 """Independent brute-force reference implementations used to freeze expected
 values. Deliberately simple and slow; nothing here shares code with the
-package under test beyond the raw data containers."""
+package under test beyond the raw data containers and the LP's status codes,
+tolerances and error type."""
 
 import itertools
 import math
 
 import numpy as np
+
+from sparsecut.lp import AT_LOWER, AT_UPPER, BASIC, FEAS_TOL, OPT_TOL, LpError
 
 
 def brute_force_maxcut(n, edges):
@@ -289,3 +292,297 @@ def reference_kernighan_lin(g, y):
             y[v] ^= 1
         best_total += best_prefix_gain
     return y
+
+
+# -- reference copy of the bounded-variable simplex with per-row loops -------
+# Frozen from the implementation its numpy iteration was rewritten from; the
+# rewrite must take the same pivots. It plugs into ``LpEngine._simplex``, so
+# it shares the status codes, tolerances and ``LpError`` of ``sparsecut.lp``.
+
+class ReferenceSimplex:
+    """Revised simplex for  max c^T x,  A x <= b,  l <= x <= u (dense)."""
+
+    REFACTOR_EVERY = 64
+    BLAND_AFTER = 500
+    PIVOT_TOL = 1e-8
+    MAX_ITERS = 50_000
+
+    def __init__(self, c, lb, ub):
+        self.n = len(c)
+        self.c = np.asarray(c, dtype=float)
+        self.lb = np.asarray(lb, dtype=float).copy()
+        self.ub = np.asarray(ub, dtype=float).copy()
+        self.rows: list[np.ndarray] = []
+        self.rhs: list[float] = []
+        self.basis = None
+        self.stat = None
+        self.iterations = 0
+
+    # -- model edits ------------------------------------------------------
+
+    def add_row(self, coeffs, rhs):
+        """coeffs: iterable of (column, coefficient)."""
+        row = np.zeros(self.n)
+        for j, a in coeffs:
+            row[j] += a
+        self.rows.append(row)
+        self.rhs.append(float(rhs))
+        if self.basis is not None:
+            # new slack starts basic; phase 1 repairs any infeasibility
+            slack_id = self.n + len(self.rows) - 1
+            self.basis = np.append(self.basis, slack_id)
+            self.stat = np.append(self.stat, BASIC)
+
+    def remove_rows(self, indices):
+        doomed = set(indices)
+        self.rows = [r for i, r in enumerate(self.rows) if i not in doomed]
+        self.rhs = [r for i, r in enumerate(self.rhs) if i not in doomed]
+        self.reset_basis()
+
+    def set_bounds(self, lb, ub):
+        self.lb = np.asarray(lb, dtype=float).copy()
+        self.ub = np.asarray(ub, dtype=float).copy()
+
+    def reset_basis(self):
+        self.basis = None
+        self.stat = None
+
+    # -- solve ------------------------------------------------------------
+
+    def solve(self):
+        m = len(self.rows)
+        ncols = self.n + m
+        A = np.vstack(self.rows) if m else np.zeros((0, self.n))
+        self._A = np.hstack([A, np.eye(m)]) if m else A
+        self._b = np.asarray(self.rhs)
+        self._l = np.concatenate([self.lb, np.zeros(m)])
+        self._u = np.concatenate([self.ub, np.full(m, np.inf)])
+        self._cost = np.concatenate([self.c, np.zeros(m)])
+        self._m, self._ncols = m, ncols
+
+        if (
+            self.basis is None
+            or self.stat is None
+            or len(self.basis) != m
+            or len(self.stat) != ncols
+        ):
+            self._cold_basis()
+        else:
+            # clamp remembered nonbasic statuses to the current bounds
+            for j in range(self.n):
+                if self.stat[j] == AT_UPPER and not np.isfinite(self._u[j]):
+                    self.stat[j] = AT_LOWER
+
+        self._refactor()
+        self._compute_x()
+        self.iterations = 0
+
+        if not self._phase1():
+            return False
+        self._phase2()
+        return True
+
+    def _cold_basis(self):
+        m, ncols = self._m, self._ncols
+        stat = np.full(ncols, AT_LOWER, dtype=np.int8)
+        for j in range(self.n):
+            if self.c[j] > 0 and np.isfinite(self._u[j]):
+                stat[j] = AT_UPPER
+        basis = np.arange(self.n, ncols)
+        stat[basis] = BASIC
+        self.basis = basis
+        self.stat = stat
+
+    def _refactor(self):
+        m = self._m
+        if m == 0:
+            self._Binv = np.zeros((0, 0))
+            return
+        B = self._A[:, self.basis]
+        try:
+            self._Binv = np.linalg.inv(B)
+        except np.linalg.LinAlgError as exc:
+            raise LpError("basis matrix singular") from exc
+        self._since_refactor = 0
+
+    def _compute_x(self):
+        x = np.where(self.stat == AT_UPPER, self._u, self._l)
+        x[~np.isfinite(x)] = 0.0
+        x[self.basis] = 0.0
+        if self._m:
+            x[self.basis] = self._Binv @ (self._b - self._A @ x)
+        self._x = x
+
+    def _infeasible_rows(self):
+        xb = self._x[self.basis]
+        low = xb < self._l[self.basis] - FEAS_TOL
+        up = xb > self._u[self.basis] + FEAS_TOL
+        return low, up
+
+    def _phase1(self):
+        stall = 0
+        while True:
+            low, up = self._infeasible_rows()
+            if not (low.any() or up.any()):
+                return True
+            if self.iterations > self.MAX_ITERS:
+                raise LpError("phase-1 iteration limit exceeded")
+            g = np.zeros(self._m)
+            g[low] = 1.0
+            g[up] = -1.0
+            yvec = g @ self._Binv
+            price = yvec @ self._A  # g . Binv A_j per column
+            bland = stall > self.BLAND_AFTER
+            j, s = self._choose_entering_phase1(price, bland)
+            if j is None:
+                return False  # infeasibility cannot be reduced: LP infeasible
+            moved = self._step(j, s, phase1=True, bland=bland)
+            stall = 0 if moved else stall + 1
+
+    def _choose_entering_phase1(self, price, bland):
+        best, best_rate = None, OPT_TOL
+        for j in range(self._ncols):
+            st = self.stat[j]
+            if st == BASIC or self._u[j] - self._l[j] <= FEAS_TOL:
+                continue
+            if st == AT_LOWER and -price[j] > best_rate:
+                cand = (j, 1.0)
+            elif st == AT_UPPER and price[j] > best_rate:
+                cand = (j, -1.0)
+            else:
+                continue
+            if bland:
+                return cand
+            best_rate = abs(price[j])
+            best = cand
+        return best if best else (None, None)
+
+    def _phase2(self):
+        stall = 0
+        while True:
+            if self.iterations > self.MAX_ITERS:
+                raise LpError("phase-2 iteration limit exceeded")
+            yvec = self._cost[self.basis] @ self._Binv if self._m else np.zeros(0)
+            d = self._cost - (yvec @ self._A if self._m else 0.0)
+            bland = stall > self.BLAND_AFTER
+            j, s = self._choose_entering_phase2(d, bland)
+            if j is None:
+                self._d = d
+                return
+            moved = self._step(j, s, phase1=False, bland=bland)
+            stall = 0 if moved else stall + 1
+
+    def _choose_entering_phase2(self, d, bland):
+        best, best_rate = None, OPT_TOL
+        for j in range(self._ncols):
+            st = self.stat[j]
+            if st == BASIC or self._u[j] - self._l[j] <= FEAS_TOL:
+                continue
+            if st == AT_LOWER and d[j] > best_rate:
+                cand = (j, 1.0)
+            elif st == AT_UPPER and d[j] < -best_rate:
+                cand = (j, -1.0)
+            else:
+                continue
+            if bland:
+                return cand
+            best_rate = abs(d[j])
+            best = cand
+        return best if best else (None, None)
+
+    def _step(self, j, s, phase1, bland):
+        """Move entering column j in direction s; returns True if t > 0."""
+        alpha = self._Binv @ self._A[:, j] if self._m else np.zeros(0)
+        delta = -s * alpha  # change of basic values per unit step
+        xb = self._x[self.basis]
+        lB, uB = self._l[self.basis], self._u[self.basis]
+
+        t_best = self._u[j] - self._l[j]
+        leave_row = None
+        leave_bound = None
+        for i in range(self._m):
+            di = delta[i]
+            if abs(di) < self.PIVOT_TOL:
+                continue
+            if phase1 and xb[i] < lB[i] - FEAS_TOL:
+                # infeasible below: blocks only when rising to its lower bound
+                if di > 0:
+                    ratio, bound = (lB[i] - xb[i]) / di, AT_LOWER
+                else:
+                    continue
+            elif phase1 and xb[i] > uB[i] + FEAS_TOL:
+                if di < 0:
+                    ratio, bound = (uB[i] - xb[i]) / di, AT_UPPER
+                else:
+                    continue
+            else:
+                if di < 0:
+                    ratio, bound = (lB[i] - xb[i]) / di, AT_LOWER
+                elif di > 0:
+                    if not np.isfinite(uB[i]):
+                        continue
+                    ratio, bound = (uB[i] - xb[i]) / di, AT_UPPER
+            ratio = max(ratio, 0.0)
+            take = ratio < t_best - 1e-12
+            if not take and ratio < t_best + 1e-12 and leave_row is not None:
+                # tie-break: prefer the larger pivot (or lowest index under Bland)
+                if bland:
+                    take = self.basis[i] < self.basis[leave_row]
+                else:
+                    take = abs(delta[i]) > abs(delta[leave_row])
+            if take:
+                t_best, leave_row, leave_bound = ratio, i, bound
+
+        if not np.isfinite(t_best):
+            raise LpError("unbounded simplex direction")
+
+        self.iterations += 1
+        t = t_best
+        if t > 0:
+            self._x[j] += s * t
+            self._x[self.basis] = xb + t * delta
+
+        if leave_row is None:
+            # entering variable hits its own opposite bound
+            self.stat[j] = AT_UPPER if s > 0 else AT_LOWER
+            return t > 1e-12
+
+        leaving = self.basis[leave_row]
+        self.stat[leaving] = leave_bound
+        self._x[leaving] = self._l[leaving] if leave_bound == AT_LOWER else self._u[leaving]
+        self.stat[j] = BASIC
+        self.basis[leave_row] = j
+
+        # product-form update of the basis inverse
+        piv = alpha[leave_row]
+        if abs(piv) < self.PIVOT_TOL:
+            self._refactor()
+        else:
+            self._Binv[leave_row] /= piv
+            for i in range(self._m):
+                if i != leave_row and abs(alpha[i]) > 1e-14:
+                    self._Binv[i] -= alpha[i] * self._Binv[leave_row]
+            self._since_refactor += 1
+            if self._since_refactor >= self.REFACTOR_EVERY:
+                self._refactor()
+        self._compute_x()
+        return t > 1e-12
+
+    # -- solution access --------------------------------------------------
+
+    def solution(self):
+        return self._x[: self.n].copy()
+
+    def objective(self):
+        return float(self._cost @ self._x)
+
+    def reduced_costs(self):
+        d = self._d[: self.n].copy()
+        d[self.stat[: self.n] == BASIC] = 0.0
+        return d
+
+    def statuses(self):
+        return self.stat[: self.n].copy()
+
+    def row_slacks(self):
+        return self._x[self.n :].copy()

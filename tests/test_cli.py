@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from sparsecut.cli import _detect_format, main
+from sparsecut.cli import main
+from sparsecut.instances import detect_format as _detect_format
 
 from oracles import torus_edges
 

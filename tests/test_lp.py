@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import ReferenceSimplex, enumerate_simple_cycles, random_graph
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import (
     AT_LOWER,
@@ -12,7 +13,9 @@ from sparsecut.lp import (
     CutPool,
     CycleCut,
     LpEngine,
+    _BoundedSimplex,
 )
+from sparsecut.separation import separate_exact, separate_triangles
 
 
 def triangle(w=(1.0, 1.0, 1.0)):
@@ -199,3 +202,121 @@ def test_lp_value_upper_bounds_every_cut():
             y = [(mask >> v) & 1 if v < n - 1 else 0 for v in range(n)]
             w = sum(wt for (u, v, wt) in edges if y[u] != y[v])
             assert state.objective >= w - 1e-7
+
+
+# -- differential test against the per-row reference simplex ---------------
+
+def _lp_bytes(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _differential_run(g, rng):
+    """Drive a numpy and a reference engine through the same solves.
+
+    Each round solves both, then adds the triangle (else exact) cycle cuts of
+    the LP point; every other round also fixes up to half of the edges at
+    random, which often makes the LP infeasible. Returns (solves, differing
+    solves, infeasible solves).
+    """
+    engines = [LpEngine(g), LpEngine(g)]
+    engines[1]._simplex = ReferenceSimplex(g.edge_w, np.zeros(g.m), np.ones(g.m))
+    solves = differ = infeasible = 0
+    for rnd in range(5):
+        lb, ub = np.zeros(g.m), np.ones(g.m)
+        if rnd % 2:
+            for e in rng.sample(range(g.m), rng.randint(1, max(1, g.m // 2))):
+                lb[e] = ub[e] = float(rng.randint(0, 1))
+        states = [engine.solve(lb, ub) for engine in engines]
+        new, ref = (engine._simplex for engine in engines)
+        same = (
+            states[0].iterations == states[1].iterations
+            and states[0].feasible == states[1].feasible
+            and np.array_equal(new.basis, ref.basis)
+            and np.array_equal(new.stat, ref.stat)
+        )
+        if same and states[0].feasible:
+            same = (
+                _lp_bytes(new.solution()) == _lp_bytes(ref.solution())
+                and _lp_bytes(new.objective()) == _lp_bytes(ref.objective())
+                and _lp_bytes(new.reduced_costs()) == _lp_bytes(ref.reduced_costs())
+            )
+        solves += 1
+        differ += not same
+        if not states[1].feasible:
+            infeasible += 1
+            continue
+        x = states[1].x
+        cuts = separate_triangles(g, x, budget=50_000) or separate_exact(g, x)
+        if not cuts:
+            break
+        cuts.sort(key=lambda c: -c.violation(x))
+        for engine in engines:
+            engine.add_cuts(cuts[: 2 * g.n])
+    return solves, differ, infeasible
+
+
+@pytest.mark.parametrize("pricing", ["dantzig", "bland"])
+def test_simplex_takes_the_reference_pivots(pricing, monkeypatch):
+    if pricing == "bland":
+        monkeypatch.setattr(_BoundedSimplex, "BLAND_AFTER", -1)
+        monkeypatch.setattr(ReferenceSimplex, "BLAND_AFTER", -1)
+    rng = random.Random(11)
+    solves = differ = infeasible = 0
+    for k in range(300):
+        n = 5 + k % 10
+        edges = random_graph(rng, n, rng.uniform(0.3, 0.8),
+                             integral=k % 3 != 0)
+        if not edges:
+            continue
+        counts = _differential_run(WeightedGraph(n, edges), rng)
+        solves += counts[0]
+        differ += counts[1]
+        infeasible += counts[2]
+    assert differ == 0, f"{differ} of {solves} solves differ from the reference"
+    assert solves > 1000 and infeasible > 10, (solves, infeasible)
+
+
+# -- independent LP oracle ----------------------------------------------------
+
+def test_lp_matches_highs_on_random_cut_pools():
+    """Warm-started solves over growing random cycle-cut pools under random
+    edge fixings agree with HiGHS on feasibility and on the optimum."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(13)
+    solves = infeasible = 0
+    for k in range(60):
+        n = rng.randint(4, 8)
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.4, 0.9),
+                                          integral=k % 2 == 0))
+        cycles = enumerate_simple_cycles(n, g.edge_list())
+        if not cycles:
+            continue
+        engine = LpEngine(g)
+        rows, rhs = [], []
+        for _ in range(4):
+            for cyc in rng.sample(cycles, min(len(cycles), rng.randint(1, 6))):
+                odd = rng.randrange(1, len(cyc) + 1, 2)
+                f = set(rng.sample(range(len(cyc)), odd))
+                cut = CycleCut(tuple(cyc), tuple(i in f for i in range(len(cyc))))
+                if engine.add_cuts([cut]):
+                    row = np.zeros(g.m)
+                    row[list(cyc)] = [1.0 if i in f else -1.0 for i in range(len(cyc))]
+                    rows.append(row)
+                    rhs.append(cut.rhs)
+            lb, ub = np.zeros(g.m), np.ones(g.m)
+            for e in rng.sample(range(g.m), rng.randint(0, g.m // 2)):
+                lb[e] = ub[e] = float(rng.randint(0, 1))
+            if rng.random() < 0.25:
+                # fix some cut's F to 1 and the rest of its cycle to 0
+                row = rows[rng.randrange(len(rows))]
+                lb[row != 0] = ub[row != 0] = row[row != 0] > 0
+            state = engine.solve(lb, ub)
+            highs = optimize.linprog(-g.edge_w, A_ub=np.array(rows), b_ub=rhs,
+                                     bounds=list(zip(lb, ub)), method="highs")
+            assert highs.status in (0, 2), highs.message
+            assert state.feasible == (highs.status == 0)
+            if state.feasible:
+                assert state.objective == pytest.approx(-highs.fun, abs=1e-7)
+            solves += 1
+            infeasible += not state.feasible
+    assert solves > 150 and infeasible > 10, (solves, infeasible)

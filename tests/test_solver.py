@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from dataclasses import replace
@@ -287,3 +288,25 @@ def test_dual_bound_dominates_optimum_on_limit_hits():
                 1.0, abs(report.best_value)
             )
             assert dual >= best - 1e-6
+
+
+def test_root_stopped_after_its_lp_keeps_the_lp_bound(monkeypatch):
+    """A time-out inside the root re-queues it at its last effective LP
+    bound, not at the parent's bound +inf (clamped to the trivial bound)."""
+    g = WeightedGraph(64, torus_edges(random.Random(62), 8))
+    solver = ComponentSolver(g, Config(), True, time.monotonic() + 600.0)
+    objectives = []
+    real_solve = solver_mod.LpEngine.solve
+
+    def solve(self, lb=None, ub=None):
+        state = real_solve(self, lb, ub)
+        objectives.append(state.objective)
+        if len(objectives) == 2:
+            solver.deadline = time.monotonic()  # expires before the next round
+        return state
+
+    monkeypatch.setattr(solver_mod.LpEngine, "solve", solve)
+    sol, dual, status = solver.solve()
+    assert status == "time_limit" and len(objectives) == 2
+    assert dual == math.floor(objectives[1] + 1e-6)
+    assert sol.weight < dual < solver_mod._trivial_bound(g)

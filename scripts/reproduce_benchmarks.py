@@ -5,11 +5,11 @@ Benchmark collections (spin-glass grids, torus graphs, rudy-generated
 instances, QUBO libraries) are distributed in the same plain-text formats the
 package parses (.mc edge lists and .bq sparse triplets); point this script at
 a directory containing them. Expect hours to days of compute at the published
-sizes — this is intentionally not part of the test suite.
+sizes; the test suite runs it only on tiny instances.
 
 Usage:
     python3 scripts/reproduce_benchmarks.py INSTANCE_DIR [--time-limit SEC]
-        [--threads K] [--csv FILE] [--pattern GLOB]
+        [--seed N] [--csv FILE] [--pattern GLOB]
 """
 
 import argparse
@@ -52,8 +52,6 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("directory", help="directory with .mc / .bq instances")
     p.add_argument("--time-limit", type=float, default=3600.0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="ignored: the solver is single-threaded")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pattern", default="*", help="filename glob filter")
     p.add_argument("--csv", metavar="FILE", help="also write results as CSV")
@@ -67,8 +65,7 @@ def main(argv=None):
         print(f"no instances found in {args.directory}", file=sys.stderr)
         return 1
 
-    cfg = Config(time_limit_s=args.time_limit, threads=args.threads,
-                 seed=args.seed)
+    cfg = Config(time_limit_s=args.time_limit, seed=args.seed)
     rows = []
     header = ("instance", "format", "size", "nnz", "status", "best_value",
               "gap_percent", "bnb_nodes", "wall_time_s")

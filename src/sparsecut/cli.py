@@ -58,7 +58,7 @@ def build_arg_parser():
     p.add_argument("--no-presolve", action="store_true",
                    help="disable the reduction rules")
     p.add_argument("--no-propagation", action="store_true",
-                   help="disable reduced-cost and implication fixing")
+                   help="disable reduced-cost fixing")
     p.add_argument("--heur-restarts", type=int, default=8,
                    help="restarts of the angular heuristic (default 8)")
     p.add_argument("--heur-off", action="store_true",

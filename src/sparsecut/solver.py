@@ -176,17 +176,16 @@ class ComponentSolver:
             dual = max(dual, open_bound)
         return self.best, dual, status
 
+    def _past_deadline(self):
+        return self.deadline is not None and time.monotonic() >= self.deadline
+
     def _should_stop(self):
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            return True
         if self.node_budget and self.stats.nodes >= self.node_budget:
             return True
-        return False
+        return self._past_deadline()
 
     def _stop_status(self):
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            return "time_limit"
-        return "node_limit"
+        return "time_limit" if self._past_deadline() else "node_limit"
 
     def _gap_closed(self, dual, primal):
         if primal == -math.inf:
@@ -215,7 +214,7 @@ class ComponentSolver:
         first_lp = True
         rounds = 0
         while True:
-            if self._should_stop():
+            if self._past_deadline():
                 requeued = (-min(parent_bound, eff), depth, fixed, branch)
                 return "abort", [requeued]
             state = self.engine.solve(lb, ub)
@@ -232,11 +231,9 @@ class ComponentSolver:
                 return "pruned", []
 
             if cfg.propagation and inc > -math.inf:
-                new_fixed, dead = propagate(
+                new_fixed, _ = propagate(
                     g, state, bound, inc, lb, ub, fixed, self.integral
                 )
-                if dead:
-                    return "pruned", []
                 if len(new_fixed) > len(fixed):
                     fixed = new_fixed
                     for e, val in fixed.items():
@@ -250,13 +247,6 @@ class ComponentSolver:
             cuts = separate_triangles(g, state.x, budget=cfg.triangle_budget)
             if not cuts:
                 cuts = separate_exact(g, state.x)
-            if not cuts:
-                if x_integral:
-                    # the point is the incidence vector of a cut: certify it
-                    self._offer(spanning_tree_rounding(g, state.x))
-                    return "pruned", []
-                return "branched", self._branch(state, fixed, depth, bound)
-
             cuts.sort(key=lambda c: -c.violation(state.x))
             added = self.engine.add_cuts(cuts[: self.max_cuts])
             self.stats.cuts_added += added
@@ -264,22 +254,22 @@ class ComponentSolver:
             if depth == 0:
                 log.info(
                     "round %d: dual=%.6f, primal=%.6f, cuts=+%d, time=%.2f",
-                    rounds, bound, inc, added,
-                    time.monotonic() - getattr(self, "_start", time.monotonic()),
+                    rounds, bound, inc, added, time.monotonic() - self._start,
                 )
             if prev_bound - bound < cfg.tailing_off_tol:
                 tail += 1
             else:
                 tail = 0
             prev_bound = bound
-            if tail >= cfg.tailing_off_rounds and not x_integral:
-                return "branched", self._branch(state, fixed, depth, bound)
-            if added == 0:
-                # every remaining violated cut is already in the pool
-                if x_integral:
+            # no progress: nothing new to add (every violated cut, if any, is
+            # already in the pool), or the bound has stalled at a fractional x
+            if not added or (tail >= cfg.tailing_off_rounds and not x_integral):
+                if not x_integral:
+                    return "branched", self._branch(state, fixed, depth, bound)
+                if not cfg.heuristics:
+                    # the point is the incidence vector of a cut: certify it
                     self._offer(spanning_tree_rounding(g, state.x))
-                    return "pruned", []
-                return "branched", self._branch(state, fixed, depth, bound)
+                return "pruned", []
 
     def _branch(self, state, fixed, depth, bound):
         e = self._select_edge(state, fixed)
@@ -404,14 +394,9 @@ def solve_graph(g, cfg: Config, all_integral=False):
     status = "optimal"
     for comp_edges in components:
         sub, verts = induce_subgraph(reduced, comp_edges)
-        if deadline is not None and time.monotonic() >= deadline:
-            comp_status = "time_limit"
-            sol = burer_rank2(sub, seed=cfg.seed, restarts=2, deadline=deadline)
-            dual = _trivial_bound(sub)
-        else:
-            sol, dual, comp_status = _solve_component(
-                sub, cfg, all_integral, deadline, stats
-            )
+        sol, dual, comp_status = _solve_component(
+            sub, cfg, all_integral, deadline, stats
+        )
         pieces.append((verts, sol.y))
         dual_total += dual
         status = _worse_status(status, comp_status)

@@ -1,54 +1,12 @@
 import random
 
 import numpy as np
-import pytest
 
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import LpEngine
-from sparsecut.propagate import (
-    propagate,
-    rebuild_partial_assignment,
-    reduced_cost_fix,
-)
+from sparsecut.propagate import propagate, reduced_cost_fix
 
 from oracles import all_optimal_cuts, random_graph
-
-
-def path_graph(weights):
-    return WeightedGraph(len(weights) + 1,
-                         [(i, i + 1, w) for i, w in enumerate(weights)])
-
-
-def test_partial_assignment_tracks_parity():
-    g = path_graph([1.0, 1.0, 1.0])
-    # fix edge (0,1) cut and edge (1,2) uncut: 0 and 2 on opposite sides
-    pa = rebuild_partial_assignment(g, {0: 1, 1: 0})
-    assert not pa.infeasible
-    assert pa.side[0] == 0  # anchor
-    assert pa.side[1] == 1
-    assert pa.side[2] == 1
-    assert pa.comp[0] == pa.comp[1] == pa.comp[2] == 0
-
-
-def test_partial_assignment_detects_odd_cycle_contradiction():
-    g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-    # cutting exactly one edge of a triangle is impossible
-    pa = rebuild_partial_assignment(g, {0: 1, 1: 0, 2: 0})
-    assert pa.infeasible
-
-
-def test_partial_assignment_even_cycle_is_consistent():
-    g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-    pa = rebuild_partial_assignment(g, {0: 1, 1: 1, 2: 0})
-    assert not pa.infeasible
-
-
-def test_partial_assignment_separate_components():
-    g = WeightedGraph(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-    pa = rebuild_partial_assignment(g, {0: 1, 1: 0})
-    assert pa.comp[0] == pa.comp[1] == 0
-    assert pa.comp[2] == pa.comp[3] == 2
-    assert 4 not in pa.comp  # edge (3,4) not fixed
 
 
 def test_reduced_cost_fix_requires_incumbent_margin():
@@ -65,8 +23,13 @@ def test_reduced_cost_fix_requires_incumbent_margin():
     assert g.find_edge(0, 1) in fixed_edges
 
 
-def _fixing_safety(seed, trials, use_implications):
-    """No propagation step may exclude every optimal solution."""
+def _agrees(g, y, fixed):
+    return all(int(y[g.edge_u[e]] != y[g.edge_v[e]]) == val
+               for e, val in fixed.items())
+
+
+def _fixing_safety(seed, trials):
+    """No propagation step may exclude every optimal solution at the root."""
     rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(4, 7)
@@ -81,27 +44,41 @@ def _fixing_safety(seed, trials, use_implications):
         fixed, dead = propagate(
             g, state, state.objective, best, lb, ub, {}, integral=True
         )
-        # the root node always contains an optimal solution
         assert not dead
-        ok = False
-        for y in optima:
-            if all(int(y[g.edge_u[e]] != y[g.edge_v[e]]) == val
-                   for e, val in fixed.items()):
-                ok = True
-                break
-        assert ok, (edges, fixed, optima)
+        assert any(_agrees(g, y, fixed) for y in optima), (edges, fixed, optima)
 
 
 def test_root_fixing_never_cuts_off_all_optima():
-    _fixing_safety(seed=41, trials=60, use_implications=True)
+    _fixing_safety(seed=41, trials=60)
 
 
-def test_propagate_reports_contradictions():
-    g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-    engine = LpEngine(g)
-    state = engine.solve()
-    lb = np.array([1.0, 0.0, 0.0])
-    ub = np.array([1.0, 0.0, 0.0])
-    _, dead = propagate(g, state, state.objective, 0.0, lb, ub,
-                        {0: 1, 1: 0, 2: 0})
-    assert dead
+def test_fixing_below_the_root_keeps_an_optimum_of_the_node():
+    """Fix edges to the values of one optimal cut, solve the LP under those
+    bounds: some optimum that agrees with the node's fixings also agrees with
+    the fixings propagation returns."""
+    rng = random.Random(42)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(5, 8)
+        edges = random_graph(rng, n, 0.6)
+        if len(edges) < 4:
+            continue
+        g = WeightedGraph(n, edges)
+        best, optima = all_optimal_cuts(n, edges)
+        y = rng.choice(optima)
+        node = {e: int(y[g.edge_u[e]] != y[g.edge_v[e]])
+                for e in rng.sample(range(g.m), rng.randint(1, g.m - 1))}
+        lb, ub = np.zeros(g.m), np.ones(g.m)
+        for e, val in node.items():
+            lb[e] = ub[e] = float(val)
+        state = LpEngine(g).solve(lb, ub)
+        assert state.feasible
+        fixed, dead = propagate(
+            g, state, state.objective, best, lb, ub, node, integral=True
+        )
+        assert not dead
+        assert fixed.items() >= node.items()
+        assert any(_agrees(g, z, fixed) for z in optima if _agrees(g, z, node)), (
+            edges, node, fixed)
+        checked += len(fixed) > len(node)
+    assert checked > 0  # some node fixed an edge beyond its own fixings

@@ -146,6 +146,18 @@ def test_node_limit_status_and_exitable_gap():
         assert report.primal_dual_gap_percent >= 0.0
 
 
+def test_node_limit_of_one_solves_the_root():
+    """The node that fills the budget still runs its cutting-plane loop."""
+    g = WeightedGraph(14, random_graph(random.Random(15), 14, 0.5))
+    cfg = Config(node_limit=1, enum_threshold=0, heur_restarts=2)
+    solver = ComponentSolver(g, cfg, True, None, node_budget=1)
+    sol, dual, status = solver.solve()
+    assert status == "node_limit"
+    assert solver.stats.nodes == 1
+    assert solver.stats.lp_solves >= 1
+    assert sol.weight <= dual < solver_mod._trivial_bound(g)
+
+
 def test_time_limit_is_respected():
     rng = random.Random(56)
     edges = random_graph(rng, 40, 0.5)

@@ -25,6 +25,7 @@ log = logging.getLogger("sparsecut")
 
 
 def build_arg_parser():
+    defaults = Config()
     p = argparse.ArgumentParser(
         prog="sparsecut",
         description="Exact branch-and-cut solver for sparse max-cut and QUBO "
@@ -37,18 +38,25 @@ def build_arg_parser():
         default="auto",
         help="input format; auto uses the file extension, then header sniffing",
     )
-    p.add_argument("--time-limit", type=float, default=3600.0, metavar="SEC",
-                   help="wall-clock limit in seconds (default 3600)")
-    p.add_argument("--gap", type=float, default=0.0, metavar="PCT",
-                   help="stop at this relative primal-dual gap in percent")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--time-limit", type=float, default=defaults.time_limit_s,
+                   metavar="SEC",
+                   help="wall-clock limit in seconds (default %(default)s)")
+    p.add_argument("--gap", type=float, default=defaults.gap_percent, metavar="PCT",
+                   help="stop at this relative primal-dual gap in percent "
+                   "(default %(default)s)")
+    p.add_argument("--threads", type=int, default=defaults.threads,
                    help="accepted for compatibility and ignored: the solver "
                    "is single-threaded")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--enum-threshold", type=int, default=10, metavar="N",
-                   help="enumerate components with at most N vertices")
-    p.add_argument("--node-limit", type=int, default=0, metavar="N",
-                   help="stop after N branch-and-bound nodes (0 = unlimited)")
+    p.add_argument("--seed", type=int, default=defaults.seed,
+                   help="random seed (default %(default)s)")
+    p.add_argument("--enum-threshold", type=int, default=defaults.enum_threshold,
+                   metavar="N",
+                   help="enumerate components with at most N vertices "
+                   "(default %(default)s)")
+    p.add_argument("--node-limit", type=int, default=defaults.node_limit,
+                   metavar="N",
+                   help="stop after N branch-and-bound nodes (default "
+                   "%(default)s = unlimited)")
     p.add_argument("--out", metavar="FILE",
                    help="write the JSON report to FILE instead of stdout")
     p.add_argument("--write-solution", action="store_true",
@@ -59,14 +67,10 @@ def build_arg_parser():
                    help="disable the reduction rules")
     p.add_argument("--no-propagation", action="store_true",
                    help="disable reduced-cost fixing")
-    p.add_argument("--heur-restarts", type=int, default=8,
-                   help="restarts of the angular heuristic (default 8)")
+    p.add_argument("--heur-restarts", type=int, default=defaults.heur_restarts,
+                   help="restarts of the angular heuristic (default %(default)s)")
     p.add_argument("--heur-off", action="store_true",
                    help="disable primal heuristics")
-    p.add_argument("--sepa-triangle-budget", type=int, default=50_000,
-                   help="triangle inspection budget per separation round")
-    p.add_argument("--sepa-max-cuts-per-round", type=int, default=0,
-                   help="cut addition cap per round (0 = twice the vertex count)")
     return p
 
 
@@ -91,8 +95,6 @@ def config_from_args(args) -> Config:
         propagation=not args.no_propagation,
         heuristics=not args.heur_off,
         heur_restarts=args.heur_restarts,
-        triangle_budget=args.sepa_triangle_budget,
-        max_cuts_per_round=args.sepa_max_cuts_per_round,
     )
 
 

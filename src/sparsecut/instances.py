@@ -208,20 +208,10 @@ def write_qubo(instance: RawQuboInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Stable key order of the JSON report; documented in the README.
-_REPORT_KEYS = (
-    "status",
-    "best_value",
-    "primal_dual_gap_percent",
-    "bnb_nodes",
-    "wall_time_s",
-    "partition",
-)
-
-
 def write_report(report: ResultReport, format: str = "text") -> str:
     """Serialize a result report deterministically as JSON or plain text."""
     if format == "json":
+        # a stable key order, documented in the README
         payload = {
             "status": report.status,
             "best_value": report.best_value,

@@ -7,6 +7,9 @@ corresponds to a violated cycle inequality; its crossing arcs form the odd
 set F. One Dijkstra search runs from every vertex; a twin path it finds is
 walked back, projected to a closed walk in the base graph, split into simple
 cycles and decomposed along chords into chordless violated cuts.
+
+Triangle separation scores a table of the graph's triangles, listed once by
+``triangle_table``, against each new LP point.
 """
 
 from __future__ import annotations
@@ -295,36 +298,47 @@ def separate_exact(g, x):
     return cuts
 
 
-def separate_triangles(g, x, budget=TRIANGLE_BUDGET, viol_tol=VIOLATION_TOL):
-    """Violated cycle inequalities on enumerated triangles (all four odd F)."""
-    cuts = []
-    seen = set()
+def triangle_table(g, budget=TRIANGLE_BUDGET):
+    """The first ``budget`` triangles of ``g`` as a (t, 3) array of edge ids.
+
+    Row (e, e_uz, e_vz) is the triangle that edge e = (u, v), u < v, closes
+    with a common neighbor z > v, so each triangle appears once, from its
+    lowest edge. Rows are ordered by e, then z; edges with an endpoint of
+    degree above DEGREE_CAP are skipped.
+    """
+    rows = [np.empty((0, 3), dtype=np.int64)]
     count = 0
     for e in range(g.m):
         u, v = int(g.edge_u[e]), int(g.edge_v[e])
         if g.degree(u) > DEGREE_CAP or g.degree(v) > DEGREE_CAP:
             continue
-        nu = g.neighbors(u)
-        nv = g.neighbors(v)
-        common = np.intersect1d(nu, nv, assume_unique=True)
-        for z in common:
-            z = int(z)
-            if z <= v:
-                continue  # enumerate each triangle once, from its lowest edge
-            count += 1
-            if count > budget:
-                return cuts
-            e_uz = g.find_edge(u, z)
-            e_vz = g.find_edge(v, z)
-            tri = (e, e_uz, e_vz)
-            xs = [float(x[t]) for t in tri]
-            for mask in ((True, False, False), (False, True, False),
-                         (False, False, True), (True, True, True)):
-                lhs = sum((1.0 - xs[i]) if mask[i] else xs[i] for i in range(3))
-                if lhs < 1.0 - viol_tol:
-                    cut = CycleCut(tri, mask)
-                    key = cut.key()
-                    if key not in seen:
-                        seen.add(key)
-                        cuts.append(cut)
-    return cuts
+        nu, eu, _ = g.incident(u)
+        nv, ev, _ = g.incident(v)
+        common, iu, iv = np.intersect1d(nu, nv, assume_unique=True,
+                                        return_indices=True)
+        above = common > v
+        k = int(above.sum())
+        if k:
+            rows.append(np.column_stack((np.full(k, e), eu[iu[above]], ev[iv[above]])))
+            count += k
+            if count >= budget:
+                break
+    return np.concatenate(rows)[:budget]
+
+
+# the four odd F sets of a triangle, one row each
+_ODD_F = ((True, False, False), (False, True, False),
+          (False, False, True), (True, True, True))
+
+
+def separate_triangles(x, table, viol_tol=VIOLATION_TOL):
+    """Violated cycle inequalities on the rows of a ``triangle_table``.
+
+    Scores all four odd F sets of every row; cuts come in (row, F set) order.
+    """
+    xt = np.asarray(x, dtype=np.float64)[table][:, None, :]
+    terms = np.where(np.array(_ODD_F), 1.0 - xt, xt)  # (t, 4, 3) slack-form terms
+    lhs = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]
+    rows, masks = np.nonzero(lhs < 1.0 - viol_tol)
+    return [CycleCut(tuple(table[r].tolist()), _ODD_F[f])
+            for r, f in zip(rows.tolist(), masks.tolist())]

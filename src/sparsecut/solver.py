@@ -24,12 +24,12 @@ from .graph import (
     build_graph,
     induce_subgraph,
 )
-from .heuristics import burer_rank2, spanning_tree_rounding
+from .heuristics import DEFAULT_RESTARTS, burer_rank2, spanning_tree_rounding
 from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
 from .lp import LpEngine
 from .presolve import PresolveStats, format_stats, presolve_loop
 from .propagate import effective_bound, propagate
-from .separation import separate_exact, separate_triangles
+from .separation import separate_exact, separate_triangles, triangle_table
 from .transform import qubo_assignment_from_maxcut, qubo_to_maxcut
 
 log = logging.getLogger("sparsecut")
@@ -37,6 +37,8 @@ log = logging.getLogger("sparsecut")
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
 DEFAULT_ENUM_THRESHOLD = 10
+TAILING_OFF_TOL = 1e-4   # a round that raises the bound less than this stalls
+TAILING_OFF_ROUNDS = 3   # this many stalled rounds in a row end a node
 
 
 @dataclass
@@ -50,11 +52,7 @@ class Config:
     presolve: bool = True
     propagation: bool = True
     heuristics: bool = True
-    heur_restarts: int = 8
-    triangle_budget: int = 50_000
-    max_cuts_per_round: int = 0  # 0 = twice the vertex count
-    tailing_off_tol: float = 1e-4
-    tailing_off_rounds: int = 3
+    heur_restarts: int = DEFAULT_RESTARTS
 
 
 @dataclass
@@ -114,7 +112,7 @@ class ComponentSolver:
         m = g.m
         self.pc_sum = np.zeros((2, m))
         self.pc_cnt = np.zeros((2, m), dtype=np.int64)
-        self.max_cuts = cfg.max_cuts_per_round or 2 * g.n
+        self.triangles = None  # triangle_table(g), built at the first round
 
     # -- incumbent handling ------------------------------------------------
 
@@ -244,11 +242,13 @@ class ComponentSolver:
                 self._offer(spanning_tree_rounding(g, state.x))
 
             x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
-            cuts = separate_triangles(g, state.x, budget=cfg.triangle_budget)
+            if self.triangles is None:
+                self.triangles = triangle_table(g)
+            cuts = separate_triangles(state.x, self.triangles)
             if not cuts:
                 cuts = separate_exact(g, state.x)
             cuts.sort(key=lambda c: -c.violation(state.x))
-            added = self.engine.add_cuts(cuts[: self.max_cuts])
+            added = self.engine.add_cuts(cuts[: 2 * g.n])  # the most violated
             self.stats.cuts_added += added
             rounds += 1
             if depth == 0:
@@ -256,14 +256,14 @@ class ComponentSolver:
                     "round %d: dual=%.6f, primal=%.6f, cuts=+%d, time=%.2f",
                     rounds, bound, inc, added, time.monotonic() - self._start,
                 )
-            if prev_bound - bound < cfg.tailing_off_tol:
+            if prev_bound - bound < TAILING_OFF_TOL:
                 tail += 1
             else:
                 tail = 0
             prev_bound = bound
             # no progress: nothing new to add (every violated cut, if any, is
             # already in the pool), or the bound has stalled at a fractional x
-            if not added or (tail >= cfg.tailing_off_rounds and not x_integral):
+            if not added or (tail >= TAILING_OFF_ROUNDS and not x_integral):
                 if not x_integral:
                     return "branched", self._branch(state, fixed, depth, bound)
                 if not cfg.heuristics:
@@ -333,43 +333,23 @@ def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
 
 
 def _stitch(n, pieces):
-    """Align per-component assignments at shared (articulation) vertices.
+    """Combine per-component assignments, aligned at articulation vertices.
 
-    ``pieces`` is a list of (vertex list, local assignment); components of the
-    block-cut tree touching an already placed vertex are flipped to agree on
-    it. Returns the combined assignment.
+    ``pieces`` is a list of (vertex list, local assignment) in the order of
+    ``biconnected_components``, which emits a block before the block on its
+    root side. Taken in reverse, each block therefore shares at most one
+    vertex with the blocks already placed: it is flipped to agree on that
+    vertex, and not flipped when it shares none. Returns the combined
+    assignment.
     """
     y = np.zeros(n, dtype=np.int8)
-    assigned = np.zeros(n, dtype=bool)
-    vert2comps: dict[int, list[int]] = {}
-    for i, (verts, _) in enumerate(pieces):
-        for v in verts:
-            vert2comps.setdefault(v, []).append(i)
-    placed = [False] * len(pieces)
-
-    def place(i, flip):
-        verts, yl = pieces[i]
-        for idx, v in enumerate(verts):
-            y[v] = yl[idx] ^ flip
-            assigned[v] = True
-        placed[i] = True
-
-    for root in range(len(pieces)):
-        if placed[root]:
-            continue
-        place(root, 0)
-        queue = [root]
-        while queue:
-            c = queue.pop()
-            verts, _ = pieces[c]
-            for v in verts:
-                for c2 in vert2comps[v]:
-                    if placed[c2]:
-                        continue
-                    verts2, yl2 = pieces[c2]
-                    flip = int(y[v]) ^ int(yl2[verts2.index(v)])
-                    place(c2, flip)
-                    queue.append(c2)
+    placed = np.zeros(n, dtype=bool)
+    for verts, yl in reversed(pieces):
+        verts = np.asarray(verts)
+        shared = np.flatnonzero(placed[verts])
+        flip = y[verts[shared[0]]] ^ yl[shared[0]] if len(shared) else 0
+        y[verts] = yl ^ flip
+        placed[verts] = True
     return y
 
 
@@ -401,10 +381,7 @@ def solve_graph(g, cfg: Config, all_integral=False):
         dual_total += dual
         status = _worse_status(status, comp_status)
 
-    y_reduced = _stitch(reduced.n, pieces) if pieces else np.zeros(
-        reduced.n, dtype=np.int8
-    )
-    y_full = trace.replay(y_reduced)
+    y_full = trace.replay(_stitch(reduced.n, pieces))
     solution = CutSolution.from_assignment(g, y_full)  # revalidate on the original
     if status == "optimal":
         dual_total = max(dual_total, solution.weight)

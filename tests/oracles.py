@@ -1,14 +1,24 @@
 """Independent brute-force reference implementations used to freeze expected
 values. Deliberately simple and slow; nothing here shares code with the
-package under test beyond the raw data containers and the LP's status codes,
-tolerances and error type."""
+package under test beyond the raw data containers, the LP's status codes,
+tolerances, error type and cut type, and the triangle separator's degree cap."""
 
 import itertools
 import math
 
 import numpy as np
 
-from sparsecut.lp import AT_LOWER, AT_UPPER, BASIC, FEAS_TOL, OPT_TOL, LpError
+from sparsecut.lp import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
+    FEAS_TOL,
+    OPT_TOL,
+    VIOLATION_TOL,
+    CycleCut,
+    LpError,
+)
+from sparsecut.separation import DEGREE_CAP
 
 
 def brute_force_maxcut(n, edges):
@@ -166,6 +176,38 @@ def cycle_vertices(g, eids):
             break
         verts.append(nxts[0])
     return verts
+
+
+def reference_separate_triangles(g, x, budget):
+    """Per-edge triangle separation, frozen from the version that listed a
+    graph's triangles again on every call: violated cycle inequalities on the
+    first ``budget`` triangles, all four odd F sets each."""
+    cuts = []
+    seen = set()
+    count = 0
+    for e in range(g.m):
+        u, v = int(g.edge_u[e]), int(g.edge_v[e])
+        if g.degree(u) > DEGREE_CAP or g.degree(v) > DEGREE_CAP:
+            continue
+        common = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
+        for z in common:
+            z = int(z)
+            if z <= v:
+                continue  # enumerate each triangle once, from its lowest edge
+            count += 1
+            if count > budget:
+                return cuts
+            tri = (e, g.find_edge(u, z), g.find_edge(v, z))
+            xs = [float(x[t]) for t in tri]
+            for mask in ((True, False, False), (False, True, False),
+                         (False, False, True), (True, True, True)):
+                lhs = sum((1.0 - xs[i]) if mask[i] else xs[i] for i in range(3))
+                if lhs < 1.0 - VIOLATION_TOL:
+                    cut = CycleCut(tri, mask)
+                    if cut.key() not in seen:
+                        seen.add(cut.key())
+                        cuts.append(cut)
+    return cuts
 
 
 def has_chord(g, verts):

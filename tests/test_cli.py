@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from sparsecut.cli import main
+from sparsecut.cli import build_arg_parser, config_from_args, main
 from sparsecut.instances import detect_format as _detect_format
+from sparsecut.solver import Config
 
 from oracles import torus_edges
 
@@ -138,8 +139,11 @@ def test_solver_flags_are_accepted(tmp_path, capsys):
         tmp_path, capsys, MC_TRIANGLE, "tri.mc",
         ["--no-presolve", "--no-propagation", "--heur-off", "--seed", "3",
          "--enum-threshold", "0",
-         "--sepa-triangle-budget", "100", "--sepa-max-cuts-per-round", "4",
          "--time-limit", "60", "--gap", "0", "--threads", "1"],
     )
     assert rc == 0
     assert json.loads(out)["best_value"] == 2.0
+
+
+def test_cli_defaults_are_the_config_defaults():
+    assert config_from_args(build_arg_parser().parse_args(["x.mc"])) == Config()

@@ -161,6 +161,21 @@ def test_biconnected_matches_partition_property_randomly():
         assert seen == list(range(g.m))
 
 
+def test_reversed_blocks_share_at_most_one_placed_vertex():
+    """Taken in reverse emission order, every block meets the blocks before it
+    in at most one vertex, the order in which the solver stitches them."""
+    rng = random.Random(10)
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        g = make(n, random_graph(rng, n, rng.uniform(0.05, 0.4)))
+        comps, _ = biconnected_components(g)
+        placed = set()
+        for comp in reversed(comps):
+            verts = {int(g.edge_u[e]) for e in comp} | {int(g.edge_v[e]) for e in comp}
+            assert len(verts & placed) <= 1
+            placed |= verts
+
+
 def test_induce_subgraph_keeps_weights_and_maps_vertices():
     g = make(5, [(0, 2, 1.5), (2, 4, -2.0), (0, 4, 3.0)])
     sub, verts = induce_subgraph(g, [0, 2])

@@ -15,7 +15,7 @@ from sparsecut.lp import (
     LpEngine,
     _BoundedSimplex,
 )
-from sparsecut.separation import separate_exact, separate_triangles
+from sparsecut.separation import separate_exact, separate_triangles, triangle_table
 
 
 def triangle(w=(1.0, 1.0, 1.0)):
@@ -220,6 +220,7 @@ def _differential_run(g, rng):
     """
     engines = [LpEngine(g), LpEngine(g)]
     engines[1]._simplex = ReferenceSimplex(g.edge_w, np.zeros(g.m), np.ones(g.m))
+    table = triangle_table(g)
     solves = differ = infeasible = 0
     for rnd in range(5):
         lb, ub = np.zeros(g.m), np.ones(g.m)
@@ -246,7 +247,7 @@ def _differential_run(g, rng):
             infeasible += 1
             continue
         x = states[1].x
-        cuts = separate_triangles(g, x, budget=50_000) or separate_exact(g, x)
+        cuts = separate_triangles(x, table) or separate_exact(g, x)
         if not cuts:
             break
         cuts.sort(key=lambda c: -c.violation(x))

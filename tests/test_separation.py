@@ -15,9 +15,15 @@ from sparsecut.separation import (
     extract_simple_cycles,
     separate_exact,
     separate_triangles,
+    triangle_table,
 )
 
-from oracles import has_chord, most_violated_cycle_inequality, random_graph
+from oracles import (
+    has_chord,
+    most_violated_cycle_inequality,
+    random_graph,
+    reference_separate_triangles,
+)
 
 
 def cycle_graph(n, x_val=0.9):
@@ -226,21 +232,23 @@ def _cycle_vertices(g, eids):
 
 def test_separate_triangles_finds_all_odd_sets():
     g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    table = triangle_table(g)
+    assert table.tolist() == [[0, 1, 2]]
     x = np.array([1.0, 1.0, 1.0])  # violates x0 + x1 + x2 <= 2
-    cuts = separate_triangles(g, x)
+    cuts = separate_triangles(x, table)
     assert len(cuts) == 1
     assert sum(cuts[0].in_f) == 3
 
     x = np.array([1.0, 1.0, 0.0])  # a genuine cut of the triangle: no violation
-    assert separate_triangles(g, x) == []
+    assert separate_triangles(x, table) == []
 
     x = np.array([1.0, 0.0, 0.2])  # x0 - x1 - x2 = 0.8 > 0 violated
-    cuts = separate_triangles(g, x)
+    cuts = separate_triangles(x, table)
     assert len(cuts) == 1
     assert cuts[0].violation(x) == pytest.approx(0.8)
 
     x = np.array([0.9, 0.0, 0.0])  # 0.1 + 0 + 0 < 1 violated
-    cuts = separate_triangles(g, x)
+    cuts = separate_triangles(x, table)
     assert len(cuts) == 1
     assert cuts[0].violation(x) == pytest.approx(0.9)
 
@@ -249,7 +257,22 @@ def test_separate_triangles_respects_budget():
     rng = random.Random(14)
     edges = random_graph(rng, 12, 0.8)
     g = WeightedGraph(12, edges)
-    x = np.full(g.m, 0.9)
-    unlimited = separate_triangles(g, x, budget=10 ** 9)
-    limited = separate_triangles(g, x, budget=5)
-    assert len(limited) <= len(unlimited)
+    unlimited = triangle_table(g, 10 ** 9)
+    assert len(unlimited) > 5
+    assert np.array_equal(triangle_table(g, 5), unlimited[:5])
+
+
+def test_triangle_cuts_match_the_per_edge_reference():
+    """Same cuts in the same order as listing the triangles on every call."""
+    rng = random.Random(91)
+    for _ in range(60):
+        n = rng.randint(3, 25)
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.2, 0.9)))
+        for budget in (5, 50_000):
+            table = triangle_table(g, budget)
+            for x in (np.zeros(g.m), np.ones(g.m), np.full(g.m, 0.5),
+                      np.array([rng.random() for _ in range(g.m)])):
+                got = separate_triangles(x, table)
+                want = reference_separate_triangles(g, x, budget)
+                assert [(c.edges, c.in_f) for c in got] == \
+                    [(c.edges, c.in_f) for c in want]

@@ -138,8 +138,7 @@ def test_node_limit_status_and_exitable_gap():
     edges = random_graph(rng, 20, 0.5)
     raw = raw_from_edges(20, edges)
     report = solve_maxcut(
-        raw, Config(enum_threshold=0, node_limit=1, heur_restarts=1,
-                    tailing_off_rounds=1)
+        raw, Config(enum_threshold=0, node_limit=1, heur_restarts=1)
     )
     assert report.status in ("optimal", "node_limit")
     if report.status == "node_limit":

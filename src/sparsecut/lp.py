@@ -2,9 +2,12 @@
 
 The relaxation is  max w^T x  subject to the pool's cycle inequalities and the
 per-edge bounds [lb, ub] within [0, 1]. :class:`LpEngine` owns the cut pool
-and a warm-started bounded-variable primal simplex: a dense basis inverse kept
-by product-form (eta) updates with periodic refactorization, and one numpy
-iteration -- pricing, ratio test, eta update -- shared by phase 1 and phase 2.
+and a warm-started bounded-variable dual simplex: a dense basis inverse kept
+by product-form (eta) updates with periodic refactorization, a dual
+steepest-edge choice of the leaving row and a bound-flipping ratio test.
+Every column is boxed, so any basis becomes dual feasible by moving nonbasic
+columns to the bounds their reduced costs prefer: after added cuts or changed
+bounds, a solve starts from the previous basis without a phase 1.
 
 Reduced-cost sign convention (maximization): nonbasic-at-lower variables have
 reduced cost <= 0, nonbasic-at-upper >= 0, basic exactly 0. Forcing a nonbasic
@@ -13,6 +16,7 @@ edge to its opposite bound degrades the LP bound by at least |reduced cost|.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +28,8 @@ OPT_TOL = 1e-9
 VIOLATION_TOL = 1e-5
 PURGE_SLACK_TOL = 1e-7
 AGE_LIMIT = 10
+
+log = logging.getLogger("sparsecut")
 
 
 class LpError(RuntimeError):
@@ -111,7 +117,7 @@ class CutPool:
 
 
 class _BoundedSimplex:
-    """Revised simplex for  max c^T x,  A x <= b,  l <= x <= u (dense)."""
+    """Dual simplex for  max c^T x,  A x <= b,  l <= x <= u (dense)."""
 
     REFACTOR_EVERY = 64
     BLAND_AFTER = 500
@@ -128,6 +134,9 @@ class _BoundedSimplex:
         self.basis = None
         self.stat = None
         self.iterations = 0
+        # dual ratios are reduced costs over tableau entries, so ties between
+        # them are judged on the scale of the weights
+        self._tie = 1e-12 * max(1.0, float(np.abs(self.c).max(initial=0.0)))
 
     # -- model edits ------------------------------------------------------
 
@@ -139,7 +148,7 @@ class _BoundedSimplex:
         self.rows.append(row)
         self.rhs.append(float(rhs))
         if self.basis is not None:
-            # new slack starts basic; phase 1 repairs any infeasibility
+            # a basic slack has reduced cost 0, so the basis stays dual feasible
             slack_id = self.n + len(self.rows) - 1
             self.basis = np.append(self.basis, slack_id)
             self.stat = np.append(self.stat, BASIC)
@@ -161,41 +170,139 @@ class _BoundedSimplex:
     # -- solve ------------------------------------------------------------
 
     def solve(self):
-        """Phase 1 to a feasible basis, then phase 2; False if infeasible."""
+        """Dual simplex from the warm (else slack) basis; False if infeasible.
+
+        After BLAND_AFTER degenerate pivots in a row, Bland's rule picks the
+        rows and columns until a pivot makes progress, and the edge costs are
+        perturbed until the point is feasible; the solve then goes on with
+        the true costs.
+        """
         m = len(self.rows)
         ncols = self.n + m
         A = np.array(self.rows, dtype=float).reshape(m, self.n)
         self._A = np.hstack([A, np.eye(m)])
         self._b = np.asarray(self.rhs, dtype=float)
+        # a slack's upper bound is implied by the edge bounds: every column
+        # is boxed, so any basis becomes dual feasible by bound moves alone
+        low = np.minimum(A, 0.0) @ self.ub + np.maximum(A, 0.0) @ self.lb
         self._l = np.concatenate([self.lb, np.zeros(m)])
-        self._u = np.concatenate([self.ub, np.full(m, np.inf)])
+        self._u = np.concatenate([self.ub, np.maximum(self._b - low, 0.0)])
         self._cost = np.concatenate([self.c, np.zeros(m)])
         self._movable = self._u - self._l > FEAS_TOL
 
-        if (
-            self.basis is None
-            or self.stat is None
-            or len(self.basis) != m
-            or len(self.stat) != ncols
-        ):
-            self._cold_basis()
-        else:
-            # clamp remembered nonbasic statuses to the current bounds
-            stat = self.stat[: self.n]
-            stat[(stat == AT_UPPER) & ~np.isfinite(self.ub)] = AT_LOWER
-
+        if self.basis is None:
+            self.basis = np.arange(self.n, ncols)
+            self.stat = np.full(ncols, AT_LOWER, dtype=np.int8)
+            self.stat[self.basis] = BASIC
         self._refactor()
-        self._compute_x()
         self.iterations = 0
-        return self._iterate(phase1=True) and self._iterate(phase1=False)
+        d = self._make_dual_feasible(perturb=False)
+        stall = 0
+        perturbed = False
+        while True:
+            xb = self._x[self.basis]
+            viol = np.maximum(self._l[self.basis] - xb, xb - self._u[self.basis])
+            rows = np.flatnonzero(viol > FEAS_TOL)
+            if not rows.size and perturbed:
+                d = self._make_dual_feasible(perturb=False)
+                perturbed = False
+                continue
+            if not rows.size:
+                self._d = d
+                return True
+            if self.iterations > self.MAX_ITERS:
+                raise LpError("simplex iteration limit exceeded")
+            bland = stall > self.BLAND_AFTER
+            if bland and not perturbed:
+                d = self._make_dual_feasible(perturb=True)
+                perturbed = True
+            # leaving row: the largest violation per unit dual steepest-edge
+            # norm |B^-1[i]|, or the lowest basis index
+            if bland:
+                r = rows[np.argmin(self.basis[rows])]
+            else:
+                rho = self._Binv[rows]
+                r = rows[np.argmax(viol[rows] ** 2 / np.einsum("ij,ij->i", rho, rho))]
+            leaving = self.basis[r]
+            to_lower = xb[r] < self._l[leaving]
+            step = self._ratio_test(r, to_lower, viol[r], d, bland)
+            if step is None:
+                return False
+            q, flips = step
+            stall = 0 if abs(d[q]) > OPT_TOL else stall + 1
+            self.stat[flips] = AT_LOWER + AT_UPPER - self.stat[flips]
+            self.stat[leaving] = AT_LOWER if to_lower else AT_UPPER
+            self.stat[q] = BASIC
+            self.basis[r] = q
 
-    def _cold_basis(self):
-        ncols = len(self._cost)
-        stat = np.full(ncols, AT_LOWER, dtype=np.int8)
-        stat[: self.n][(self.c > 0) & np.isfinite(self.ub)] = AT_UPPER
-        self.basis = np.arange(self.n, ncols)
-        stat[self.basis] = BASIC
-        self.stat = stat
+            # product-form update of the basis inverse; |pivot| >= PIVOT_TOL
+            alpha = self._Binv @ self._A[:, q]
+            pivot_row = self._Binv[r]
+            pivot_row /= alpha[r]
+            others = np.abs(alpha) > 1e-14
+            others[r] = False
+            self._Binv[others] -= np.outer(alpha[others], pivot_row)
+            self._since_refactor += 1
+            if self._since_refactor >= self.REFACTOR_EVERY:
+                self._refactor()
+            self._compute_x()
+            self.iterations += 1
+            d = self._price()
+
+    def _make_dual_feasible(self, perturb):
+        """Reduced costs, with each nonbasic movable column put at the bound
+        its reduced cost prefers. With ``perturb`` the edges among them then
+        have their costs moved 1e-7 to 2e-7 (relative) further into that
+        side, which breaks the ties of a degenerate vertex; else the costs are
+        the true ones.
+        """
+        self._cost[: self.n] = self.c
+        d = self._price()
+        free = self._movable & (self.stat != BASIC)
+        self.stat[free & (d > OPT_TOL)] = AT_UPPER
+        self.stat[free & (d < -OPT_TOL)] = AT_LOWER
+        if perturb:
+            e = np.flatnonzero(free[: self.n])
+            shift = 1e-7 * np.maximum(1.0, np.abs(self.c[e]))
+            shift *= 1.0 + np.random.default_rng(0).random(e.size)
+            self._cost[e] += np.where(self.stat[e] == AT_UPPER, shift, -shift)
+            d = self._price()
+        self._compute_x()
+        return d
+
+    def _price(self):
+        """Reduced costs d = c - (c_B B^-1) [A | I]."""
+        return self._cost - (self._cost[self.basis] @ self._Binv) @ self._A
+
+    def _ratio_test(self, r, to_lower, violation, d, bland):
+        """(entering column, columns to flip) for leaving row r, or None if
+        no nonbasic move repairs the row: the LP is infeasible.
+
+        Each column that moves the leaving variable toward its violated bound
+        has a breakpoint d_j / alpha_rj of the dual step. Passing it flips the
+        column to its other bound, which repairs |alpha_rj| (u_j - l_j) of the
+        violation; the column whose flip would leave at most FEAS_TOL enters.
+        Ties go to the largest |alpha_rj|, or the lowest column under Bland.
+        """
+        alpha = self._Binv[r] @ self._A
+        if not to_lower:
+            alpha = -alpha
+        cols = np.flatnonzero(self._movable & (np.abs(alpha) >= self.PIVOT_TOL) & (
+            ((self.stat == AT_LOWER) & (alpha < 0))
+            | ((self.stat == AT_UPPER) & (alpha > 0))
+        ))
+        ratio = np.maximum(d[cols] / alpha[cols], 0.0)
+        order = np.argsort(ratio, kind="stable")
+        cols, ratio = cols[order], ratio[order]
+        weight = np.abs(alpha[cols])
+        repaired = np.cumsum(weight * (self._u[cols] - self._l[cols]))
+        k = int(np.searchsorted(repaired, violation - FEAS_TOL))
+        if k == cols.size:
+            return None
+        near = np.arange(k, np.searchsorted(ratio, ratio[k] + self._tie, "right"))
+        if bland:
+            return int(cols[near].min()), cols[:k]
+        return int(cols[near[np.argmax(weight[near])]]), cols[:k]
 
     def _refactor(self):
         try:
@@ -206,124 +313,9 @@ class _BoundedSimplex:
 
     def _compute_x(self):
         x = np.where(self.stat == AT_UPPER, self._u, self._l)
-        x[~np.isfinite(x)] = 0.0
         x[self.basis] = 0.0
         x[self.basis] = self._Binv @ (self._b - self._A @ x)
         self._x = x
-
-    def _infeasible_rows(self):
-        """Masks of the basic rows below their lower / above their upper bound."""
-        xb = self._x[self.basis]
-        below = xb < self._l[self.basis] - FEAS_TOL
-        above = xb > self._u[self.basis] + FEAS_TOL
-        return below, above
-
-    def _iterate(self, phase1):
-        """Pivot until no column prices out; False if phase 1 gets stuck.
-
-        Phase 1 maximizes g . x_B with g = +1 on rows below their lower bound
-        and -1 on rows above their upper bound, all column costs 0; phase 2
-        maximizes c^T x. Both price with d = c - (c_B B^-1) A.
-        """
-        stall = 0
-        while True:
-            if phase1:
-                below, above = self._infeasible_rows()
-                if not (below.any() or above.any()):
-                    return True
-                c, c_basic = 0.0, below.astype(float) - above
-            else:
-                below = above = np.zeros(len(self.basis), dtype=bool)
-                c, c_basic = self._cost, self._cost[self.basis]
-            if self.iterations > self.MAX_ITERS:
-                raise LpError("simplex iteration limit exceeded")
-            d = c - (c_basic @ self._Binv) @ self._A
-            bland = stall > self.BLAND_AFTER
-            j = self._choose_entering(d, bland)
-            if j is None:
-                self._d = d
-                # phase 1: infeasibility cannot be reduced, the LP is infeasible
-                return not phase1
-            moved = self._step(j, below, above, bland)
-            stall = 0 if moved else stall + 1
-
-    def _choose_entering(self, d, bland):
-        """Column whose reduced cost improves the objective, or None.
-
-        Dantzig takes the first largest |d|, Bland the first eligible column.
-        """
-        eligible = self._movable & (
-            ((self.stat == AT_LOWER) & (d > OPT_TOL))
-            | ((self.stat == AT_UPPER) & (d < -OPT_TOL))
-        )
-        if not eligible.any():
-            return None
-        if bland:
-            return int(np.argmax(eligible))
-        return int(np.argmax(np.where(eligible, np.abs(d), 0.0)))
-
-    def _step(self, j, below, above, bland):
-        """Move entering column j off its bound; returns True if t > 0.
-
-        ``below`` and ``above`` mark the basic rows outside their bounds in
-        phase 1; both are all False in phase 2.
-        """
-        s = 1.0 if self.stat[j] == AT_LOWER else -1.0
-        alpha = self._Binv @ self._A[:, j]
-        delta = -s * alpha  # change of basic values per unit step
-        xb = self._x[self.basis]
-        lB, uB = self._l[self.basis], self._u[self.basis]
-
-        # ratio test: a feasible row blocks at the bound it moves toward; a
-        # row below its lower bound blocks there only while rising, a row
-        # above its upper bound only while falling
-        rising = delta > 0
-        to_upper = (rising & ~below) | above
-        target = np.where(to_upper, uB, lB)
-        away = (below & ~rising) | (above & rising)
-        blocks = (np.abs(delta) >= self.PIVOT_TOL) & ~away & np.isfinite(target)
-        rows = np.flatnonzero(blocks)
-        ratio = np.maximum((target[rows] - xb[rows]) / delta[rows], 0.0)
-
-        t = self._u[j] - self._l[j]
-        leave_row = None
-        if rows.size and (t_min := ratio.min()) < t - 1e-12:
-            # ties within 1e-12 of the minimum: the largest pivot, or the
-            # lowest basis index under Bland
-            near = np.flatnonzero(ratio < t_min + 1e-12)
-            if bland:
-                k = near[np.argmin(self.basis[rows[near]])]
-            else:
-                k = near[np.argmax(np.abs(delta[rows[near]]))]
-            leave_row, t = int(rows[k]), float(ratio[k])
-        if not np.isfinite(t):
-            raise LpError("unbounded simplex direction")
-        self.iterations += 1
-
-        if leave_row is None:
-            # entering variable hits its own opposite bound
-            if t > 0:
-                self._x[j] += s * t
-                self._x[self.basis] = xb + t * delta
-            self.stat[j] = AT_UPPER if s > 0 else AT_LOWER
-            return t > 1e-12
-
-        leaving = self.basis[leave_row]
-        self.stat[leaving] = AT_UPPER if to_upper[leave_row] else AT_LOWER
-        self.stat[j] = BASIC
-        self.basis[leave_row] = j
-
-        # product-form update of the basis inverse; |pivot| >= PIVOT_TOL
-        pivot_row = self._Binv[leave_row]
-        pivot_row /= alpha[leave_row]
-        others = np.abs(alpha) > 1e-14
-        others[leave_row] = False
-        self._Binv[others] -= np.outer(alpha[others], pivot_row)
-        self._since_refactor += 1
-        if self._since_refactor >= self.REFACTOR_EVERY:
-            self._refactor()
-        self._compute_x()
-        return t > 1e-12
 
     # -- solution access --------------------------------------------------
 
@@ -354,6 +346,7 @@ class LpEngine:
         self._simplex = _BoundedSimplex(
             graph.edge_w, np.zeros(graph.m), np.ones(graph.m)
         )
+        self.cold_restarts = 0
 
     def solve(self, lb=None, ub=None) -> LpState:
         """Solve the relaxation under the given per-edge bounds (warm-started)."""
@@ -363,8 +356,10 @@ class LpEngine:
         self._simplex.set_bounds(lb, ub)
         try:
             feasible = self._simplex.solve()
-        except LpError:
-            # safeguarded retry from a cold basis
+        except LpError as exc:
+            # safeguarded retry from the slack basis
+            self.cold_restarts += 1
+            log.debug("LP cold restart: %s", exc)
             self._simplex.reset_basis()
             feasible = self._simplex.solve()
         if not feasible:

@@ -336,10 +336,11 @@ def reference_kernighan_lin(g, y):
     return y
 
 
-# -- reference copy of the bounded-variable simplex with per-row loops -------
-# Frozen from the implementation its numpy iteration was rewritten from; the
-# rewrite must take the same pivots. It plugs into ``LpEngine._simplex``, so
-# it shares the status codes, tolerances and ``LpError`` of ``sparsecut.lp``.
+# -- reference two-phase primal simplex with per-row loops ------------------
+# Frozen from the primal implementation that the dual simplex replaced; the
+# dual simplex must reach the same feasibility and optimum, along its own
+# pivots. It plugs into ``LpEngine._simplex``, so it shares the status codes,
+# tolerances and ``LpError`` of ``sparsecut.lp``.
 
 class ReferenceSimplex:
     """Revised simplex for  max c^T x,  A x <= b,  l <= x <= u (dense)."""

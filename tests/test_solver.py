@@ -129,7 +129,9 @@ def test_stitching_aligns_blocks_across_articulation_vertices():
         n = base + 1
         raw = raw_from_edges(n, edges)
         best, _ = brute_force_maxcut(n, edges)
-        report = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=0))
+        # without presolve, which would reduce these small blocks first
+        report = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=0,
+                                          presolve=False))
         assert report.best_value == pytest.approx(best)
 
 

@@ -12,6 +12,7 @@ edge/coefficient entries are merged by summation.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -101,92 +102,75 @@ def _parse_weight(token, line_no):
         raise ParseError(f"cannot parse weight {token!r}", line_no) from None
 
 
-def parse_maxcut(text) -> RawMaxCutInstance:
-    """Parse an edge-list max-cut instance from a string or byte stream."""
+# The words a triplet format's error messages use; a max-cut file also
+# rejects a negative edge count at its header.
+_Words = namedtuple("_Words", "header size item items line index indices")
+_MAXCUT = _Words("n m", "number of vertices", "edge", "edges", "u v w",
+                 "vertex id", "vertex ids")
+_QUBO = _Words("n nnz", "dimension", "entry", "entries", "i j q", "index", "indices")
+
+
+def _read_triplets(text, words, key=lambda i, j, line_no: (i, j)):
+    """Read a header ``n k`` and ``k`` lines ``i j value`` with 1-based ids.
+
+    ``key(i, j, line_no)`` maps a line's ids to the pair that entries are
+    merged on; it may raise ParseError. Returns (n, [(i, j, value)]), values of
+    equal pairs summed in file order, pairs in order of first appearance.
+    """
     lines = _data_lines(text)
     try:
         header_no, header = next(lines)
     except StopIteration:
         raise ParseError("empty input") from None
     if len(header) != 2:
-        raise ParseError("expected header 'n m'", header_no)
+        raise ParseError(f"expected header '{words.header}'", header_no)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, k = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError("expected integer header 'n m'", header_no) from None
+        raise ParseError(f"expected integer header '{words.header}'",
+                         header_no) from None
     if n <= 0:
-        raise ParseError("number of vertices must be positive", header_no)
-    if m < 0:
-        raise ParseError("number of edges must be nonnegative", header_no)
+        raise ParseError(f"{words.size} must be positive", header_no)
+    if words is _MAXCUT and k < 0:
+        raise ParseError(f"number of {words.items} must be nonnegative", header_no)
 
-    merged: dict[tuple[int, int], float] = {}
-    order: list[tuple[int, int]] = []
+    merged: dict[tuple[int, int], float] = {}  # insertion order is file order
     count = 0
     for line_no, tokens in lines:
         if len(tokens) != 3:
-            raise ParseError("expected edge line 'u v w'", line_no)
+            raise ParseError(f"expected {words.item} line '{words.line}'", line_no)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            i, j = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError("vertex ids must be integers", line_no) from None
-        w = _parse_weight(tokens[2], line_no)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line_no)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex id out of range in edge ({u}, {v})", line_no)
-        if u > v:
-            u, v = v, u
-        if (u, v) not in merged:
-            order.append((u, v))
-            merged[(u, v)] = 0.0
-        merged[(u, v)] += w
+            raise ParseError(f"{words.indices} must be integers", line_no) from None
+        value = _parse_weight(tokens[2], line_no)
+        pair = key(i, j, line_no)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"{words.index} out of range in {words.item} "
+                             f"({i}, {j})", line_no)
+        merged[pair] = merged.get(pair, 0.0) + value
         count += 1
-    if count != m:
-        raise ParseError(f"header announced {m} edges but found {count}")
+    if count != k:
+        raise ParseError(f"header announced {k} {words.items} but found {count}")
+    return n, [(i, j, value) for (i, j), value in merged.items()]
 
-    edges = [(u, v, merged[(u, v)]) for u, v in order]
+
+def _edge_key(u, v, line_no):
+    if u == v:
+        raise ParseError(f"self-loop at vertex {u}", line_no)
+    return (u, v) if u < v else (v, u)
+
+
+def parse_maxcut(text) -> RawMaxCutInstance:
+    """Parse an edge-list max-cut instance from a string or byte stream."""
+    n, edges = _read_triplets(text, _MAXCUT, _edge_key)
     all_integral = all(float(w).is_integer() for _, _, w in edges)
     return RawMaxCutInstance(num_vertices=n, edges=edges, all_integral=all_integral)
 
 
 def parse_qubo(text) -> RawQuboInstance:
     """Parse a sparse-triplet QUBO instance from a string or byte stream."""
-    lines = _data_lines(text)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty input") from None
-    if len(header) != 2:
-        raise ParseError("expected header 'n nnz'", header_no)
-    try:
-        n, nnz = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError("expected integer header 'n nnz'", header_no) from None
-    if n <= 0:
-        raise ParseError("dimension must be positive", header_no)
-
-    merged: dict[tuple[int, int], float] = {}
-    order: list[tuple[int, int]] = []
-    count = 0
-    for line_no, tokens in lines:
-        if len(tokens) != 3:
-            raise ParseError("expected entry line 'i j q'", line_no)
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError("indices must be integers", line_no) from None
-        q = _parse_weight(tokens[2], line_no)
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"index out of range in entry ({i}, {j})", line_no)
-        if (i, j) not in merged:
-            order.append((i, j))
-            merged[(i, j)] = 0.0
-        merged[(i, j)] += q
-        count += 1
-    if count != nnz:
-        raise ParseError(f"header announced {nnz} entries but found {count}")
-
-    entries = [(i, j, merged[(i, j)]) for i, j in order]
+    n, entries = _read_triplets(text, _QUBO)
     return RawQuboInstance(dimension=n, entries=entries)
 
 

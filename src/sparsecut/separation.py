@@ -267,8 +267,6 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
 
 def _walk_cuts(walk: ClosedWalk, x, g, seen, out):
     for verts, eids, in_f in extract_simple_cycles(walk):
-        if _cycle_lhs(eids, in_f, x) >= 1.0 - EMIT_TOL:
-            continue
         for cut in chordless_decompose(verts, eids, in_f, x, g):
             key = cut.key()
             if key not in seen:

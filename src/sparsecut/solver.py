@@ -5,6 +5,10 @@ Pipeline: presolve contractions -> biconnected components -> per-component
 enumeration or branch-and-cut -> block-cut-tree stitching -> replay of the
 presolve trace onto the original graph. Every incumbent is re-evaluated on the
 original instance before it is reported.
+
+Branch-and-cut takes open nodes in best-bound order. A node is its bound and
+its fixed edges; it branches on the free fractional edge of largest
+``max(|w|, 1) * min(x, 1 - x)``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .graph import (
 from .heuristics import DEFAULT_RESTARTS, burer_rank2, spanning_tree_rounding
 from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
 from .lp import LpEngine
-from .presolve import PresolveStats, format_stats, presolve_loop
+from .presolve import format_stats, presolve_loop
 from .propagate import effective_bound, propagate
 from .separation import separate_exact, separate_triangles, triangle_table
 from .transform import qubo_assignment_from_maxcut, qubo_to_maxcut
@@ -37,6 +41,7 @@ log = logging.getLogger("sparsecut")
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
 DEFAULT_ENUM_THRESHOLD = 10
+ENUM_CHUNK = 1 << 12     # bipartitions scored at once by enumerate_component
 TAILING_OFF_TOL = 1e-4   # a round that raises the bound less than this stalls
 TAILING_OFF_ROUNDS = 3   # this many stalled rounds in a row end a node
 
@@ -58,16 +63,10 @@ class Config:
 @dataclass
 class SolveStats:
     nodes: int = 0
-    cuts_added: int = 0
     lp_solves: int = 0
-    presolve: PresolveStats | None = None
 
 
 _STATUS_RANK = {"optimal": 0, "gap_limit": 1, "node_limit": 2, "time_limit": 3}
-
-
-def _worse_status(a, b):
-    return a if _STATUS_RANK[a] >= _STATUS_RANK[b] else b
 
 
 def _trivial_bound(g) -> float:
@@ -76,23 +75,29 @@ def _trivial_bound(g) -> float:
 
 
 def enumerate_component(g) -> tuple[CutSolution, float]:
-    """Optimal cut by enumeration over 2^(k-1) bipartitions of the alive vertices."""
-    alive = g.alive_vertices()
+    """Optimal cut by enumeration over 2^(k-1) bipartitions of the alive vertices.
+
+    The first alive vertex stays on side 0, and the first bipartition of
+    largest weight wins. ENUM_CHUNK bipartitions are scored per array
+    expression, which bounds the memory for a large ``enum_threshold``.
+    """
+    alive = np.asarray(g.alive_vertices(), dtype=np.int64)
     k = len(alive)
     y = np.zeros(g.n, dtype=np.int8)
     if k == 0:
         return CutSolution.from_assignment(g, y), 0.0
+    pos = np.zeros(g.n, dtype=np.int64)
+    pos[alive] = np.arange(k)
+    eu, ev = pos[g.edge_u], pos[g.edge_v]
     best_mask, best_w = 0, -math.inf
-    eu = np.array([alive.index(int(u)) for u in g.edge_u])
-    ev = np.array([alive.index(int(v)) for v in g.edge_v])
-    for mask in range(1 << (k - 1)):  # first alive vertex pinned to side 0
-        bits = (mask >> np.arange(k)) & 1  # bit k-1 is always 0
-        w = float(g.edge_w[bits[eu] != bits[ev]].sum())
-        if w > best_w:
-            best_mask, best_w = mask, w
-    bits = (best_mask >> np.arange(k)) & 1
-    for i, v in enumerate(alive):
-        y[v] = bits[i]
+    for start in range(0, 1 << (k - 1), ENUM_CHUNK):
+        masks = np.arange(start, min(start + ENUM_CHUNK, 1 << (k - 1)))
+        sides = (masks[:, None] >> np.arange(k)) & 1
+        weights = (sides[:, eu] != sides[:, ev]) @ g.edge_w
+        i = int(np.argmax(weights))
+        if weights[i] > best_w:
+            best_mask, best_w = int(masks[i]), float(weights[i])
+    y[alive] = (best_mask >> np.arange(k)) & 1
     return CutSolution.from_assignment(g, y), best_w
 
 
@@ -108,10 +113,6 @@ class ComponentSolver:
         self.engine = LpEngine(g)
         self.stats = SolveStats()
         self.best: CutSolution | None = None
-        # pseudo-costs: average per-unit bound degradation per branch direction
-        m = g.m
-        self.pc_sum = np.zeros((2, m))
-        self.pc_cnt = np.zeros((2, m), dtype=np.int64)
         self.triangles = None  # triangle_table(g), built at the first round
 
     # -- incumbent handling ------------------------------------------------
@@ -138,15 +139,14 @@ class ComponentSolver:
 
         self._start = time.monotonic()
         counter = 0
-        root = (-math.inf, 0, 0, {}, None)  # (-bound, counter, depth, fixed, branch)
-        heap = [root]
+        heap = [(-math.inf, 0, {})]  # (-bound, counter, fixed)
         status = "optimal"
 
         while heap:
             if self._should_stop():
                 status = self._stop_status()
                 break
-            neg_bound, _, depth, fixed, branch = heapq.heappop(heap)
+            neg_bound, _, fixed = heapq.heappop(heap)
             inc = self._incumbent_value()
             if -neg_bound <= inc + PRUNE_TOL:
                 continue  # bound from the parent already dominated
@@ -155,14 +155,10 @@ class ComponentSolver:
                 heap = []
                 break
             self.stats.nodes += 1
-            outcome, children = self._process_node(
-                -neg_bound, depth, fixed, branch
-            )
-            for child in children:
+            outcome, children = self._process_node(-neg_bound, fixed)
+            for bound, child_fixed in children:
                 counter += 1
-                heapq.heappush(
-                    heap, (child[0], counter, child[1], child[2], child[3])
-                )
+                heapq.heappush(heap, (-bound, counter, child_fixed))
             if outcome == "abort":
                 status = self._stop_status()
                 break
@@ -192,37 +188,31 @@ class ComponentSolver:
 
     # -- node processing ---------------------------------------------------
 
-    def _process_node(self, parent_bound, depth, fixed, branch):
-        """Cutting-plane loop at one node; returns (outcome, children).
+    def _process_node(self, parent_bound, fixed):
+        """Cutting-plane loop at one node; returns (outcome, children), each
+        child a (bound, fixings) pair.
 
         On "abort" the only child is the node itself, re-queued at the
         smaller of ``parent_bound`` and its last effective LP bound.
         """
         g, cfg = self.g, self.cfg
-        fixed = dict(fixed)
         lb = np.zeros(g.m)
         ub = np.ones(g.m)
-        for e, val in fixed.items():
-            lb[e] = ub[e] = float(val)
-
         self.engine.purge_cuts()
         prev_bound = math.inf
         eff = math.inf
         tail = 0
-        first_lp = True
         rounds = 0
         while True:
             if self._past_deadline():
-                requeued = (-min(parent_bound, eff), depth, fixed, branch)
-                return "abort", [requeued]
+                return "abort", [(min(parent_bound, eff), fixed)]
+            for e, val in fixed.items():
+                lb[e] = ub[e] = float(val)
             state = self.engine.solve(lb, ub)
             self.stats.lp_solves += 1
             if not state.feasible:
                 return "pruned", []
             bound = state.objective
-            if first_lp and branch is not None:
-                self._update_pseudo(branch, bound)
-                first_lp = False
             inc = self._incumbent_value()
             eff = effective_bound(bound, self.integral)
             if eff <= inc + PRUNE_TOL:
@@ -234,8 +224,6 @@ class ComponentSolver:
                 )
                 if len(new_fixed) > len(fixed):
                     fixed = new_fixed
-                    for e, val in fixed.items():
-                        lb[e] = ub[e] = float(val)
                     continue
 
             if cfg.heuristics:
@@ -249,69 +237,40 @@ class ComponentSolver:
                 cuts = separate_exact(g, state.x)
             cuts.sort(key=lambda c: -c.violation(state.x))
             added = self.engine.add_cuts(cuts[: 2 * g.n])  # the most violated
-            self.stats.cuts_added += added
             rounds += 1
-            if depth == 0:
+            if self.stats.nodes == 1:  # the root
                 log.info(
                     "round %d: dual=%.6f, primal=%.6f, cuts=+%d, time=%.2f",
                     rounds, bound, inc, added, time.monotonic() - self._start,
                 )
-            if prev_bound - bound < TAILING_OFF_TOL:
-                tail += 1
-            else:
-                tail = 0
+            tail = tail + 1 if prev_bound - bound < TAILING_OFF_TOL else 0
             prev_bound = bound
             # no progress: nothing new to add (every violated cut, if any, is
             # already in the pool), or the bound has stalled at a fractional x
             if not added or (tail >= TAILING_OFF_ROUNDS and not x_integral):
                 if not x_integral:
-                    return "branched", self._branch(state, fixed, depth, bound)
+                    return "branched", self._branch(state, fixed, bound)
                 if not cfg.heuristics:
                     # the point is the incidence vector of a cut: certify it
                     self._offer(spanning_tree_rounding(g, state.x))
                 return "pruned", []
 
-    def _branch(self, state, fixed, depth, bound):
-        e = self._select_edge(state, fixed)
-        frac = float(state.x[e])
-        eff = effective_bound(bound, self.integral)
-        children = []
-        for val in (0, 1):  # down child first
-            child_fixed = dict(fixed)
-            child_fixed[e] = val
-            children.append(
-                (-eff, depth + 1, child_fixed, (e, val, bound, frac))
-            )
-        return children
+    def _branch(self, state, fixed, bound):
+        """Two children, each with one more edge fixed (down child first).
 
-    def _select_edge(self, state, fixed):
-        best_e, best_score = None, -1.0
-        for e in range(self.g.m):
-            if e in fixed:
-                continue
-            frac = float(state.x[e])
-            if min(frac, 1.0 - frac) < INT_TOL:
-                continue
-            w = abs(float(self.g.edge_w[e]))
-            est = [0.0, 0.0]
-            for d, unit in ((0, frac), (1, 1.0 - frac)):
-                if self.pc_cnt[d, e] > 0:
-                    est[d] = self.pc_sum[d, e] / self.pc_cnt[d, e] * unit
-                else:
-                    est[d] = max(w, 1.0) * min(frac, 1.0 - frac)
-            score = max(est[0], 1e-6) * max(est[1], 1e-6)
-            if score > best_score + 1e-15:
-                best_e, best_score = e, score
-        if best_e is None:
+        The edge is the free one with the largest ``max(|w|, 1) * min(x, 1 - x)``;
+        among scores within 1e-15 of the largest, the lowest edge id.
+        """
+        frac = np.minimum(state.x, 1.0 - state.x)
+        score = np.maximum(np.abs(self.g.edge_w), 1.0) * frac
+        score[frac < INT_TOL] = -1.0
+        score[list(fixed)] = -1.0
+        best = score.max()
+        if best < 0:
             raise RuntimeError("no fractional edge available for branching")
-        return best_e
-
-    def _update_pseudo(self, branch, child_bound):
-        e, val, parent_bound, frac = branch
-        unit = frac if val == 0 else 1.0 - frac
-        degradation = max(parent_bound - child_bound, 0.0)
-        self.pc_sum[val, e] += degradation / max(unit, 1e-6)
-        self.pc_cnt[val, e] += 1
+        e = int(np.flatnonzero(score > best - 1e-15)[0])
+        eff = effective_bound(bound, self.integral)
+        return [(eff, {**fixed, e: val}) for val in (0, 1)]
 
 
 # -- whole-instance orchestration -----------------------------------------
@@ -321,13 +280,10 @@ def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
     if alive <= cfg.enum_threshold:
         sol, value = enumerate_component(sub)
         return sol, value, "optimal"
-    budget = cfg.node_limit or 0
-    if budget:
-        budget = max(1, budget - stats.nodes)
+    budget = max(1, cfg.node_limit - stats.nodes) if cfg.node_limit else 0
     solver = ComponentSolver(sub, cfg, all_integral, deadline, node_budget=budget)
     sol, dual, status = solver.solve()
     stats.nodes += solver.stats.nodes
-    stats.cuts_added += solver.stats.cuts_added
     stats.lp_solves += solver.stats.lp_solves
     return sol, dual, status
 
@@ -361,7 +317,6 @@ def solve_graph(g, cfg: Config, all_integral=False):
     reduced = g
     if cfg.presolve:
         reduced, trace, pstats = presolve_loop(g, trace=trace)
-        stats.presolve = pstats
         log.info("%s", format_stats(pstats))
 
     components, _ = biconnected_components(reduced)
@@ -379,7 +334,7 @@ def solve_graph(g, cfg: Config, all_integral=False):
         )
         pieces.append((verts, sol.y))
         dual_total += dual
-        status = _worse_status(status, comp_status)
+        status = max(status, comp_status, key=_STATUS_RANK.__getitem__)
 
     y_full = trace.replay(_stitch(reduced.n, pieces))
     solution = CutSolution.from_assignment(g, y_full)  # revalidate on the original

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,26 @@ def test_enumerate_component_matches_brute_force():
         best, _ = brute_force_maxcut(n, edges)
         assert value == pytest.approx(best)
         assert sol.weight == pytest.approx(best)
+
+
+def test_branch_takes_the_heaviest_fractional_free_edge():
+    edges = [(0, 1, 5.0),    # 2.5, but fixed
+             (0, 2, 1e7),    # min(x, 1 - x) below INT_TOL
+             (0, 3, -2.0),   # 0.6
+             (1, 2, 2.0),    # 0.6 plus one rounding step: a near-tie
+             (1, 3, 0.25),   # 0.5: |w| counts as 1
+             (2, 3, 1.0)]    # 0.45
+    g = WeightedGraph(4, edges)  # edge ids follow the sorted (u, v) order
+    solver = ComponentSolver(g, Config(), True, None)
+    state = SimpleNamespace(x=np.array([0.5, 1 - 5e-7, 0.3, 0.7, 0.5, 0.55]))
+    fixed = {0: 1}
+    children = solver._branch(state, fixed, 7.5)
+    assert children == [(7, {0: 1, 2: 0}), (7, {0: 1, 2: 1})]
+    assert fixed == {0: 1}
+    assert solver._branch(state, {}, 7.5)[0] == (7, {0: 0})
+    state.x = np.array([0.5, 1 - 5e-7, 0.0, 1e-9, 1.0, 0.0])
+    with pytest.raises(RuntimeError):
+        solver._branch(state, fixed, 7.5)
 
 
 def test_unit_triangle():

@@ -68,7 +68,9 @@ def build_arg_parser():
     p.add_argument("--no-propagation", action="store_true",
                    help="disable reduced-cost fixing")
     p.add_argument("--heur-restarts", type=int, default=defaults.heur_restarts,
-                   help="restarts of the angular heuristic (default %(default)s)")
+                   help="most restarts of the angular heuristic; restarts stop "
+                        "at the first one that does not improve the cut "
+                        "(default %(default)s)")
     p.add_argument("--heur-off", action="store_true",
                    help="disable primal heuristics")
     return p

@@ -11,6 +11,7 @@ import numpy as np
 from .graph import CutSolution, cut_weight
 
 GRAD_TOL = 1e-4
+REL_TOL = 1e-5
 MAX_SWEEPS = 300
 PERTURBATION = math.pi / 10
 DEFAULT_RESTARTS = 8
@@ -42,15 +43,19 @@ def _flip_gain(v, y, offsets, heads, weights):
 
 
 def _local_minimize(g, theta):
-    """Coordinate-wise angle updates to a local minimum of the angular energy."""
+    """Coordinate-wise angle updates toward a local minimum of the angular
+    energy E; stops after a sweep that moves no angle by ``GRAD_TOL`` or
+    lowers E by at most ``REL_TOL * |E|``."""
     offsets, heads, weights = _csr_lists(g)
     angle = theta.tolist()
     # refreshed only when an angle moves, so a field needs no trig calls
     cos_a = [math.cos(t) for t in angle]
     sin_a = [math.sin(t) for t in angle]
     two_pi = 2 * math.pi
+    energy = angular_energy(g, theta)
     for _ in range(MAX_SWEEPS):
         max_move = 0.0
+        drop = 0.0
         for v in range(g.n):
             lo, hi = offsets[v], offsets[v + 1]
             if lo == hi:
@@ -61,12 +66,15 @@ def _local_minimize(g, theta):
                 u, w = heads[k], weights[k]
                 re += w * cos_a[u]
                 im += w * sin_a[u]
-            if math.hypot(re, im) < 1e-15:
+            size = math.hypot(re, im)
+            if size < 1e-15:
                 continue
             new = (math.pi + math.atan2(im, re)) % two_pi
             old = angle[v]
             if new == old:
                 continue
+            # v's energy terms go from cos(old)re + sin(old)im to -|field|
+            drop += cos_a[v] * re + sin_a[v] * im + size
             move = abs(new - old)
             if move > math.pi:
                 move = two_pi - move
@@ -75,7 +83,8 @@ def _local_minimize(g, theta):
             sin_a[v] = math.sin(new)
             if move > max_move:
                 max_move = move
-        if max_move < GRAD_TOL:
+        energy -= drop
+        if max_move < GRAD_TOL or drop <= REL_TOL * abs(energy):
             break
     theta[:] = angle
     return theta
@@ -166,7 +175,9 @@ def burer_rank2(g, seed=0, restarts=DEFAULT_RESTARTS,
                 deadline=None) -> CutSolution:
     """Angular rank-2 local search with diameter cut extraction and KL polish.
 
-    Once ``time.monotonic()`` passes ``deadline``, no further restart starts;
+    ``restarts`` is the most descents run: restarts stop at the first one
+    whose cut is not strictly heavier than the best so far. Once
+    ``time.monotonic()`` passes ``deadline``, no further restart starts;
     the first one always runs.
     """
     rng = np.random.default_rng(seed)
@@ -182,9 +193,10 @@ def burer_rank2(g, seed=0, restarts=DEFAULT_RESTARTS,
             )
         theta = _local_minimize(g, theta)
         cand = kernighan_lin(g, _best_diameter_cut(g, theta))
-        if best is None or cand.weight > best.weight:
-            best = cand
-            base = np.where(cand.y == 0, 0.0, math.pi).astype(float)
+        if best is not None and cand.weight <= best.weight:
+            break
+        best = cand
+        base = np.where(cand.y == 0, 0.0, math.pi).astype(float)
     return best
 
 
@@ -194,7 +206,7 @@ def spanning_tree_rounding(g, x) -> CutSolution:
     Edge confidence is |x(e) - 1/2|; tree edges propagate the rounded value
     from the root, so integral LP points reproduce their cut exactly.
     """
-    order = sorted(range(g.m), key=lambda e: (-abs(x[e] - 0.5), e))
+    order = np.argsort(-np.abs(x - 0.5), kind="stable").tolist()
     parent = list(range(g.n))
 
     def find(v):

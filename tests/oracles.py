@@ -239,10 +239,17 @@ def _cut_value(g, y):
     return float(np.sum(g.edge_w[y[g.edge_u] != y[g.edge_v]]))
 
 
-def reference_local_minimize(g, theta, grad_tol=1e-4, max_sweeps=300):
-    """Gauss-Seidel angle sweeps with one complex numpy field per vertex."""
+def _energy(g, theta):
+    return float(np.sum(g.edge_w * np.cos(theta[g.edge_u] - theta[g.edge_v])))
+
+
+def reference_local_minimize(g, theta, grad_tol=1e-4, rel_tol=1e-5,
+                             max_sweeps=300):
+    """Gauss-Seidel angle sweeps with one complex numpy field per vertex; the
+    energy decrease of each sweep is recomputed from scratch."""
     theta = np.array(theta, dtype=float)
     for _ in range(max_sweeps):
+        before = _energy(g, theta)
         max_move = 0.0
         for v in range(g.n):
             heads, weights = _incident(g, v)
@@ -256,7 +263,8 @@ def reference_local_minimize(g, theta, grad_tol=1e-4, max_sweeps=300):
             move = min(move, 2 * math.pi - move)
             theta[v] = new
             max_move = max(max_move, move)
-        if max_move < grad_tol:
+        after = _energy(g, theta)
+        if max_move < grad_tol or before - after <= rel_tol * abs(after):
             break
     return theta
 

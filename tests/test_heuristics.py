@@ -189,3 +189,78 @@ def test_burer_rank2_runs_one_restart_after_the_deadline(monkeypatch):
     sol = burer_rank2(g, seed=3, restarts=8, deadline=time.monotonic() - 1.0)
     assert calls == [12]
     assert sol.weight == cut_weight(g, sol.y)
+
+
+def _counting_descents(monkeypatch):
+    """Record the cut weight that each rank-2 descent ends with."""
+    calls = []
+    real_min = heuristics._local_minimize
+    real_kl = heuristics.kernighan_lin
+
+    def counting_min(g, theta):
+        calls.append(None)
+        return real_min(g, theta)
+
+    def recording_kl(g, solution):
+        out = real_kl(g, solution)
+        calls[-1] = out.weight
+        return out
+
+    monkeypatch.setattr(heuristics, "_local_minimize", counting_min)
+    monkeypatch.setattr(heuristics, "kernighan_lin", recording_kl)
+    return calls
+
+
+def test_burer_rank2_stops_at_the_first_restart_that_does_not_improve(
+        monkeypatch):
+    calls = _counting_descents(monkeypatch)
+    rng = random.Random(27)
+    stopped_early = 0
+    for _ in range(40):
+        n = rng.randint(6, 16)
+        g = WeightedGraph(n, random_graph(rng, n, 0.5, integral=False))
+        restarts = rng.randint(1, 8)
+        calls.clear()
+        sol = burer_rank2(g, seed=rng.randint(0, 99), restarts=restarts)
+        assert 1 <= len(calls) <= restarts
+        # every descent but the last improves strictly on all before it
+        for i in range(1, len(calls) - 1):
+            assert calls[i] > max(calls[:i])
+        if len(calls) < restarts:
+            stopped_early += 1
+            assert len(calls) >= 2 and calls[-1] <= max(calls[:-1])
+        assert sol.weight == max(calls)
+        assert sol.weight == cut_weight(g, sol.y)
+    assert stopped_early > 0
+
+
+def test_burer_rank2_with_one_restart_runs_one_descent(monkeypatch):
+    calls = _counting_descents(monkeypatch)
+    g = WeightedGraph(12, random_graph(random.Random(28), 12, 0.5))
+    sol = burer_rank2(g, seed=5, restarts=1)
+    assert len(calls) == 1 and sol.weight == calls[0]
+
+
+def test_local_minimize_ends_on_a_small_relative_decrease(monkeypatch):
+    # 30 x 30 +-1 torus: the gradient test alone runs to MAX_SWEEPS here
+    L = 30
+    rng = np.random.default_rng(4)
+    edges = []
+    for i in range(L):
+        for j in range(L):
+            v = i * L + j
+            for nb in (i * L + (j + 1) % L, ((i + 1) % L) * L + j):
+                edges.append((v, nb, float(rng.choice([-1, 1]))))
+    g = WeightedGraph(L * L, edges)
+    start = rng.uniform(0, 2 * math.pi, size=g.n)
+    theta = _local_minimize(g, start.copy())
+    # the descent ends well before MAX_SWEEPS: a lower cap changes nothing
+    monkeypatch.setattr(heuristics, "MAX_SWEEPS", heuristics.MAX_SWEEPS // 2)
+    assert np.array_equal(_local_minimize(g, start.copy()), theta)
+    before = angular_energy(g, theta)
+    monkeypatch.setattr(heuristics, "MAX_SWEEPS", 1)
+    after_sweep = _local_minimize(g, theta.copy())
+    after = angular_energy(g, after_sweep)
+    small_drop = before - after <= heuristics.REL_TOL * abs(after)
+    small_moves = _circular_distance(after_sweep, theta).max() < heuristics.GRAD_TOL
+    assert small_drop or small_moves

@@ -3,11 +3,15 @@
 The relaxation is  max w^T x  subject to the pool's cycle inequalities and the
 per-edge bounds [lb, ub] within [0, 1]. :class:`LpEngine` owns the cut pool
 and a warm-started bounded-variable dual simplex: a dense basis inverse kept
-by product-form (eta) updates with periodic refactorization, a dual
-steepest-edge choice of the leaving row and a bound-flipping ratio test.
+by product-form (eta) updates, refactorized every REFACTOR_EVERY pivots, a
+dual steepest-edge choice of the leaving row and a bound-flipping ratio test.
 Every column is boxed, so any basis becomes dual feasible by moving nonbasic
 columns to the bounds their reduced costs prefer: after added cuts or changed
-bounds, a solve starts from the previous basis without a phase 1.
+bounds, a solve starts from the previous basis without a phase 1. The inverse
+is carried across solves, new bounds, added cuts (bordered) and purged cuts
+whose slacks are basic; the slack identity is never multiplied, and the
+duals are updated along the pivot row and priced exactly before a solve
+returns.
 
 Reduced-cost sign convention (maximization): nonbasic-at-lower variables have
 reduced cost <= 0, nonbasic-at-upper >= 0, basic exactly 0. Forcing a nonbasic
@@ -17,11 +21,15 @@ edge to its opposite bound degrades the LP bound by at least |reduced cost|.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
+# per status, the sign of a tableau entry alpha_rj for which moving nonbasic
+# column j off its bound drives the leaving variable toward its violated bound
+_REPAIR_SIGN = np.array([0.0, -1.0, 1.0])
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -79,6 +87,7 @@ class LpState:
     basis_status: np.ndarray  # BASIC / AT_LOWER / AT_UPPER per edge
     iterations: int
     feasible: bool = True
+    expired: bool = False     # the deadline passed mid-solve: no bound
 
 
 @dataclass
@@ -117,22 +126,25 @@ class CutPool:
 
 
 class _BoundedSimplex:
-    """Dual simplex for  max c^T x,  A x <= b,  l <= x <= u (dense)."""
+    """Dual simplex for  max c^T x,  A x <= b,  l <= x <= u (dense). Column
+    j < n is edge j and column n + i the slack of row i, whose identity column
+    is never stored; the rows live in one array that doubles when full."""
 
     REFACTOR_EVERY = 64
     BLAND_AFTER = 500
     PIVOT_TOL = 1e-8
     MAX_ITERS = 50_000
+    DEADLINE_EVERY = 32  # pivots between two looks at the clock
 
-    def __init__(self, c, lb, ub):
+    def __init__(self, c, lb, ub, deadline=None):
         self.n = len(c)
         self.c = np.asarray(c, dtype=float)
         self.lb = np.asarray(lb, dtype=float).copy()
         self.ub = np.asarray(ub, dtype=float).copy()
-        self.rows: list[np.ndarray] = []
-        self.rhs: list[float] = []
-        self.basis = None
-        self.stat = None
+        self.deadline = deadline
+        self._rows, self._rhs = np.zeros((16, self.n)), np.zeros(16)
+        self.rows, self.rhs = self._rows[:0], self._rhs[:0]  # views of the first m
+        self.reset_basis()
         self.iterations = 0
         # dual ratios are reduced costs over tableau entries, so ties between
         # them are judged on the scale of the weights
@@ -140,78 +152,99 @@ class _BoundedSimplex:
 
     # -- model edits ------------------------------------------------------
 
-    def add_row(self, coeffs, rhs):
-        """coeffs: iterable of (column, coefficient)."""
-        row = np.zeros(self.n)
-        for j, a in coeffs:
-            row[j] += a
-        self.rows.append(row)
-        self.rhs.append(float(rhs))
+    def add_rows(self, rows, rhs):
+        """Append rows (k x n) with basic slacks. A basic slack has reduced
+        cost 0, so the basis stays dual feasible, and the new rows (N_B, I)
+        of B border B^-1 with the rows (-N_B B^-1, I)."""
+        n, m, k = self.n, len(self.rhs), len(rhs)
+        while m + k > len(self._rhs):  # grow the store by doubling
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
+            self._rhs = np.concatenate([self._rhs, np.zeros_like(self._rhs)])
+        self._rows[m : m + k], self._rhs[m : m + k] = rows, rhs
+        self.rows, self.rhs = self._rows[: m + k], self._rhs[: m + k]
+        if self._Binv is not None:
+            nb = np.hstack([self.rows[m:], np.zeros((k, m))])[:, self.basis]
+            self._Binv = np.block([[self._Binv, np.zeros((m, k))],
+                                   [-(nb @ self._Binv), np.eye(k)]])
         if self.basis is not None:
-            # a basic slack has reduced cost 0, so the basis stays dual feasible
-            slack_id = self.n + len(self.rows) - 1
-            self.basis = np.append(self.basis, slack_id)
-            self.stat = np.append(self.stat, BASIC)
+            self.basis = np.concatenate([self.basis, np.arange(n + m, n + m + k)])
+            self.stat = np.concatenate([self.stat, np.full(k, BASIC, dtype=np.int8)])
 
     def remove_rows(self, indices):
-        doomed = set(indices)
-        self.rows = [r for i, r in enumerate(self.rows) if i not in doomed]
-        self.rhs = [r for i, r in enumerate(self.rhs) if i not in doomed]
-        self.reset_basis()
+        """Delete rows. When every deleted row's slack is basic, the basis
+        stays: deleting a unit column of B and its row deletes one row and
+        one column of B^-1. Otherwise the basis is reset."""
+        n, keep = self.n, np.ones(len(self.rhs), dtype=bool)
+        keep[list(indices)] = False
+        if self.basis is None or np.any(self.stat[n:][~keep] != BASIC):
+            self.reset_basis()
+        else:
+            kept = np.isin(self.basis, n + np.flatnonzero(~keep), invert=True)
+            if self._Binv is not None:
+                self._Binv = self._Binv[np.ix_(kept, keep)]
+            cols = np.concatenate([np.ones(n, dtype=bool), keep])
+            self.basis = (np.cumsum(cols) - 1)[self.basis[kept]]
+            self.stat = self.stat[cols]
+        m = int(keep.sum())
+        self._rows[:m], self._rhs[:m] = self.rows[keep], self.rhs[keep]
+        self.rows, self.rhs = self._rows[:m], self._rhs[:m]
 
     def set_bounds(self, lb, ub):
         self.lb = np.asarray(lb, dtype=float).copy()
         self.ub = np.asarray(ub, dtype=float).copy()
 
     def reset_basis(self):
-        self.basis = None
-        self.stat = None
+        self.basis = self.stat = self._Binv = None
 
     # -- solve ------------------------------------------------------------
 
     def solve(self):
-        """Dual simplex from the warm (else slack) basis; False if infeasible.
+        """Dual simplex from the warm (else slack) basis. Returns True at an
+        optimum, False if infeasible, and None if the deadline passed.
 
         After BLAND_AFTER degenerate pivots in a row, Bland's rule picks the
         rows and columns until a pivot makes progress, and the edge costs are
         perturbed until the point is feasible; the solve then goes on with
         the true costs.
         """
-        m = len(self.rows)
-        ncols = self.n + m
-        A = np.array(self.rows, dtype=float).reshape(m, self.n)
-        self._A = np.hstack([A, np.eye(m)])
-        self._b = np.asarray(self.rhs, dtype=float)
+        n, m = self.n, len(self.rhs)
+        A = self.rows
         # a slack's upper bound is implied by the edge bounds: every column
         # is boxed, so any basis becomes dual feasible by bound moves alone
         low = np.minimum(A, 0.0) @ self.ub + np.maximum(A, 0.0) @ self.lb
         self._l = np.concatenate([self.lb, np.zeros(m)])
-        self._u = np.concatenate([self.ub, np.maximum(self._b - low, 0.0)])
+        self._u = np.concatenate([self.ub, np.maximum(self.rhs - low, 0.0)])
         self._cost = np.concatenate([self.c, np.zeros(m)])
-        self._movable = self._u - self._l > FEAS_TOL
+        self._range = self._u - self._l
+        self._movable = self._range > FEAS_TOL
 
         if self.basis is None:
-            self.basis = np.arange(self.n, ncols)
-            self.stat = np.full(ncols, AT_LOWER, dtype=np.int8)
+            self.basis = np.arange(n, n + m)
+            self.stat = np.full(n + m, AT_LOWER, dtype=np.int8)
             self.stat[self.basis] = BASIC
-        self._refactor()
+        if self._Binv is None:
+            self._refactor()
         self.iterations = 0
         d = self._make_dual_feasible(perturb=False)
         stall = 0
         perturbed = False
         while True:
-            xb = self._x[self.basis]
-            viol = np.maximum(self._l[self.basis] - xb, xb - self._u[self.basis])
+            x = self._x
+            viol = np.maximum(self._l - x, x - self._u)[self.basis]
             rows = np.flatnonzero(viol > FEAS_TOL)
             if not rows.size and perturbed:
                 d = self._make_dual_feasible(perturb=False)
                 perturbed = False
                 continue
             if not rows.size:
-                self._d = d
+                # reduced-cost fixing reads exact reduced costs
+                self._d = self._price() if self.iterations else d
                 return True
             if self.iterations > self.MAX_ITERS:
                 raise LpError("simplex iteration limit exceeded")
+            if self.iterations % self.DEADLINE_EVERY == self.DEADLINE_EVERY - 1 and (
+                    self.deadline is not None and time.monotonic() >= self.deadline):
+                return None
             bland = stall > self.BLAND_AFTER
             if bland and not perturbed:
                 d = self._make_dual_feasible(perturb=True)
@@ -224,8 +257,10 @@ class _BoundedSimplex:
                 rho = self._Binv[rows]
                 r = rows[np.argmax(viol[rows] ** 2 / np.einsum("ij,ij->i", rho, rho))]
             leaving = self.basis[r]
-            to_lower = xb[r] < self._l[leaving]
-            step = self._ratio_test(r, to_lower, viol[r], d, bland)
+            to_lower = x[leaving] < self._l[leaving]
+            rho = self._Binv[r]
+            alpha = np.concatenate([rho @ A, rho])  # row r of B^-1 [A | I]
+            step = self._ratio_test(alpha if to_lower else -alpha, viol[r], d, bland)
             if step is None:
                 return False
             q, flips = step
@@ -234,20 +269,21 @@ class _BoundedSimplex:
             self.stat[leaving] = AT_LOWER if to_lower else AT_UPPER
             self.stat[q] = BASIC
             self.basis[r] = q
+            # the duals move along the tableau row until d_q reaches 0
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
 
             # product-form update of the basis inverse; |pivot| >= PIVOT_TOL
-            alpha = self._Binv @ self._A[:, q]
-            pivot_row = self._Binv[r]
-            pivot_row /= alpha[r]
-            others = np.abs(alpha) > 1e-14
-            others[r] = False
-            self._Binv[others] -= np.outer(alpha[others], pivot_row)
+            col = self._Binv @ A[:, q] if q < n else self._Binv[:, q - n].copy()
+            pivot_row = self._Binv[r] / col[r]
+            self._Binv -= col[:, None] * pivot_row
+            self._Binv[r] = pivot_row
+            self.iterations += 1
             self._since_refactor += 1
             if self._since_refactor >= self.REFACTOR_EVERY:
                 self._refactor()
+                d = self._price()
             self._compute_x()
-            self.iterations += 1
-            d = self._price()
 
     def _make_dual_feasible(self, perturb):
         """Reduced costs, with each nonbasic movable column put at the bound
@@ -271,12 +307,16 @@ class _BoundedSimplex:
         return d
 
     def _price(self):
-        """Reduced costs d = c - (c_B B^-1) [A | I]."""
-        return self._cost - (self._cost[self.basis] @ self._Binv) @ self._A
+        """Reduced costs d = c - y [A | I] with y = c_B B^-1: c - y A for the
+        edges and -y for the slacks, whose costs are 0."""
+        y = self._cost[self.basis] @ self._Binv
+        return np.concatenate([self._cost[: self.n] - y @ self.rows, -y])
 
-    def _ratio_test(self, r, to_lower, violation, d, bland):
-        """(entering column, columns to flip) for leaving row r, or None if
-        no nonbasic move repairs the row: the LP is infeasible.
+    def _ratio_test(self, alpha, violation, d, bland):
+        """(entering column, columns to flip) for the leaving row's tableau
+        row ``alpha``, signed so that the row's violation is repaired by
+        moving toward the violated bound, or None if no nonbasic move repairs
+        the row: the LP is infeasible.
 
         Each column that moves the leaving variable toward its violated bound
         has a breakpoint d_j / alpha_rj of the dual step. Passing it flips the
@@ -284,37 +324,34 @@ class _BoundedSimplex:
         violation; the column whose flip would leave at most FEAS_TOL enters.
         Ties go to the largest |alpha_rj|, or the lowest column under Bland.
         """
-        alpha = self._Binv[r] @ self._A
-        if not to_lower:
-            alpha = -alpha
-        cols = np.flatnonzero(self._movable & (np.abs(alpha) >= self.PIVOT_TOL) & (
-            ((self.stat == AT_LOWER) & (alpha < 0))
-            | ((self.stat == AT_UPPER) & (alpha > 0))
-        ))
+        t = alpha * _REPAIR_SIGN[self.stat]
+        cols = np.flatnonzero((t >= self.PIVOT_TOL) & self._movable)
+        weight = t[cols]  # |alpha_rj|
         ratio = np.maximum(d[cols] / alpha[cols], 0.0)
         order = np.argsort(ratio, kind="stable")
-        cols, ratio = cols[order], ratio[order]
-        weight = np.abs(alpha[cols])
-        repaired = np.cumsum(weight * (self._u[cols] - self._l[cols]))
+        cols, ratio, weight = cols[order], ratio[order], weight[order]
+        repaired = np.cumsum(weight * self._range[cols])
         k = int(np.searchsorted(repaired, violation - FEAS_TOL))
         if k == cols.size:
             return None
-        near = np.arange(k, np.searchsorted(ratio, ratio[k] + self._tie, "right"))
+        end = np.searchsorted(ratio, ratio[k] + self._tie, "right")
         if bland:
-            return int(cols[near].min()), cols[:k]
-        return int(cols[near[np.argmax(weight[near])]]), cols[:k]
+            return int(cols[k:end].min()), cols[:k]
+        return int(cols[k + np.argmax(weight[k:end])]), cols[:k]
 
     def _refactor(self):
         try:
-            self._Binv = np.linalg.inv(self._A[:, self.basis])
+            B = np.hstack([self.rows, np.eye(len(self.rhs))])[:, self.basis]
+            self._Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise LpError("basis matrix singular") from exc
         self._since_refactor = 0
 
     def _compute_x(self):
+        """Nonbasic columns at their bounds, x_B = B^-1 (b - A x_N - s_N)."""
         x = np.where(self.stat == AT_UPPER, self._u, self._l)
         x[self.basis] = 0.0
-        x[self.basis] = self._Binv @ (self._b - self._A @ x)
+        x[self.basis] = self._Binv @ (self.rhs - self.rows @ x[: self.n] - x[self.n :])
         self._x = x
 
     # -- solution access --------------------------------------------------
@@ -338,13 +375,15 @@ class _BoundedSimplex:
 
 
 class LpEngine:
-    """Cut-pool LP for one max-cut (sub)instance; owns pool and warm basis."""
+    """Cut-pool LP for one max-cut (sub)instance; owns pool and warm basis.
+    A solve still running at ``deadline`` (a ``time.monotonic`` value) stops
+    within DEADLINE_EVERY pivots and returns a state marked ``expired``."""
 
-    def __init__(self, graph):
+    def __init__(self, graph, deadline=None):
         self.graph = graph
         self.pool = CutPool()
         self._simplex = _BoundedSimplex(
-            graph.edge_w, np.zeros(graph.m), np.ones(graph.m)
+            graph.edge_w, np.zeros(graph.m), np.ones(graph.m), deadline
         )
         self.cold_restarts = 0
 
@@ -355,14 +394,14 @@ class LpEngine:
         ub = np.ones(m) if ub is None else np.asarray(ub, dtype=float)
         self._simplex.set_bounds(lb, ub)
         try:
-            feasible = self._simplex.solve()
+            outcome = self._simplex.solve()
         except LpError as exc:
             # safeguarded retry from the slack basis
             self.cold_restarts += 1
             log.debug("LP cold restart: %s", exc)
             self._simplex.reset_basis()
-            feasible = self._simplex.solve()
-        if not feasible:
+            outcome = self._simplex.solve()
+        if not outcome:
             return LpState(
                 x=np.zeros(m),
                 objective=-np.inf,
@@ -370,6 +409,7 @@ class LpEngine:
                 basis_status=np.full(m, AT_LOWER, dtype=np.int8),
                 iterations=self._simplex.iterations,
                 feasible=False,
+                expired=outcome is None,
             )
         state = LpState(
             x=np.clip(self._simplex.solution(), 0.0, 1.0),
@@ -382,17 +422,14 @@ class LpEngine:
         return state
 
     def add_cuts(self, cuts) -> int:
-        """Insert deduplicated cuts as LP rows; returns the number added."""
-        added = 0
-        for cut in cuts:
-            if not self.pool.add(cut):
-                continue
-            coeffs = [
-                (e, 1.0 if flag else -1.0) for e, flag in zip(cut.edges, cut.in_f)
-            ]
-            self._simplex.add_row(coeffs, cut.rhs)
-            added += 1
-        return added
+        """Insert deduplicated cuts as LP rows in one batch; returns the number."""
+        new = [cut for cut in cuts if self.pool.add(cut)]
+        if new:
+            rows = np.zeros((len(new), self.graph.m))
+            for row, cut in zip(rows, new):
+                row[list(cut.edges)] = np.where(cut.in_f, 1.0, -1.0)
+            self._simplex.add_rows(rows, [cut.rhs for cut in new])
+        return len(new)
 
     def _age_cuts(self):
         slacks = self._simplex.row_slacks()
@@ -403,7 +440,8 @@ class LpEngine:
                 entry.age = 0
 
     def purge_cuts(self) -> int:
-        """Drop cuts nonbinding for AGE_LIMIT consecutive solves; resets basis."""
+        """Drop cuts nonbinding for AGE_LIMIT consecutive solves; the basis
+        stays when all their slacks are basic."""
         doomed = [i for i, entry in enumerate(self.pool.entries) if entry.age >= AGE_LIMIT]
         if not doomed:
             return 0

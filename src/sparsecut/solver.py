@@ -110,7 +110,7 @@ class ComponentSolver:
         self.integral = all_integral
         self.deadline = deadline
         self.node_budget = node_budget
-        self.engine = LpEngine(g)
+        self.engine = LpEngine(g, deadline)
         self.stats = SolveStats()
         self.best: CutSolution | None = None
         self.triangles = None  # triangle_table(g), built at the first round
@@ -192,8 +192,9 @@ class ComponentSolver:
         """Cutting-plane loop at one node; returns (outcome, children), each
         child a (bound, fixings) pair.
 
-        On "abort" the only child is the node itself, re-queued at the
-        smaller of ``parent_bound`` and its last effective LP bound.
+        On "abort" (the deadline passed, between rounds or inside an LP
+        solve) the only child is the node itself, re-queued at the smaller of
+        ``parent_bound`` and its last effective LP bound.
         """
         g, cfg = self.g, self.cfg
         lb = np.zeros(g.m)
@@ -210,6 +211,8 @@ class ComponentSolver:
                 lb[e] = ub[e] = float(val)
             state = self.engine.solve(lb, ub)
             self.stats.lp_solves += 1
+            if state.expired:
+                return "abort", [(min(parent_bound, eff), fixed)]
             if not state.feasible:
                 return "pruned", []
             bound = state.objective

@@ -384,6 +384,10 @@ class ReferenceSimplex:
             self.basis = np.append(self.basis, slack_id)
             self.stat = np.append(self.stat, BASIC)
 
+    def add_rows(self, rows, rhs):
+        for row, r in zip(rows, rhs):
+            self.add_row(enumerate(row), r)
+
     def remove_rows(self, indices):
         doomed = set(indices)
         self.rows = [r for i, r in enumerate(self.rows) if i not in doomed]

@@ -305,6 +305,7 @@ def test_lp_error_restarts_cold_and_is_counted():
     # a warm basis that holds the first slack twice is singular
     simplex = engine._simplex
     simplex.basis = np.array([3, 3])
+    simplex._Binv = None
     simplex.stat = np.array([AT_LOWER, AT_LOWER, AT_LOWER, BASIC, AT_LOWER],
                             dtype=np.int8)
     state = engine.solve()
@@ -358,3 +359,110 @@ def test_lp_matches_highs_on_random_cut_pools(scale):
             solves += 1
             infeasible += not state.feasible
     assert solves > 150 and infeasible > 10, (solves, infeasible)
+
+
+# -- the basis inverse carried across solves and model edits ---------------
+
+def _cut_rounds(engine, g, rng, rounds, fix=False):
+    """Solve, then add the most violated triangle (else exact) cycle cuts of
+    the LP point, ``rounds`` times; with ``fix`` each round also fixes a few
+    edges at random. Returns the last state."""
+    table = triangle_table(g)
+    lb, ub = np.zeros(g.m), np.ones(g.m)
+    for _ in range(rounds):
+        if fix:
+            lb, ub = np.zeros(g.m), np.ones(g.m)
+            for e in rng.sample(range(g.m), rng.randint(0, g.m // 4)):
+                lb[e] = ub[e] = float(rng.randint(0, 1))
+        state = engine.solve(lb, ub)
+        if not state.feasible:
+            continue
+        cuts = separate_triangles(state.x, table) or separate_exact(g, state.x)
+        if not cuts:
+            break
+        cuts.sort(key=lambda c: -c.violation(state.x))
+        engine.add_cuts(cuts[: 2 * g.n])
+    return state
+
+
+def _inverse_error(simplex):
+    """max |B^-1 B - I| for the carried B^-1 and B built from the rows."""
+    eye = np.eye(len(simplex.rhs))
+    basis_matrix = np.hstack([simplex.rows, eye])[:, simplex.basis]
+    return np.abs(simplex._Binv @ basis_matrix - eye).max(initial=0.0)
+
+
+def test_warm_solves_after_cuts_and_bounds_do_not_refactorize(monkeypatch):
+    """Warm solves after added cuts or new bounds carry B^-1: with periodic
+    refactorization off, none of them refactorizes."""
+    monkeypatch.setattr(_BoundedSimplex, "REFACTOR_EVERY", 10**9)
+    refactors = []
+    real_refactor = _BoundedSimplex._refactor
+
+    def refactor(self):
+        refactors.append(len(self.rhs))
+        real_refactor(self)
+
+    monkeypatch.setattr(_BoundedSimplex, "_refactor", refactor)
+    rng = random.Random(21)
+    g = WeightedGraph(12, random_graph(rng, 12, 0.5))
+    engine = LpEngine(g)
+    engine.solve()  # cold: the slack basis is factorized once
+    refactors.clear()
+    _cut_rounds(engine, g, rng, rounds=4)
+    lb, ub = np.zeros(g.m), np.ones(g.m)
+    lb[:2] = ub[:2] = 1.0
+    state = engine.solve(lb, ub)  # after new bounds alone
+    assert len(engine._simplex.rhs) > 0 and refactors == []
+    cold = LpEngine(g)
+    cold.add_cuts([entry.cut for entry in engine.pool.entries])
+    assert state.objective == pytest.approx(cold.solve(lb, ub).objective)
+    assert _inverse_error(engine._simplex) < 1e-8
+
+
+def test_carried_inverse_stays_the_inverse_of_the_basis():
+    rng = random.Random(22)
+    checked = 0
+    for k in range(40):
+        n = 6 + k % 8
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.4, 0.9),
+                                          integral=k % 2 == 0))
+        engine = LpEngine(g)
+        for _ in range(3):
+            _cut_rounds(engine, g, rng, rounds=4, fix=True)
+            if engine._simplex.basis is not None:
+                assert _inverse_error(engine._simplex) < 1e-8
+                checked += 1
+            for entry in engine.pool.entries[::3]:
+                entry.age = AGE_LIMIT
+            engine.purge_cuts()
+    assert checked >= 100, checked
+
+
+def test_purge_of_basic_slacks_keeps_the_basis():
+    """A purge that removes only rows with basic slacks keeps the basis; the
+    next solve equals a cold solve of the rows left, with zero pivots."""
+    rng = random.Random(23)
+    warm_purges = 0
+    for k in range(60):
+        n = 7 + k % 6
+        g = WeightedGraph(n, random_graph(rng, n, 0.6))
+        engine = LpEngine(g)
+        before = _cut_rounds(engine, g, rng, rounds=6)
+        for _ in range(AGE_LIMIT):
+            before = engine.solve()
+        simplex = engine._simplex
+        doomed = [i for i, e in enumerate(engine.pool.entries) if e.age >= AGE_LIMIT]
+        if not doomed or np.any(simplex.stat[g.m + np.array(doomed)] != BASIC):
+            continue
+        assert engine.purge_cuts() == len(doomed)
+        assert simplex.basis is not None and _inverse_error(simplex) < 1e-8
+        after = engine.solve()
+        cold = LpEngine(g)
+        cold.add_cuts([entry.cut for entry in engine.pool.entries])
+        assert after.iterations == 0
+        assert after.objective == pytest.approx(before.objective, abs=1e-9)
+        assert after.objective == pytest.approx(cold.solve().objective, abs=1e-9)
+        assert np.allclose(after.x, before.x)
+        warm_purges += 1
+    assert warm_purges >= 10, warm_purges

@@ -11,6 +11,7 @@ import sparsecut.heuristics as heuristics
 import sparsecut.solver as solver_mod
 from sparsecut.graph import WeightedGraph, build_graph
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
+from sparsecut.lp import _BoundedSimplex
 from sparsecut.solver import (
     ComponentSolver,
     Config,
@@ -344,3 +345,36 @@ def test_root_stopped_after_its_lp_keeps_the_lp_bound(monkeypatch):
     assert status == "time_limit" and len(objectives) == 2
     assert dual == math.floor(objectives[1] + 1e-6)
     assert sol.weight < dual < solver_mod._trivial_bound(g)
+
+
+def test_deadline_stops_the_simplex_mid_solve(monkeypatch):
+    """A clock that expires during a long solve stops the simplex within
+    DEADLINE_EVERY pivots; the root is re-queued as on any time-out."""
+    raw = raw_from_edges(196, torus_edges(random.Random(62), 14))
+    real_clock = time.monotonic
+    offset = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: real_clock() + offset[0])
+    expire_at = 10  # pivots; the root's first cut round needs about 90
+    pivots = [0]
+    real_ratio_test = _BoundedSimplex._ratio_test
+
+    def ratio_test(self, *args):  # called once per pivot
+        pivots[0] += 1
+        if pivots[0] == expire_at:
+            offset[0] = 1e6
+        return real_ratio_test(self, *args)
+
+    states = []
+    real_solve = solver_mod.LpEngine.solve
+
+    def solve(self, lb=None, ub=None):
+        states.append(real_solve(self, lb, ub))
+        return states[-1]
+
+    monkeypatch.setattr(_BoundedSimplex, "_ratio_test", ratio_test)
+    monkeypatch.setattr(solver_mod.LpEngine, "solve", solve)
+    report = solve_maxcut(raw, Config(time_limit_s=600.0))
+    assert states[-1].expired and not any(s.expired for s in states[:-1])
+    assert expire_at < pivots[0] <= expire_at + _BoundedSimplex.DEADLINE_EVERY
+    assert report.status == "time_limit"
+    assert math.isfinite(report.primal_dual_gap_percent)

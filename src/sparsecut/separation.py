@@ -4,9 +4,13 @@ Exact separation (Barahona and Mahjoub, "On the cut polytope", Math. Prog.
 1986) searches a two-copy auxiliary graph: copy arcs carry weight x(e),
 crossing arcs 1 - x(e). A path from a vertex to its twin of length < 1
 corresponds to a violated cycle inequality; its crossing arcs form the odd
-set F. One Dijkstra search runs from every vertex; a twin path it finds is
-walked back, projected to a closed walk in the base graph, split into simple
-cycles and decomposed along chords into chordless violated cuts.
+set F. One Dijkstra search runs from every vertex. By the symmetry of the
+two copies it only searches to half the twin distance: two labels that are
+twins of each other close a walk to the twin, and the search stops once the
+shortest such walk is at most twice the radius. The walk it finds is
+projected to a closed walk in the base graph and split into simple cycles;
+each distinct cycle of one separation call is decomposed along chords into
+chordless violated cuts once.
 
 Triangle separation scores a table of the graph's triangles, listed once by
 ``triangle_table``, against each new LP point.
@@ -15,7 +19,10 @@ Triangle separation scores a table of the graph's triangles, listed once by
 from __future__ import annotations
 
 import heapq
+import math
+import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,65 +94,74 @@ def build_aux_graph(g, x) -> AuxGraph:
     return AuxGraph(n, tails[order], heads[order], weights[order], arc_eids[order])
 
 
-@dataclass
-class DijkstraResult:
-    dist: list[float]
-    pred: list  # (tail, edge id) of the incoming arc, None if none
-    hit_twin: bool
+def twin_walk(aux: AuxGraph, source):
+    """Shortest path from ``source`` to its twin, if shorter than 1 - SEP_GATE.
 
-
-def dijkstra_mod(aux: AuxGraph, source) -> DijkstraResult:
-    """Dijkstra from ``source`` with the stop-at-1 and twin pruning rules.
-
-    Heap entries are (distance, push counter, vertex), so equal distances pop
-    in insertion order; stale entries are skipped on pop.
+    Returns (length, closed walk) or None. The search runs to half that
+    length only. The aux graph is symmetric under the copy swap σ and every
+    arc has a reverse of equal weight, so d(s, σw) = d(w, σs), and
+    dist[w] + dist[σw] is the length of a walk s -> w -> σs. Every improving
+    relaxation of a vertex w lowers the bound ``ub`` to that sum, and the
+    search stops popping at 2·d >= ub. This is exact: on a shortest s -> σs
+    path of length l, the arc (a, b) across l/2 has a and σb within l/2, and
+    whichever of b and σb is labelled last closes l.
     """
     n = aux.n
-    dist = [np.inf] * (2 * n)
-    pred = [None] * (2 * n)
-    scanned = [False] * (2 * n)
     adjacency = aux.adjacency
-    target = aux.twin(source)
+    dist = [math.inf] * (2 * n)
+    pred = [None] * (2 * n)  # (tail, edge id) of the incoming arc
     dist[source] = 0.0
+    # entries (distance, push counter, vertex): equal distances pop in
+    # insertion order, which spreads the walks of different sources over
+    # more distinct cycles than a vertex-id order does
     heap = [(0.0, 0, source)]
     pushes = 1
-    hit_twin = False
+    ub = 1.0 - SEP_GATE
+    meet = -1
     while heap:
         dv, _, v = heapq.heappop(heap)
         if dv > dist[v]:
             continue
-        if dv >= 1.0:
+        if dv + dv >= ub:
             break
-        scanned[v] = True
-        if v == target:
-            hit_twin = True
-            break
-        tw = v + n if v < n else v - n
-        if scanned[tw] and dv + dist[tw] >= 1.0:
-            continue
         for w, weight, eid in adjacency[v]:
             cand = dv + weight
             if cand < dist[w]:
                 dist[w] = cand
                 pred[w] = (v, eid)
-                heapq.heappush(heap, (cand, pushes, w))
-                pushes += 1
-    return DijkstraResult(dist, pred, hit_twin)
+                # dist[w - n] is σw's label: a negative index wraps to w + n
+                closed = cand + dist[w - n]
+                if closed < ub:
+                    ub = closed
+                    meet = w
+                if cand + cand < ub:  # else it is never popped before the stop
+                    heapq.heappush(heap, (cand, pushes, w))
+                    pushes += 1
+    if meet < 0:
+        return None
+    # s -> meet along the search tree, then the σ-mirror of the tree path
+    # s -> σmeet walked backwards: σmeet ... s mirrors to meet ... σs
+    out_v, out_e = _tree_path(pred, meet)
+    back_v, back_e = _tree_path(pred, aux.twin(meet))
+    out_v.reverse()
+    out_e.reverse()
+    verts = out_v + [aux.twin(u) for u in back_v[1:]]
+    eids = out_e + back_e
+    in_f = [(verts[i] < n) != (verts[i + 1] < n) for i in range(len(eids))]
+    return ub, ClosedWalk([u % n for u in verts], eids, in_f)
 
 
-def _twin_walk(n, result: DijkstraResult, v) -> ClosedWalk:
-    """The found path from ``v`` to its twin, projected to the base graph."""
-    verts, eids = [v + n], []
-    step = result.pred[v + n]
+def _tree_path(pred, w):
+    """Aux vertices and edge ids of the search-tree path from w back to the
+    source."""
+    verts, eids = [w], []
+    step = pred[w]
     while step is not None:
         tail, eid = step
         verts.append(tail)
         eids.append(eid)
-        step = result.pred[tail]
-    verts.reverse()
-    eids.reverse()
-    in_f = [(verts[i] < n) != (verts[i + 1] < n) for i in range(len(eids))]
-    return ClosedWalk([u % n for u in verts], eids, in_f)
+        step = pred[tail]
+    return verts, eids
 
 
 def _split_walk(walk: ClosedWalk):
@@ -188,39 +204,39 @@ def extract_simple_cycles(walk: ClosedWalk):
     return out
 
 
-def _cycle_lhs(eids, in_f, x):
-    return sum((1.0 - x[e]) if f else x[e] for e, f in zip(eids, in_f))
+def _incidence_lists(g):
+    """Per-vertex lists of (neighbor, edge id) pairs, in CSR order."""
+    offs = g.csr_offsets.tolist()
+    arcs = list(zip(g.csr_heads.tolist(), g.csr_eids.tolist()))
+    return [arcs[offs[v]:offs[v + 1]] for v in range(g.n)]
 
 
-def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
+def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL,
+                        incidence=None):
     """Split a violated simple cycle along chords into chordless violated cuts.
 
     Uses prefix sums of the F-count and of the slack-form value for O(1)
     violation checks per chord; violated sub-cycles are selected greedily by
     size with index marking and re-decomposed until chordless. Returns the
     original cut when no chord yields a violated sub-cycle (then the cycle is
-    necessarily chordless, as any chord splits the violation).
+    necessarily chordless, as any chord splits the violation). Chords are
+    read from ``incidence`` (``_incidence_lists(g)``, built when not given).
     """
     k = len(eids)
-    total_lhs = _cycle_lhs(eids, in_f, x)
+    q = list(accumulate(((1.0 - x[e]) if flag else x[e]
+                         for e, flag in zip(eids, in_f)), initial=0.0))
+    total_lhs = q[k]
     if total_lhs >= 1.0 - queue_tol:
         return []
-
-    # prefix data over the cycle's edges
-    q = [0.0] * (k + 1)
-    f = [0] * (k + 1)
-    for t in range(k):
-        contrib = (1.0 - x[eids[t]]) if in_f[t] else x[eids[t]]
-        q[t + 1] = q[t] + contrib
-        f[t + 1] = f[t] + (1 if in_f[t] else 0)
-    f_total = f[k]
+    f = list(accumulate(in_f, initial=0))
+    if incidence is None:
+        incidence = _incidence_lists(g)
 
     pos = {v: i for i, v in enumerate(verts)}
     candidates = []
     for b in range(k):
-        vb = verts[b]
-        for nb, ceid, _ in zip(*g.incident(vb)):
-            a = pos.get(int(nb))
+        for nb, ceid in incidence[verts[b]]:
+            a = pos.get(nb)
             if a is None or a >= b:
                 continue
             if b - a == 1 or (a == 0 and b == k - 1):
@@ -232,10 +248,10 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
             lhs_in = qd + (1.0 - xc if chord_in_inner else xc)
             lhs_out = (total_lhs - qd) + (xc if chord_in_inner else 1.0 - xc)
             if lhs_in < 1.0 - queue_tol:
-                candidates.append((b - a + 1, a, b, "inner", int(ceid), chord_in_inner))
+                candidates.append((b - a + 1, a, b, "inner", ceid, chord_in_inner))
             if lhs_out < 1.0 - queue_tol:
                 candidates.append(
-                    (k - (b - a) + 1, a, b, "outer", int(ceid), not chord_in_inner)
+                    (k - (b - a) + 1, a, b, "outer", ceid, not chord_in_inner)
                 )
 
     if not candidates:
@@ -261,38 +277,49 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
                 marked[t] = True
             for t in range(a):
                 marked[t] = True
-        cuts.extend(chordless_decompose(sub_v, sub_e, sub_f, x, g, queue_tol))
+        cuts.extend(chordless_decompose(sub_v, sub_e, sub_f, x, g, queue_tol,
+                                        incidence))
     return cuts
 
 
-def _walk_cuts(walk: ClosedWalk, x, g, seen, out):
-    for verts, eids, in_f in extract_simple_cycles(walk):
-        for cut in chordless_decompose(verts, eids, in_f, x, g):
-            key = cut.key()
-            if key not in seen:
-                seen.add(key)
-                out.append(cut)
-
-
-def separate_exact(g, x):
+def separate_exact(g, x, deadline=None):
     """All-sources exact separation; empty iff no cycle inequality is violated
     beyond tolerance. Returned cuts are deduplicated and chordless.
 
-    One ``dijkstra_mod`` search runs from every non-isolated vertex ``v``;
-    when it reaches ``v``'s twin below ``1 - SEP_GATE``, the one path it found
-    is turned into cuts.
+    One ``twin_walk`` search runs from every non-isolated vertex; the
+    simple cycles of the walks it finds are decomposed into cuts, each
+    distinct cycle (edge set and F) once. Once ``time.monotonic()`` passes
+    ``deadline``, no further search starts, so the list may be cut short:
+    the caller must check the clock before it reads an empty list as "no
+    violated cut".
     """
     if g.m == 0:
         return []
     aux = build_aux_graph(g, x)
+    xl = np.asarray(x, dtype=np.float64).tolist()
+    incidence = _incidence_lists(g)
+    decomposed = set()
     seen = set()
     cuts: list[CycleCut] = []
     for v in range(g.n):
-        if g.degree(v) == 0:
+        if deadline is not None and time.monotonic() >= deadline:
+            break
+        if not incidence[v]:
             continue
-        result = dijkstra_mod(aux, v)
-        if result.dist[v + g.n] < 1.0 - SEP_GATE:
-            _walk_cuts(_twin_walk(g.n, result, v), x, g, seen, cuts)
+        found = twin_walk(aux, v)
+        if found is None:
+            continue
+        for verts, eids, in_f in extract_simple_cycles(found[1]):
+            cycle = frozenset(~e if flag else e for e, flag in zip(eids, in_f))
+            if cycle in decomposed:
+                continue
+            decomposed.add(cycle)
+            for cut in chordless_decompose(verts, eids, in_f, xl, g,
+                                           incidence=incidence):
+                key = cut.key()
+                if key not in seen:
+                    seen.add(key)
+                    cuts.append(cut)
     return cuts
 
 

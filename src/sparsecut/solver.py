@@ -28,7 +28,12 @@ from .graph import (
     build_graph,
     induce_subgraph,
 )
-from .heuristics import DEFAULT_RESTARTS, burer_rank2, spanning_tree_rounding
+from .heuristics import (
+    DEFAULT_RESTARTS,
+    burer_rank2,
+    kernighan_lin,
+    spanning_tree_rounding,
+)
 from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
 from .lp import LpEngine
 from .presolve import format_stats, presolve_loop
@@ -193,8 +198,9 @@ class ComponentSolver:
         child a (bound, fixings) pair.
 
         On "abort" (the deadline passed, between rounds or inside an LP
-        solve) the only child is the node itself, re-queued at the smaller of
-        ``parent_bound`` and its last effective LP bound.
+        solve or exact separation) the only child is the node itself,
+        re-queued at the smaller of ``parent_bound`` and its last effective
+        LP bound.
         """
         g, cfg = self.g, self.cfg
         lb = np.zeros(g.m)
@@ -237,7 +243,9 @@ class ComponentSolver:
                 self.triangles = triangle_table(g)
             cuts = separate_triangles(state.x, self.triangles)
             if not cuts:
-                cuts = separate_exact(g, state.x)
+                cuts = separate_exact(g, state.x, self.deadline)
+                if self._past_deadline():  # the list may be cut short
+                    return "abort", [(min(parent_bound, eff), fixed)]
             cuts.sort(key=lambda c: -c.violation(state.x))
             added = self.engine.add_cuts(cuts[: 2 * g.n])  # the most violated
             rounds += 1
@@ -279,10 +287,16 @@ class ComponentSolver:
 # -- whole-instance orchestration -----------------------------------------
 
 def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
+    """Returns (solution, dual bound, status). A component too large to
+    enumerate that is reached after the deadline runs no rank-2 and no LP:
+    it keeps the trivial bound and a KL cut from the all-zero assignment."""
     alive = len(sub.alive_vertices())
     if alive <= cfg.enum_threshold:
         sol, value = enumerate_component(sub)
         return sol, value, "optimal"
+    if deadline is not None and time.monotonic() >= deadline:
+        zero = CutSolution.from_assignment(sub, np.zeros(sub.n, dtype=np.int8))
+        return kernighan_lin(sub, zero), _trivial_bound(sub), "time_limit"
     budget = max(1, cfg.node_limit - stats.nodes) if cfg.node_limit else 0
     solver = ComponentSolver(sub, cfg, all_integral, deadline, node_budget=budget)
     sol, dual, status = solver.solve()

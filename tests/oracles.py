@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations used to freeze expected
 values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers, the LP's status codes,
-tolerances, error type and cut type, and the triangle separator's degree cap."""
+tolerances, error type and cut type, the triangle separator's degree cap and
+the exact separator's auxiliary graph."""
 
+import heapq
 import itertools
 import math
 
@@ -208,6 +210,39 @@ def reference_separate_triangles(g, x, budget):
                         seen.add(cut.key())
                         cuts.append(cut)
     return cuts
+
+
+def reference_twin_distance(aux, source):
+    """Full-radius twin search, frozen from the version that searched to the
+    twin itself: Dijkstra over the aux graph's ``adjacency`` from ``source``
+    with the stop-at-1 and twin pruning rules. Returns the distance to the
+    twin, or inf when the search stops before reaching it."""
+    n = aux.n
+    dist = [math.inf] * (2 * n)
+    scanned = [False] * (2 * n)
+    target = aux.twin(source)
+    dist[source] = 0.0
+    heap = [(0.0, 0, source)]
+    pushes = 1
+    while heap:
+        dv, _, v = heapq.heappop(heap)
+        if dv > dist[v]:
+            continue
+        if dv >= 1.0:
+            break
+        scanned[v] = True
+        if v == target:
+            return dv
+        tw = aux.twin(v)
+        if scanned[tw] and dv + dist[tw] >= 1.0:
+            continue
+        for w, weight, _ in aux.adjacency[v]:
+            cand = dv + weight
+            if cand < dist[w]:
+                dist[w] = cand
+                heapq.heappush(heap, (cand, pushes, w))
+                pushes += 1
+    return math.inf
 
 
 def has_chord(g, verts):

@@ -11,11 +11,11 @@ from sparsecut.separation import (
     ClosedWalk,
     build_aux_graph,
     chordless_decompose,
-    dijkstra_mod,
     extract_simple_cycles,
     separate_exact,
     separate_triangles,
     triangle_table,
+    twin_walk,
 )
 
 from oracles import (
@@ -23,6 +23,8 @@ from oracles import (
     most_violated_cycle_inequality,
     random_graph,
     reference_separate_triangles,
+    reference_twin_distance,
+    torus_edges,
 )
 
 
@@ -49,17 +51,17 @@ def test_dijkstra_finds_twin_path_on_violated_cycle():
     # all-0.9 triangle: twin distance 3 * 0.1 = 0.3 < 1
     g, x = cycle_graph(3)
     aux = build_aux_graph(g, x)
-    result = dijkstra_mod(aux, 0)
-    assert result.hit_twin
-    assert result.dist[aux.twin(0)] == pytest.approx(0.3)
+    found = twin_walk(aux, 0)
+    assert found is not None
+    assert found[0] == pytest.approx(0.3)
 
 
 def test_dijkstra_stops_when_no_violation():
     # x = 0.5 everywhere on a triangle: all twin paths have length >= 1.5
     g, x = cycle_graph(3, 0.5)
     aux = build_aux_graph(g, x)
-    result = dijkstra_mod(aux, 0)
-    assert not result.hit_twin
+    found = twin_walk(aux, 0)
+    assert found is None
 
 
 def test_extract_simple_cycles_splits_vertex_repeats():
@@ -182,9 +184,9 @@ def test_shortest_twin_distance_matches_most_violated_inequality(build):
         best = math.inf
         for v in range(n):
             if g.degree(v) > 0:
-                result = dijkstra_mod(aux, v)
-                if result.hit_twin:
-                    best = min(best, result.dist[aux.twin(v)])
+                found = twin_walk(aux, v)
+                if found is not None:
+                    best = min(best, found[0])
         viol, _ = most_violated_cycle_inequality(n, g.edge_list(), x)
         if viol > SEP_GATE:
             assert best == pytest.approx(1.0 - viol, abs=1e-9)
@@ -192,6 +194,52 @@ def test_shortest_twin_distance_matches_most_violated_inequality(build):
         else:
             assert best >= 1.0 - SEP_GATE
     assert checked > 10
+
+
+def _check_twin_walks(g, x):
+    """The half-radius search against the full-radius reference, from every
+    vertex: the same twin distance, and a walk of that length that closes at
+    the source. Returns how many sources found a twin path."""
+    aux = build_aux_graph(g, x)
+    found_count = 0
+    for v in range(g.n):
+        want = reference_twin_distance(aux, v)
+        found = twin_walk(aux, v)
+        if want >= 1.0 - SEP_GATE:
+            assert found is None
+            continue
+        found_count += 1
+        length, walk = found
+        assert abs(length - want) <= 1e-12
+        assert walk.verts[0] == walk.verts[-1] == v
+        for a, b, e in zip(walk.verts, walk.verts[1:], walk.edge_ids):
+            assert g.find_edge(a, b) == e
+        assert sum(walk.in_f) % 2 == 1
+        walk_len = sum((1.0 - x[e]) if f else x[e]
+                       for e, f in zip(walk.edge_ids, walk.in_f))
+        assert abs(walk_len - length) <= 1e-12
+    return found_count
+
+
+def test_twin_walk_matches_the_full_radius_reference():
+    rng = random.Random(16)
+    found = 0
+    for _ in range(60):
+        n = rng.randint(4, 12)
+        edges = random_graph(rng, n, 0.5)
+        if len(edges) < 3:
+            continue
+        g = WeightedGraph(n, edges)
+        # many coordinates exactly 0 or 1 give zero-weight aux arcs
+        x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()])
+                      for _ in range(g.m)])
+        found += _check_twin_walks(g, x)
+    g = WeightedGraph(64, torus_edges(rng, 8))
+    for _ in range(5):
+        x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()])
+                      for _ in range(g.m)])
+        found += _check_twin_walks(g, x)
+    assert found > 600
 
 
 def test_emitted_cuts_are_chordless():

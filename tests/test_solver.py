@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sparsecut.heuristics as heuristics
+import sparsecut.separation as separation
 import sparsecut.solver as solver_mod
 from sparsecut.graph import WeightedGraph, build_graph
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
@@ -192,8 +193,8 @@ def test_time_limit_is_respected():
 
 
 def test_heuristic_restarts_stop_at_the_time_limit(monkeypatch):
-    """Past the deadline every burer_rank2 call runs its first restart only:
-    at the root of a component solve and for components left at time out."""
+    """Past the deadline the burer_rank2 call at the root of a component
+    solve runs its first restart only."""
     local_calls, rank2_calls = [], []
     real_local, real_rank2 = heuristics._local_minimize, solver_mod.burer_rank2
 
@@ -213,14 +214,44 @@ def test_heuristic_restarts_stop_at_the_time_limit(monkeypatch):
     assert status == "time_limit"
     assert local_calls == rank2_calls == [12]
 
-    local_calls.clear()
-    rank2_calls.clear()
+
+def test_components_reached_after_the_deadline_run_no_rank2_or_lp(monkeypatch):
+    """A component too large to enumerate that is reached after the deadline
+    keeps the trivial bound and a KL cut of the all-zero assignment; a small
+    one is still enumerated."""
+    calls = {"rank2": 0, "lp": 0, "kl": 0}
+    real_kl = solver_mod.kernighan_lin
+
+    def rank2(g, *args, **kwargs):
+        calls["rank2"] += 1
+        raise AssertionError("rank-2 after the deadline")
+
+    def lp_solve(self, lb=None, ub=None):
+        calls["lp"] += 1
+        raise AssertionError("LP solve after the deadline")
+
+    def kl(g, sol):
+        calls["kl"] += 1
+        assert sol.weight == 0.0  # the all-zero assignment
+        return real_kl(g, sol)
+
+    monkeypatch.setattr(solver_mod, "burer_rank2", rank2)
+    monkeypatch.setattr(solver_mod.LpEngine, "solve", lp_solve)
+    monkeypatch.setattr(solver_mod, "kernighan_lin", kl)
+    rng = random.Random(58)
+    blocks = [random_graph(rng, 12, 0.5) for _ in range(3)]
+    blocks.append([(0, 1, 3.0), (1, 2, -1.0), (0, 2, 2.0)])  # enumerated
     edges = [(u + 12 * c, v + 12 * c, w)
-             for c in range(3) for u, v, w in random_graph(rng, 12, 0.5)]
-    report = solve_maxcut(raw_from_edges(36, edges), Config(time_limit_s=1e-9))
+             for c, block in enumerate(blocks) for u, v, w in block]
+    report = solve_maxcut(raw_from_edges(48, edges), Config(time_limit_s=1e-9))
     assert report.status == "time_limit"
-    assert len(rank2_calls) >= 3
-    assert local_calls == rank2_calls
+    assert calls["rank2"] == calls["lp"] == 0 and calls["kl"] >= 3
+    best = sum(brute_force_maxcut(12, block)[0] for block in blocks)
+    trivial = sum(w for block in blocks for _, _, w in block if w > 0)
+    dual = report.best_value + report.primal_dual_gap_percent / 100.0 * max(
+        1.0, abs(report.best_value))
+    assert report.best_value <= best <= dual + 1e-9
+    assert dual <= trivial + 1e-9
 
 
 def test_qubo_end_to_end():
@@ -345,6 +376,45 @@ def test_root_stopped_after_its_lp_keeps_the_lp_bound(monkeypatch):
     assert status == "time_limit" and len(objectives) == 2
     assert dual == math.floor(objectives[1] + 1e-6)
     assert sol.weight < dual < solver_mod._trivial_bound(g)
+
+
+def test_deadline_stops_exact_separation_between_sources(monkeypatch):
+    """A clock that expires as exact separation starts stops it before its
+    first search. The root's first LP point (no cuts yet on a triangle-free
+    torus) is integral but no cut, so reading the empty list as "no violated
+    cut" would prune it; the root is re-queued instead, as on any time-out."""
+    raw = raw_from_edges(196, torus_edges(random.Random(62), 14))
+    real_clock = time.monotonic
+    offset = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: real_clock() + offset[0])
+    real_aux = separation.build_aux_graph
+    searches = [0]
+    real_twin_walk = separation.twin_walk
+
+    def build_aux_graph(g, x):  # called once per exact separation
+        offset[0] = 1e6
+        return real_aux(g, x)
+
+    def twin_walk(aux, source):
+        searches[0] += 1
+        return real_twin_walk(aux, source)
+
+    results = []
+    real_separate = solver_mod.separate_exact
+
+    def separate_exact(g, x, deadline=None):
+        results.append((np.all(np.minimum(x, 1.0 - x) < 1e-6),
+                        real_separate(g, x, deadline)))
+        return results[-1][1]
+
+    monkeypatch.setattr(separation, "build_aux_graph", build_aux_graph)
+    monkeypatch.setattr(separation, "twin_walk", twin_walk)
+    monkeypatch.setattr(solver_mod, "separate_exact", separate_exact)
+    report = solve_maxcut(raw, Config(time_limit_s=600.0))
+    assert results == [(True, [])] and searches[0] == 0
+    assert report.status == "time_limit"
+    assert math.isfinite(report.primal_dual_gap_percent)
+    assert report.bnb_nodes == 1
 
 
 def test_deadline_stops_the_simplex_mid_solve(monkeypatch):

@@ -42,10 +42,11 @@ def _flip_gain(v, y, offsets, heads, weights):
     return same - diff
 
 
-def _local_minimize(g, theta):
+def _local_minimize(g, theta, deadline=None):
     """Coordinate-wise angle updates toward a local minimum of the angular
     energy E; stops after a sweep that moves no angle by ``GRAD_TOL`` or
-    lowers E by at most ``REL_TOL * |E|``."""
+    lowers E by at most ``REL_TOL * |E|``, or in which ``time.monotonic()``
+    passes ``deadline``."""
     offsets, heads, weights = _csr_lists(g)
     angle = theta.tolist()
     # refreshed only when an angle moves, so a field needs no trig calls
@@ -85,6 +86,8 @@ def _local_minimize(g, theta):
                 max_move = move
         energy -= drop
         if max_move < GRAD_TOL or drop <= REL_TOL * abs(energy):
+            break
+        if deadline is not None and time.monotonic() >= deadline:
             break
     theta[:] = angle
     return theta
@@ -177,8 +180,9 @@ def burer_rank2(g, seed=0, restarts=DEFAULT_RESTARTS,
 
     ``restarts`` is the most descents run: restarts stop at the first one
     whose cut is not strictly heavier than the best so far. Once
-    ``time.monotonic()`` passes ``deadline``, no further restart starts;
-    the first one always runs.
+    ``time.monotonic()`` passes ``deadline``, no further restart starts and
+    a running descent ends after its current sweep; the first restart always
+    runs.
     """
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.0, 2 * math.pi, size=g.n)
@@ -191,7 +195,7 @@ def burer_rank2(g, seed=0, restarts=DEFAULT_RESTARTS,
             theta = (theta + rng.uniform(-PERTURBATION, PERTURBATION, size=g.n)) % (
                 2 * math.pi
             )
-        theta = _local_minimize(g, theta)
+        theta = _local_minimize(g, theta, deadline)
         cand = kernighan_lin(g, _best_diameter_cut(g, theta))
         if best is not None and cand.weight <= best.weight:
             break

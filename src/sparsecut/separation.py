@@ -32,6 +32,7 @@ EPS_SKIP = 1e-6        # aux arcs with weight >= 1 - EPS_SKIP are never built
 SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
 EMIT_TOL = 1e-9        # emitted cuts must have slack-form value < 1 - EMIT_TOL
 TRIANGLE_BUDGET = 50_000
+TRIANGLE_SLAB = 512    # edges whose wedges triangle_table lists at once
 DEGREE_CAP = 512
 
 
@@ -330,24 +331,31 @@ def triangle_table(g, budget=TRIANGLE_BUDGET):
     with a common neighbor z > v, so each triangle appears once, from its
     lowest edge. Rows are ordered by e, then z; edges with an endpoint of
     degree above DEGREE_CAP are skipped.
+
+    Edges are sorted by (u, v), so the wedges (u; v, z) of e are the pairs
+    (e, e_uz) with e_uz a later edge of the same low end u; edge (v, z) is
+    looked up among the sorted edge keys. Wedges are listed for
+    TRIANGLE_SLAB edges at a time, which bounds the memory, until the budget
+    is met.
     """
+    deg = np.diff(g.csr_offsets)
+    eids = np.arange(g.m)
+    later = np.searchsorted(g.edge_u, g.edge_u, side="right") - eids - 1
+    later[(deg[g.edge_u] > DEGREE_CAP) | (deg[g.edge_v] > DEGREE_CAP)] = 0
+    keys = g.edge_u * g.n + g.edge_v
     rows = [np.empty((0, 3), dtype=np.int64)]
     count = 0
-    for e in range(g.m):
-        u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        if g.degree(u) > DEGREE_CAP or g.degree(v) > DEGREE_CAP:
-            continue
-        nu, eu, _ = g.incident(u)
-        nv, ev, _ = g.incident(v)
-        common, iu, iv = np.intersect1d(nu, nv, assume_unique=True,
-                                        return_indices=True)
-        above = common > v
-        k = int(above.sum())
-        if k:
-            rows.append(np.column_stack((np.full(k, e), eu[iu[above]], ev[iv[above]])))
-            count += k
-            if count >= budget:
-                break
+    for lo in range(0, g.m, TRIANGLE_SLAB):
+        if count >= budget:
+            break
+        span = later[lo:lo + TRIANGLE_SLAB]
+        e = np.repeat(eids[lo:lo + TRIANGLE_SLAB], span)
+        e_uz = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(span) - span, span)
+        key = g.edge_v[e] * g.n + g.edge_v[e_uz]
+        e_vz = np.minimum(np.searchsorted(keys, key), g.m - 1)
+        hit = keys[e_vz] == key
+        rows.append(np.column_stack((e, e_uz, e_vz))[hit])
+        count += int(hit.sum())
     return np.concatenate(rows)[:budget]
 
 

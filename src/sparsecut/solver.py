@@ -45,8 +45,10 @@ log = logging.getLogger("sparsecut")
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-9
-DEFAULT_ENUM_THRESHOLD = 10
-ENUM_CHUNK = 1 << 12     # bipartitions scored at once by enumerate_component
+# enumeration beats branch-and-cut up to about k = 21 alive vertices; see the
+# README for why the default stops at 15
+DEFAULT_ENUM_THRESHOLD = 15
+ENUM_CHUNK = 1 << 14     # bipartitions scored at once by enumerate_component
 TAILING_OFF_TOL = 1e-4   # a round that raises the bound less than this stalls
 TAILING_OFF_ROUNDS = 3   # this many stalled rounds in a row end a node
 
@@ -82,28 +84,46 @@ def _trivial_bound(g) -> float:
 def enumerate_component(g) -> tuple[CutSolution, float]:
     """Optimal cut by enumeration over 2^(k-1) bipartitions of the alive vertices.
 
-    The first alive vertex stays on side 0, and the first bipartition of
-    largest weight wins. ENUM_CHUNK bipartitions are scored per array
-    expression, which bounds the memory for a large ``enum_threshold``.
+    Alive vertex i takes bit i of the mask; the last one (bit k - 1) stays on
+    side 0, and the first bipartition of largest weight in mask order wins.
+    With ``s`` the 0/1 sides, a cut weighs ``d·s - 2 sᵀ U s`` for the weighted
+    degrees ``d`` and the edge matrix ``U``. The free bits split into a low
+    half A and a high half B, so a mask scores ``f_A(a) + f_B(b) - 2 aᵀ U_AB b``:
+    a block of at most ENUM_CHUNK masks is one matrix product and one argmax,
+    which bounds the memory whatever k is. Returns the cut and its weight.
     """
     alive = np.asarray(g.alive_vertices(), dtype=np.int64)
     k = len(alive)
     y = np.zeros(g.n, dtype=np.int8)
-    if k == 0:
-        return CutSolution.from_assignment(g, y), 0.0
     pos = np.zeros(g.n, dtype=np.int64)
     pos[alive] = np.arange(k)
-    eu, ev = pos[g.edge_u], pos[g.edge_v]
+    upper = np.zeros((k, k))
+    upper[pos[g.edge_u], pos[g.edge_v]] = g.edge_w  # alive order keeps u < v
+    deg = upper.sum(axis=0) + upper.sum(axis=1)
+    free = max(k - 1, 0)
+    na = min(free // 2, ENUM_CHUNK.bit_length() - 1)
+    nb = free - na
+
+    def half(masks, lo, hi):  # 0/1 sides and f of masks over the bits lo..hi-1
+        s = ((masks[:, None] >> np.arange(hi - lo)) & 1).astype(np.float64)
+        return s, s @ deg[lo:hi] - 2.0 * ((s @ upper[lo:hi, lo:hi]) * s).sum(axis=1)
+
+    s_a, f_a = half(np.arange(1 << na), 0, na)
+    cross = -2.0 * (s_a @ upper[:na, na:na + nb]).T  # (nb, 2^na)
+    rows = ENUM_CHUNK >> na
     best_mask, best_w = 0, -math.inf
-    for start in range(0, 1 << (k - 1), ENUM_CHUNK):
-        masks = np.arange(start, min(start + ENUM_CHUNK, 1 << (k - 1)))
-        sides = (masks[:, None] >> np.arange(k)) & 1
-        weights = (sides[:, eu] != sides[:, ev]) @ g.edge_w
-        i = int(np.argmax(weights))
-        if weights[i] > best_w:
-            best_mask, best_w = int(masks[i]), float(weights[i])
+    for start in range(0, 1 << nb, rows):
+        s_b, f_b = half(np.arange(start, min(start + rows, 1 << nb)), na, na + nb)
+        scores = s_b @ cross
+        scores += f_b[:, None]
+        scores += f_a
+        i = int(np.argmax(scores))  # row-major: mask order within the block
+        if scores.flat[i] > best_w:
+            row, col = divmod(i, 1 << na)
+            best_mask, best_w = (start + row) << na | col, scores.flat[i]
     y[alive] = (best_mask >> np.arange(k)) & 1
-    return CutSolution.from_assignment(g, y), best_w
+    sol = CutSolution.from_assignment(g, y)
+    return sol, sol.weight
 
 
 class ComponentSolver:

@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations used to freeze expected
 values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers, the LP's status codes,
-tolerances, error type and cut type, the triangle separator's degree cap and
-the exact separator's auxiliary graph."""
+tolerances, error type and cut type, the cut-solution container, the
+triangle separator's degree cap and the exact separator's auxiliary graph."""
 
 import heapq
 import itertools
@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from sparsecut.graph import CutSolution
 from sparsecut.lp import (
     AT_LOWER,
     AT_UPPER,
@@ -71,6 +72,31 @@ def all_optimal_cuts(n, edges):
         if abs(w - best_w) < 1e-9:
             out.append(y)
     return best_w, out
+
+
+def reference_enumerate(g, chunk=1 << 12):
+    """Chunked enumerator, frozen from the version that scored every
+    bipartition edge by edge: (cut, weight) over the 2^(k-1) bipartitions of
+    the alive vertices, the last of them on side 0, first maximum in mask
+    order (alive vertex i takes bit i)."""
+    alive = np.asarray(g.alive_vertices(), dtype=np.int64)
+    k = len(alive)
+    y = np.zeros(g.n, dtype=np.int8)
+    if k == 0:
+        return CutSolution.from_assignment(g, y), 0.0
+    pos = np.zeros(g.n, dtype=np.int64)
+    pos[alive] = np.arange(k)
+    eu, ev = pos[g.edge_u], pos[g.edge_v]
+    best_mask, best_w = 0, -math.inf
+    for start in range(0, 1 << (k - 1), chunk):
+        masks = np.arange(start, min(start + chunk, 1 << (k - 1)))
+        sides = (masks[:, None] >> np.arange(k)) & 1
+        weights = (sides[:, eu] != sides[:, ev]) @ g.edge_w
+        i = int(np.argmax(weights))
+        if weights[i] > best_w:
+            best_mask, best_w = int(masks[i]), float(weights[i])
+    y[alive] = (best_mask >> np.arange(k)) & 1
+    return CutSolution.from_assignment(g, y), best_w
 
 
 def brute_force_qubo(dimension, entries):
@@ -178,6 +204,31 @@ def cycle_vertices(g, eids):
             break
         verts.append(nxts[0])
     return verts
+
+
+def reference_triangle_table(g, budget, degree_cap=DEGREE_CAP):
+    """Per-edge triangle listing, frozen from the version that intersected
+    the two endpoints' neighbor lists edge by edge: the first ``budget``
+    rows (e, e_uz, e_vz), ordered by e then z, skipping edges with an
+    endpoint of degree above ``degree_cap``."""
+    rows = [np.empty((0, 3), dtype=np.int64)]
+    count = 0
+    for e in range(g.m):
+        u, v = int(g.edge_u[e]), int(g.edge_v[e])
+        if g.degree(u) > degree_cap or g.degree(v) > degree_cap:
+            continue
+        nu, eu, _ = g.incident(u)
+        nv, ev, _ = g.incident(v)
+        common, iu, iv = np.intersect1d(nu, nv, assume_unique=True,
+                                        return_indices=True)
+        above = common > v
+        k = int(above.sum())
+        if k:
+            rows.append(np.column_stack((np.full(k, e), eu[iu[above]], ev[iv[above]])))
+            count += k
+            if count >= budget:
+                break
+    return np.concatenate(rows)[:budget]
 
 
 def reference_separate_triangles(g, x, budget):

@@ -74,6 +74,33 @@ def test_oracle_equivalence_on_500_instances(corpus):
     assert time.monotonic() - start < 120.0
 
 
+def _count_branch_and_cut(monkeypatch):
+    """Record the vertex count of every component that branch-and-cut solves."""
+    calls = []
+    real = ComponentSolver.solve
+
+    def counting(self, initial=None):
+        calls.append(self.g.n)
+        return real(self, initial)
+
+    monkeypatch.setattr(ComponentSolver, "solve", counting)
+    return calls
+
+
+def test_oracle_equivalence_on_500_instances_by_branch_and_cut(corpus, monkeypatch):
+    """The corpus again, with components above 10 vertices left to
+    branch-and-cut instead of enumeration."""
+    calls = _count_branch_and_cut(monkeypatch)
+    start = time.monotonic()
+    cfg = Config(heur_restarts=2, enum_threshold=10)
+    for n, edges, best in corpus:
+        report = solve_maxcut(_raw(n, edges), cfg)
+        assert report.status == "optimal"
+        assert report.best_value == best, (n, edges)
+    assert calls
+    assert time.monotonic() - start < 120.0
+
+
 def test_separation_exactness_against_enumeration():
     start = time.monotonic()
     rng = random.Random(20_000)
@@ -100,6 +127,17 @@ def test_presolve_safety_on_the_oracle_corpus(corpus):
         on = solve_maxcut(raw, Config(heur_restarts=2))
         off = solve_maxcut(raw, Config(heur_restarts=2, presolve=False))
         assert on.best_value == off.best_value == best
+
+
+def test_presolve_safety_on_the_oracle_corpus_by_branch_and_cut(corpus, monkeypatch):
+    calls = _count_branch_and_cut(monkeypatch)
+    for n, edges, best in corpus:
+        raw = _raw(n, edges)
+        on = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=10))
+        off = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=10,
+                                       presolve=False))
+        assert on.best_value == off.best_value == best
+    assert calls
 
 
 def test_presolve_power_solves_flagship_triangles():

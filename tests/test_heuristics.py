@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,9 +180,9 @@ def test_burer_rank2_runs_one_restart_after_the_deadline(monkeypatch):
     calls = []
     real = heuristics._local_minimize
 
-    def counting(g, theta):
+    def counting(g, theta, deadline=None):
         calls.append(g.n)
-        return real(g, theta)
+        return real(g, theta, deadline)
 
     monkeypatch.setattr(heuristics, "_local_minimize", counting)
     rng = random.Random(26)
@@ -197,9 +198,9 @@ def _counting_descents(monkeypatch):
     real_min = heuristics._local_minimize
     real_kl = heuristics.kernighan_lin
 
-    def counting_min(g, theta):
+    def counting_min(g, theta, deadline=None):
         calls.append(None)
-        return real_min(g, theta)
+        return real_min(g, theta, deadline)
 
     def recording_kl(g, solution):
         out = real_kl(g, solution)
@@ -264,3 +265,28 @@ def test_local_minimize_ends_on_a_small_relative_decrease(monkeypatch):
     small_drop = before - after <= heuristics.REL_TOL * abs(after)
     small_moves = _circular_distance(after_sweep, theta).max() < heuristics.GRAD_TOL
     assert small_drop or small_moves
+
+
+def test_local_minimize_stops_after_the_sweep_that_passes_the_deadline(
+        monkeypatch):
+    """A clock that ticks once per read passes the deadline at the third
+    sweep's end: the descent is three sweeps. Without a deadline the clock
+    is never read."""
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return float(len(reads))
+
+    rng = random.Random(30)
+    g = WeightedGraph(40, random_graph(rng, 40, 0.2, integral=False))
+    start = np.random.default_rng(30).uniform(0, 2 * math.pi, size=g.n)
+    full = _local_minimize(g, start.copy())
+    monkeypatch.setattr(heuristics, "time", SimpleNamespace(monotonic=clock))
+    assert np.array_equal(_local_minimize(g, start.copy()), full)
+    assert reads == []
+    stopped = _local_minimize(g, start.copy(), deadline=3.0)
+    assert len(reads) == 3
+    monkeypatch.setattr(heuristics, "MAX_SWEEPS", 3)
+    assert np.array_equal(_local_minimize(g, start.copy()), stopped)
+    assert not np.array_equal(stopped, full)

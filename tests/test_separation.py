@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import sparsecut.separation as separation
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import CycleCut
 from sparsecut.separation import (
@@ -23,6 +24,7 @@ from oracles import (
     most_violated_cycle_inequality,
     random_graph,
     reference_separate_triangles,
+    reference_triangle_table,
     reference_twin_distance,
     torus_edges,
 )
@@ -324,3 +326,22 @@ def test_triangle_cuts_match_the_per_edge_reference():
                 want = reference_separate_triangles(g, x, budget)
                 assert [(c.edges, c.in_f) for c in got] == \
                     [(c.edges, c.in_f) for c in want]
+
+
+@pytest.mark.parametrize("cap, slab", [
+    (separation.DEGREE_CAP, separation.TRIANGLE_SLAB), (6, 3)])
+def test_triangle_table_matches_the_per_edge_reference(monkeypatch, cap, slab):
+    """Same rows in the same order as intersecting neighbor lists edge by
+    edge, under a small budget, a low degree cap and small slabs too."""
+    monkeypatch.setattr(separation, "DEGREE_CAP", cap)
+    monkeypatch.setattr(separation, "TRIANGLE_SLAB", slab)
+    rng = random.Random(92)
+    for _ in range(150):
+        n = rng.randint(0, 30)
+        edges = random_graph(rng, n, rng.uniform(0.05, 0.9)) if n > 1 else []
+        g = WeightedGraph(n, edges)
+        for budget in (0, 1, 7, 50_000):
+            want = reference_triangle_table(g, budget, cap)
+            got = triangle_table(g, budget)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (n, edges, budget)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -23,7 +24,13 @@ from sparsecut.solver import (
     solve_qubo,
 )
 
-from oracles import brute_force_maxcut, brute_force_qubo, random_graph, torus_edges
+from oracles import (
+    brute_force_maxcut,
+    brute_force_qubo,
+    random_graph,
+    reference_enumerate,
+    torus_edges,
+)
 
 
 def raw_from_edges(n, edges):
@@ -41,6 +48,42 @@ def test_enumerate_component_matches_brute_force():
         best, _ = brute_force_maxcut(n, edges)
         assert value == pytest.approx(best)
         assert sol.weight == pytest.approx(best)
+
+
+def _spread_graph(rng, k, integral=True):
+    """A random graph on k alive vertices scattered among isolated ones."""
+    n = k + rng.randint(0, 3)
+    ids = sorted(rng.sample(range(n), k))
+    edges = random_graph(rng, k, rng.uniform(0.2, 0.9), integral=integral)
+    return WeightedGraph(n, [(ids[u], ids[v], w) for u, v, w in edges])
+
+
+def test_enumerate_component_matches_the_chunked_reference():
+    """Same assignment and weight as scoring every bipartition edge by edge,
+    for k = 1 (no free vertex) and k = 2 (an empty A half) up to 18."""
+    rng = random.Random(59)
+    for k in range(1, 19):
+        for _ in range(3 if k > 14 else 8):
+            g = _spread_graph(rng, k)
+            sol, value = enumerate_component(g)
+            ref, ref_value = reference_enumerate(g)
+            assert np.array_equal(sol.y, ref.y), k
+            assert value == ref_value == sol.weight
+            g = _spread_graph(rng, k, integral=False)
+            sol, value = enumerate_component(g)
+            assert value == pytest.approx(reference_enumerate(g)[1])
+            assert value == sol.weight
+
+
+def test_enumerate_component_memory_is_bounded_by_the_chunk():
+    g = WeightedGraph(24, random_graph(random.Random(60), 24, 0.3))
+    tracemalloc.start()
+    try:
+        enumerate_component(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_branch_takes_the_heaviest_fractional_free_edge():
@@ -198,9 +241,9 @@ def test_heuristic_restarts_stop_at_the_time_limit(monkeypatch):
     local_calls, rank2_calls = [], []
     real_local, real_rank2 = heuristics._local_minimize, solver_mod.burer_rank2
 
-    def local(g, theta):
+    def local(g, theta, deadline=None):
         local_calls.append(g.n)
-        return real_local(g, theta)
+        return real_local(g, theta, deadline)
 
     def rank2(g, *args, **kwargs):
         rank2_calls.append(g.n)
@@ -243,7 +286,8 @@ def test_components_reached_after_the_deadline_run_no_rank2_or_lp(monkeypatch):
     blocks.append([(0, 1, 3.0), (1, 2, -1.0), (0, 2, 2.0)])  # enumerated
     edges = [(u + 12 * c, v + 12 * c, w)
              for c, block in enumerate(blocks) for u, v, w in block]
-    report = solve_maxcut(raw_from_edges(48, edges), Config(time_limit_s=1e-9))
+    report = solve_maxcut(raw_from_edges(48, edges),
+                          Config(time_limit_s=1e-9, enum_threshold=10))
     assert report.status == "time_limit"
     assert calls["rank2"] == calls["lp"] == 0 and calls["kl"] >= 3
     best = sum(brute_force_maxcut(12, block)[0] for block in blocks)

@@ -107,9 +107,9 @@ def main(argv=None) -> int:
     _configure_logging(force_info=args.presolve_stats)
 
     try:
-        with open(args.instance) as fh:
+        with open(args.instance, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,10 @@
-"""CSR graph representation, a mutable adjacency for signed contraction, and
-biconnected components.
+"""Weighted graph representation, a mutable adjacency for signed
+contraction, and biconnected components.
+
+``WeightedGraph`` alone knows how a graph is laid out. It keeps three views
+of its edges: the edge and CSR arrays for numpy code, ``arcs`` (per-vertex
+lists) for per-vertex Python loops, and ``edge_keys`` (sorted ``u * n + v``)
+for lookups by endpoints.
 
 Vertex ids are 0-based and stable under contraction: the absorbed endpoint
 simply becomes isolated, so reduction records can refer to vertex ids of the
@@ -9,6 +14,7 @@ graph they were produced on. Edge ids are only valid for one graph object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,27 +64,32 @@ class WeightedGraph:
 
     Isolated vertices are allowed (contraction leaves the absorbed vertex
     behind with empty adjacency). Edge ``e`` connects ``edge_u[e] < edge_v[e]``
-    with weight ``edge_w[e]``.
+    with weight ``edge_w[e]``; edges are sorted by (u, v). ``edges`` are
+    (u, v, w) rows in any orientation and order: triples or an (m, 3) array.
     """
 
     def __init__(self, num_vertices, edges):
         self.n = num_vertices
-        edges = sorted(
-            (u, v, w) if u <= v else (v, u, w) for u, v, w in edges
-        )
-        self.m = len(edges)
-        self.edge_index = {}
-        for e, (u, v, _) in enumerate(edges):
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"vertex id out of range in edge ({u}, {v})")
-            if (u, v) in self.edge_index:
-                raise ValueError(f"parallel edge ({u}, {v})")
-            self.edge_index[(u, v)] = e
-        self.edge_u = np.array([u for u, _, _ in edges], dtype=np.int64)
-        self.edge_v = np.array([v for _, v, _ in edges], dtype=np.int64)
-        self.edge_w = np.array([w for _, _, w in edges], dtype=np.float64)
+        rows = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+        ends = np.sort(rows[:, :2].astype(np.int64), axis=1)
+        u, v = ends[:, 0], ends[:, 1]
+        loops = np.flatnonzero(u == v)
+        if len(loops):
+            raise ValueError(f"self-loop at vertex {u[loops[0]]}")
+        bad = np.flatnonzero((u < 0) | (v >= self.n))
+        if len(bad):
+            raise ValueError(f"vertex id out of range in edge ({u[bad[0]]}, {v[bad[0]]})")
+        keys = u * self.n + v
+        order = np.argsort(keys, kind="stable")
+        self.m = len(order)
+        self.edge_u = u[order]
+        self.edge_v = v[order]
+        self.edge_w = rows[order, 2]
+        self.edge_keys = keys[order]
+        parallel = np.flatnonzero(self.edge_keys[1:] == self.edge_keys[:-1])
+        if len(parallel):
+            e = parallel[0]
+            raise ValueError(f"parallel edge ({self.edge_u[e]}, {self.edge_v[e]})")
 
         # both arcs of every edge, ordered by (tail, head), so that every
         # vertex's neighbor list is sorted
@@ -90,6 +101,16 @@ class WeightedGraph:
         self.csr_weights = self.edge_w[self.csr_eids]
         self.csr_offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=self.n), out=self.csr_offsets[1:])
+
+    @cached_property
+    def arcs(self):
+        """``arcs[v]``: the (neighbor, edge id, weight) of each arc leaving v,
+        in CSR order. Per-vertex loops over a few neighbors index these lists
+        far faster than numpy slices; built on first use and kept."""
+        offs = self.csr_offsets.tolist()
+        flat = list(zip(self.csr_heads.tolist(), self.csr_eids.tolist(),
+                        self.csr_weights.tolist()))
+        return [flat[offs[v]:offs[v + 1]] for v in range(self.n)]
 
     # -- queries ----------------------------------------------------------
 
@@ -106,29 +127,26 @@ class WeightedGraph:
         return self.csr_heads[lo:hi], self.csr_eids[lo:hi], self.csr_weights[lo:hi]
 
     def find_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return self.edge_index.get((u, v))
+        """Id of the edge joining u and v, or None."""
+        u, v = min(u, v), max(u, v)
+        e = int(np.searchsorted(self.edge_keys, u * self.n + v))
+        return e if e < self.m and self.edge_endpoints(e) == (u, v) else None
 
     def edge_endpoints(self, e):
         return int(self.edge_u[e]), int(self.edge_v[e])
 
     def edge_list(self):
-        return [
-            (int(self.edge_u[e]), int(self.edge_v[e]), float(self.edge_w[e]))
-            for e in range(self.m)
-        ]
+        return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
 
     def alive_vertices(self):
-        return [v for v in range(self.n) if self.degree(v) > 0]
+        """Ids of the vertices with at least one edge, ascending."""
+        return np.flatnonzero(np.diff(self.csr_offsets))
 
 
 def build_graph(raw) -> WeightedGraph:
     """Build a 0-based CSR graph from a parsed instance; zero edges dropped."""
-    edges = [
-        (u - 1, v - 1, float(w)) for u, v, w in raw.edges if abs(w) > ZERO_EPS
-    ]
-    return WeightedGraph(raw.num_vertices, edges)
+    rows = np.array(raw.edges, dtype=np.float64).reshape(-1, 3) - (1, 1, 0)
+    return WeightedGraph(raw.num_vertices, rows[np.abs(rows[:, 2]) > ZERO_EPS])
 
 
 def cut_weight(g: WeightedGraph, y) -> float:
@@ -234,31 +252,28 @@ def biconnected_components(g: WeightedGraph):
     Returns ``(components, articulation)`` where each component is a sorted
     list of edge ids. Bridges form single-edge components.
     """
-    if g.m == 0:
-        return [], []
-    visited = np.zeros(g.n, dtype=bool)
-    disc = np.zeros(g.n, dtype=np.int64)
-    low = np.zeros(g.n, dtype=np.int64)
+    arcs = g.arcs
+    visited = [False] * g.n
+    disc = [0] * g.n
+    low = [0] * g.n
     components = []
     articulation = set()
     timer = 0
 
     for root in range(g.n):
-        if visited[root] or g.degree(root) == 0:
+        if visited[root] or not arcs[root]:
             continue
         # iterative Hopcroft-Tarjan with an explicit edge stack
-        stack = [(root, -1, iter(range(g.csr_offsets[root], g.csr_offsets[root + 1])))]
+        stack = [(root, -1, iter(arcs[root]))]
         edge_stack = []
         visited[root] = True
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
         while stack:
-            v, parent_eid, arcs = stack[-1]
+            v, parent_eid, pending = stack[-1]
             advanced = False
-            for pos in arcs:
-                w = int(g.csr_heads[pos])
-                eid = int(g.csr_eids[pos])
+            for w, eid, _ in pending:
                 if eid == parent_eid:
                     continue
                 if not visited[w]:
@@ -268,9 +283,7 @@ def biconnected_components(g: WeightedGraph):
                     timer += 1
                     if v == root:
                         root_children += 1
-                    stack.append(
-                        (w, eid, iter(range(g.csr_offsets[w], g.csr_offsets[w + 1])))
-                    )
+                    stack.append((w, eid, iter(arcs[w])))
                     advanced = True
                     break
                 if disc[w] < disc[v]:
@@ -302,10 +315,9 @@ def biconnected_components(g: WeightedGraph):
 
 def induce_subgraph(g: WeightedGraph, edge_ids):
     """Compact subgraph on the given edges; returns (subgraph, local->parent map)."""
-    verts = sorted({int(g.edge_u[e]) for e in edge_ids} | {int(g.edge_v[e]) for e in edge_ids})
-    local = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (local[int(g.edge_u[e])], local[int(g.edge_v[e])], float(g.edge_w[e]))
-        for e in edge_ids
-    ]
-    return WeightedGraph(len(verts), edges), verts
+    eids = np.asarray(edge_ids, dtype=np.int64)
+    verts, local = np.unique(np.concatenate([g.edge_u[eids], g.edge_v[eids]]),
+                             return_inverse=True)
+    k = len(eids)
+    sub = WeightedGraph(len(verts), np.column_stack((local[:k], local[k:], g.edge_w[eids])))
+    return sub, verts.tolist()

@@ -24,21 +24,15 @@ def angular_energy(g, theta):
     return float(np.sum(g.edge_w * np.cos(theta[g.edge_u] - theta[g.edge_v])))
 
 
-def _csr_lists(g):
-    """(offsets, heads, weights) of the CSR as plain lists: per-vertex loops
-    over a few neighbors index lists far faster than numpy slices."""
-    return g.csr_offsets.tolist(), g.csr_heads.tolist(), g.csr_weights.tolist()
-
-
-def _flip_gain(v, y, offsets, heads, weights):
+def _flip_gain(v, y, arcs):
     """Change in cut weight when v moves to the other side under y."""
     same = diff = 0.0
     side = y[v]
-    for k in range(offsets[v], offsets[v + 1]):
-        if y[heads[k]] == side:
-            same += weights[k]
+    for u, _, w in arcs[v]:
+        if y[u] == side:
+            same += w
         else:
-            diff += weights[k]
+            diff += w
     return same - diff
 
 
@@ -47,7 +41,6 @@ def _local_minimize(g, theta, deadline=None):
     energy E; stops after a sweep that moves no angle by ``GRAD_TOL`` or
     lowers E by at most ``REL_TOL * |E|``, or in which ``time.monotonic()``
     passes ``deadline``."""
-    offsets, heads, weights = _csr_lists(g)
     angle = theta.tolist()
     # refreshed only when an angle moves, so a field needs no trig calls
     cos_a = [math.cos(t) for t in angle]
@@ -57,14 +50,12 @@ def _local_minimize(g, theta, deadline=None):
     for _ in range(MAX_SWEEPS):
         max_move = 0.0
         drop = 0.0
-        for v in range(g.n):
-            lo, hi = offsets[v], offsets[v + 1]
-            if lo == hi:
+        for v, nbrs in enumerate(g.arcs):
+            if not nbrs:
                 continue
             # optimal angle against the complex field of the neighbors
             re = im = 0.0
-            for k in range(lo, hi):
-                u, w = heads[k], weights[k]
+            for u, _, w in nbrs:
                 re += w * cos_a[u]
                 im += w * sin_a[u]
             size = math.hypot(re, im)
@@ -110,14 +101,14 @@ def _best_diameter_cut(g, theta):
 
     # events: passing a vertex angle flips that vertex out of the arc,
     # passing angle+pi flips it in; process in increasing angle order
-    offsets, heads, weights = _csr_lists(g)
+    arcs = g.arcs
     events = []
     for v, t in enumerate(theta.tolist()):
         events.append(((t - alpha) % (2 * math.pi), v))
         events.append(((t + math.pi - alpha) % (2 * math.pi), v))
     events.sort()
     for _, v in events:
-        weight += _flip_gain(v, y, offsets, heads, weights)
+        weight += _flip_gain(v, y, arcs)
         y[v] ^= 1
         if weight > best_w + 1e-12:
             best_w, best_y = weight, list(y)
@@ -129,17 +120,17 @@ def kernighan_lin(g, solution: CutSolution) -> CutSolution:
 
     Never returns a worse cut than its input.
     """
-    offsets, heads, weights = _csr_lists(g)
+    arcs = g.arcs
     y = solution.y.tolist()
     best_total = solution.weight
     n = g.n
     while True:
         gains = np.empty(n)
         for v in range(n):
-            if offsets[v] == offsets[v + 1]:
+            if not arcs[v]:
                 gains[v] = -np.inf  # isolated vertices never help
             else:
-                gains[v] = _flip_gain(v, y, offsets, heads, weights)
+                gains[v] = _flip_gain(v, y, arcs)
         # a locked vertex holds gain -inf, which the updates below keep, so
         # argmax (first maximum on ties) only picks unlocked vertices
         trial = list(y)
@@ -157,12 +148,11 @@ def kernighan_lin(g, solution: CutSolution) -> CutSolution:
             gains[v] = -np.inf
             trial_side = trial[v] ^ 1
             trial[v] = trial_side
-            for k in range(offsets[v], offsets[v + 1]):
-                u = heads[k]
+            for u, _, w in arcs[v]:
                 if trial[u] == trial_side:
-                    gains[u] += 2 * weights[k]
+                    gains[u] += 2 * w
                 else:
-                    gains[u] -= 2 * weights[k]
+                    gains[u] -= 2 * w
             if running - best_total > best_prefix_gain + 1e-12:
                 best_prefix_gain = running - best_total
                 best_prefix = len(flips)

@@ -5,13 +5,14 @@ File formats (plain text, whitespace separated, 1-based indices):
 * max-cut: header line ``n m``, followed by ``m`` lines ``u v w``.
 * QUBO:    header line ``n nnz``, followed by ``nnz`` lines ``i j q``.
 
-Lines starting with ``#`` or ``%`` are treated as comments. Duplicate
-edge/coefficient entries are merged by summation.
+Lines starting with ``#`` or ``%`` are treated as comments. Weights must be
+finite. Duplicate edge/coefficient entries are merged by summation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -148,7 +149,10 @@ def _read_triplets(text, words, key=lambda i, j, line_no: (i, j)):
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"{words.index} out of range in {words.item} "
                              f"({i}, {j})", line_no)
-        merged[pair] = merged.get(pair, 0.0) + value
+        value = merged.get(pair, 0.0) + value
+        if not math.isfinite(value):  # nan, inf, or a sum that overflows
+            raise ParseError(f"{words.item} ({i}, {j}) weight is not finite", line_no)
+        merged[pair] = value
         count += 1
     if count != k:
         raise ParseError(f"header announced {k} {words.items} but found {count}")

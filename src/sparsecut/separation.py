@@ -205,15 +205,7 @@ def extract_simple_cycles(walk: ClosedWalk):
     return out
 
 
-def _incidence_lists(g):
-    """Per-vertex lists of (neighbor, edge id) pairs, in CSR order."""
-    offs = g.csr_offsets.tolist()
-    arcs = list(zip(g.csr_heads.tolist(), g.csr_eids.tolist()))
-    return [arcs[offs[v]:offs[v + 1]] for v in range(g.n)]
-
-
-def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL,
-                        incidence=None):
+def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
     """Split a violated simple cycle along chords into chordless violated cuts.
 
     Uses prefix sums of the F-count and of the slack-form value for O(1)
@@ -221,7 +213,7 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL,
     size with index marking and re-decomposed until chordless. Returns the
     original cut when no chord yields a violated sub-cycle (then the cycle is
     necessarily chordless, as any chord splits the violation). Chords are
-    read from ``incidence`` (``_incidence_lists(g)``, built when not given).
+    read from ``g.arcs``.
     """
     k = len(eids)
     q = list(accumulate(((1.0 - x[e]) if flag else x[e]
@@ -230,13 +222,12 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL,
     if total_lhs >= 1.0 - queue_tol:
         return []
     f = list(accumulate(in_f, initial=0))
-    if incidence is None:
-        incidence = _incidence_lists(g)
+    arcs = g.arcs
 
     pos = {v: i for i, v in enumerate(verts)}
     candidates = []
     for b in range(k):
-        for nb, ceid in incidence[verts[b]]:
+        for nb, ceid, _ in arcs[verts[b]]:
             a = pos.get(nb)
             if a is None or a >= b:
                 continue
@@ -278,8 +269,7 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL,
                 marked[t] = True
             for t in range(a):
                 marked[t] = True
-        cuts.extend(chordless_decompose(sub_v, sub_e, sub_f, x, g, queue_tol,
-                                        incidence))
+        cuts.extend(chordless_decompose(sub_v, sub_e, sub_f, x, g, queue_tol))
     return cuts
 
 
@@ -298,14 +288,14 @@ def separate_exact(g, x, deadline=None):
         return []
     aux = build_aux_graph(g, x)
     xl = np.asarray(x, dtype=np.float64).tolist()
-    incidence = _incidence_lists(g)
+    arcs = g.arcs
     decomposed = set()
     seen = set()
     cuts: list[CycleCut] = []
     for v in range(g.n):
         if deadline is not None and time.monotonic() >= deadline:
             break
-        if not incidence[v]:
+        if not arcs[v]:
             continue
         found = twin_walk(aux, v)
         if found is None:
@@ -315,8 +305,7 @@ def separate_exact(g, x, deadline=None):
             if cycle in decomposed:
                 continue
             decomposed.add(cycle)
-            for cut in chordless_decompose(verts, eids, in_f, xl, g,
-                                           incidence=incidence):
+            for cut in chordless_decompose(verts, eids, in_f, xl, g):
                 key = cut.key()
                 if key not in seen:
                     seen.add(key)
@@ -342,7 +331,6 @@ def triangle_table(g, budget=TRIANGLE_BUDGET):
     eids = np.arange(g.m)
     later = np.searchsorted(g.edge_u, g.edge_u, side="right") - eids - 1
     later[(deg[g.edge_u] > DEGREE_CAP) | (deg[g.edge_v] > DEGREE_CAP)] = 0
-    keys = g.edge_u * g.n + g.edge_v
     rows = [np.empty((0, 3), dtype=np.int64)]
     count = 0
     for lo in range(0, g.m, TRIANGLE_SLAB):
@@ -352,8 +340,8 @@ def triangle_table(g, budget=TRIANGLE_BUDGET):
         e = np.repeat(eids[lo:lo + TRIANGLE_SLAB], span)
         e_uz = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(span) - span, span)
         key = g.edge_v[e] * g.n + g.edge_v[e_uz]
-        e_vz = np.minimum(np.searchsorted(keys, key), g.m - 1)
-        hit = keys[e_vz] == key
+        e_vz = np.minimum(np.searchsorted(g.edge_keys, key), g.m - 1)
+        hit = g.edge_keys[e_vz] == key
         rows.append(np.column_stack((e, e_uz, e_vz))[hit])
         count += int(hit.sum())
     return np.concatenate(rows)[:budget]

@@ -90,6 +90,14 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_undecodable_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.mc"
+    path.write_bytes(b"2 1\n1 2 \xff\n")
+    rc = main([str(path)])
+    assert rc == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_limit_hit_exit_code(tmp_path, capsys):
     # dense-ish random instance with a 1-node budget; if it still solves at
     # the root the status is optimal, otherwise exit code 2 with a gap

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -45,13 +46,24 @@ def test_csr_matches_a_per_vertex_scan_of_the_edge_list():
             )
             heads, eids, weights = g.incident(v)
             assert list(zip(heads.tolist(), eids.tolist(), weights.tolist())) == expected
+            assert g.arcs[v] == expected
+        ids = {(a, b): e for e, (a, b, _) in enumerate(g.edge_list())}
+        for a in range(-1, n + 1):
+            for b in range(-1, n + 1):
+                assert g.find_edge(a, b) == ids.get((min(a, b), max(a, b)))
 
 
 def test_rejects_self_loops_and_parallel_edges():
-    with pytest.raises(ValueError):
-        make(2, [(1, 1, 1.0)])
-    with pytest.raises(ValueError):
-        make(2, [(0, 1, 1.0), (1, 0, 2.0)])
+    cases = [
+        ([(1, 1, 1.0)], "self-loop at vertex 1"),
+        ([(0, 1, 1.0), (1, 0, 2.0)], "parallel edge (0, 1)"),
+        ([(0, 1, 1.0), (0, 1, 2.0)], "parallel edge (0, 1)"),
+        ([(0, 1, 1.0), (-1, 1, 2.0)], "out of range in edge (-1, 1)"),
+        ([(0, 1, 1.0), (2, 1, 2.0)], "out of range in edge (1, 2)"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(2, edges)
 
 
 def test_build_graph_drops_zero_weight_edges():
@@ -181,3 +193,21 @@ def test_induce_subgraph_keeps_weights_and_maps_vertices():
     sub, verts = induce_subgraph(g, [0, 2])
     assert verts == [0, 2, 4]
     assert sub.edge_list() == [(0, 1, 1.5), (1, 2, -2.0)]
+
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        g = make(n, random_graph(rng, n, 0.4, integral=False))
+        if g.m == 0:
+            continue
+        ids = rng.sample(range(g.m), rng.randint(1, g.m))
+        expected_verts = sorted({v for e in ids for v in g.edge_endpoints(e)})
+        local = {v: i for i, v in enumerate(expected_verts)}
+        expected_edges = []
+        for e in ids:
+            a, b = g.edge_endpoints(e)
+            expected_edges.append((local[a], local[b], float(g.edge_w[e])))
+        sub, verts = induce_subgraph(g, ids)
+        assert verts == expected_verts
+        assert sub.n == len(verts)
+        assert sub.edge_list() == sorted(expected_edges)

@@ -52,12 +52,22 @@ def test_parse_maxcut_percent_comments_and_blank_lines():
         ("2 2\n1 2 1\n", "announced 2 edges"),
         ("2 1\n1 2\n", "line 2"),
         ("x 1\n1 2 1\n", "line 1"),
+        ("2 1\n1 2 nan\n", "line 2: edge (1, 2) weight is not finite"),
+        ("2 1\n1 2 inf\n", "line 2: edge (1, 2) weight is not finite"),
+        ("2 1\n1 2 1e309\n", "line 2: edge (1, 2) weight is not finite"),
+        ("2 2\n1 2 1e308\n2 1 1e308\n", "line 3: edge (2, 1) weight is not finite"),
     ],
 )
 def test_parse_maxcut_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_maxcut(text)
     assert fragment in str(err.value)
+
+
+def test_parse_qubo_rejects_a_weight_that_is_not_finite():
+    with pytest.raises(ParseError) as err:
+        parse_qubo("2 2\n1 2 1\n1 1 1e309\n")
+    assert "line 3: entry (1, 1) weight is not finite" in str(err.value)
 
 
 def test_parse_qubo_basic():

@@ -176,7 +176,7 @@ def test_cut_aging_and_purge():
         engine.solve()
     assert engine.purge_cuts() == 1
     assert len(engine.pool) == 0
-    # solving still works after the basis reset
+    # solving still works after the purge, which keeps the basis
     state = engine.solve()
     assert state.objective == pytest.approx(4.0)
 

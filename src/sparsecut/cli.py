@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -40,7 +41,7 @@ def build_arg_parser():
     )
     p.add_argument("--time-limit", type=float, default=defaults.time_limit_s,
                    metavar="SEC",
-                   help="wall-clock limit in seconds (default %(default)s)")
+                   help="wall-clock limit in seconds, 0 for none (default %(default)s)")
     p.add_argument("--gap", type=float, default=defaults.gap_percent, metavar="PCT",
                    help="stop at this relative primal-dual gap in percent "
                    "(default %(default)s)")
@@ -102,7 +103,14 @@ def config_from_args(args) -> Config:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    try:
+        args = parser.parse_args(argv)
+        for name in ("time_limit", "gap", "node_limit", "enum_threshold"):
+            if not 0 <= getattr(args, name) < math.inf:
+                parser.error(f"--{name.replace('_', '-')} must be finite and >= 0")
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     # presolve statistics are logged at info level during the solve
     _configure_logging(force_info=args.presolve_stats)
 

@@ -2,9 +2,10 @@
 contraction, and biconnected components.
 
 ``WeightedGraph`` alone knows how a graph is laid out. It keeps three views
-of its edges: the edge and CSR arrays for numpy code, ``arcs`` (per-vertex
-lists) for per-vertex Python loops, and ``edge_keys`` (sorted ``u * n + v``)
-for lookups by endpoints.
+of its edges: the edge and CSR arrays (``csr_offsets``, ``csr_heads``,
+``csr_eids``, ``csr_weights``) for numpy code, ``arcs`` (per-vertex lists) for
+per-vertex Python loops, and ``edge_keys`` (sorted ``u * n + v``) for lookups
+by endpoints. It is immutable: contraction happens on ``Adjacency`` alone.
 
 Vertex ids are 0-based and stable under contraction: the absorbed endpoint
 simply becomes isolated, so reduction records can refer to vertex ids of the
@@ -112,20 +113,6 @@ class WeightedGraph:
                         self.csr_weights.tolist()))
         return [flat[offs[v]:offs[v + 1]] for v in range(self.n)]
 
-    # -- queries ----------------------------------------------------------
-
-    def degree(self, v):
-        return int(self.csr_offsets[v + 1] - self.csr_offsets[v])
-
-    def neighbors(self, v):
-        lo, hi = self.csr_offsets[v], self.csr_offsets[v + 1]
-        return self.csr_heads[lo:hi]
-
-    def incident(self, v):
-        """(neighbor ids, edge ids, weights) arrays for vertex v."""
-        lo, hi = self.csr_offsets[v], self.csr_offsets[v + 1]
-        return self.csr_heads[lo:hi], self.csr_eids[lo:hi], self.csr_weights[lo:hi]
-
     def find_edge(self, u, v):
         """Id of the edge joining u and v, or None."""
         u, v = min(u, v), max(u, v)
@@ -225,25 +212,6 @@ class Adjacency:
         return WeightedGraph(len(self.adj), [
             (u, v, w) for u, nbrs in enumerate(self.adj) for v, w in nbrs.items() if u < v
         ])
-
-
-def merge_vertices(g: WeightedGraph, keep, gone, opposite, trace=None):
-    """Merge ``gone`` into ``keep`` with ``Adjacency.merge`` and return the
-    new graph; ``g`` is unchanged."""
-    adj = Adjacency(g)
-    adj.merge(keep, gone, opposite, trace)
-    return adj.to_graph()
-
-
-def contract_edge(g: WeightedGraph, e, mode, trace=None):
-    """Contract edge ``e``; mode 'same_side' fixes x(e)=0, 'opposite_side' x(e)=1."""
-    if not (0 <= e < g.m):
-        raise ValueError(f"edge id {e} does not exist")
-    if mode not in ("same_side", "opposite_side"):
-        raise ValueError(f"unknown contraction mode {mode!r}")
-    u, v = g.edge_endpoints(e)
-    keep, gone = (u, v) if u < v else (v, u)  # lower-indexed endpoint survives
-    return merge_vertices(g, keep, gone, mode == "opposite_side", trace)
 
 
 def biconnected_components(g: WeightedGraph):

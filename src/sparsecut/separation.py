@@ -4,8 +4,9 @@ Exact separation (Barahona and Mahjoub, "On the cut polytope", Math. Prog.
 1986) searches a two-copy auxiliary graph: copy arcs carry weight x(e),
 crossing arcs 1 - x(e). A path from a vertex to its twin of length < 1
 corresponds to a violated cycle inequality; its crossing arcs form the odd
-set F. One Dijkstra search runs from every vertex. By the symmetry of the
-two copies it only searches to half the twin distance: two labels that are
+set F. The aux arcs are read from the graph's per-vertex lists ``g.arcs``.
+One Dijkstra search runs from every vertex. By the symmetry of the two
+copies it only searches to half the twin distance: two labels that are
 twins of each other close a walk to the twin, and the search stops once the
 shortest such walk is at most twice the radius. The walk it finds is
 projected to a closed walk in the base graph and split into simple cycles;
@@ -49,54 +50,37 @@ class ClosedWalk:
     in_f: list[bool]
 
 
-class AuxGraph:
-    """CSR over the 2n vertices of a two-copy auxiliary graph.
+def build_aux_graph(g, x):
+    """Arc lists of the two-copy auxiliary graph, read from ``g.arcs``.
 
-    Aux vertex v < n is base vertex v in the first copy and v + n is its twin
-    in the second. The arcs leaving ``v`` are ``offsets[v]:offsets[v + 1]``
-    of ``heads``, ``weights`` and ``edge_ids``.
-    """
-
-    def __init__(self, n, tails, heads, weights, edge_ids):
-        """``tails`` must be sorted."""
-        self.n = n
-        self.heads = heads
-        self.weights = weights
-        self.edge_ids = edge_ids
-        self.offsets = np.zeros(2 * n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=2 * n), out=self.offsets[1:])
-        # Python lists for the search: adjacency[v] = [(head, weight, edge id)]
-        out_arcs = list(zip(heads.tolist(), weights.tolist(), edge_ids.tolist()))
-        offs = self.offsets.tolist()
-        self.adjacency = [out_arcs[offs[v]:offs[v + 1]] for v in range(2 * n)]
-
-    def twin(self, v):
-        return v + self.n if v < self.n else v - self.n
-
-
-def build_aux_graph(g, x) -> AuxGraph:
-    """Two-copy auxiliary graph; arcs of weight >= 1 - EPS_SKIP are omitted.
-
-    Each vertex's arcs are ordered by edge id, copy arc before crossing arc.
+    Entry v < n holds the (head, weight, edge id) arcs leaving base vertex v,
+    entry v + n those of its twin. Arcs follow ``g.arcs``, which is edge-id
+    order; each edge gives its copy arc before its crossing arc, and arcs of
+    weight >= 1 - EPS_SKIP are omitted.
     """
     n = g.n
-    x = np.asarray(x, dtype=np.float64)
-    eids = np.arange(g.m)
-    copy = x < 1.0 - EPS_SKIP
-    cross = 1.0 - x < 1.0 - EPS_SKIP
-    u, v, e, w = g.edge_u[copy], g.edge_v[copy], eids[copy], x[copy]
-    cu, cv, ce, cw = g.edge_u[cross], g.edge_v[cross], eids[cross], 1.0 - x[cross]
-    tails = np.concatenate([u, v, u + n, v + n, cu, cv + n, cv, cu + n])
-    heads = np.concatenate([v, u, v + n, u + n, cv + n, cu, cu + n, cv])
-    weights = np.concatenate([w, w, w, w, cw, cw, cw, cw])
-    arc_eids = np.concatenate([e, e, e, e, ce, ce, ce, ce])
-    kind = np.repeat([0, 1], [4 * len(e), 4 * len(ce)])
-    order = np.lexsort((kind, arc_eids, tails))
-    return AuxGraph(n, tails[order], heads[order], weights[order], arc_eids[order])
+    xl = np.asarray(x, dtype=np.float64).tolist()
+    top = 1.0 - EPS_SKIP
+    base, twin = [], []
+    for arcs in g.arcs:
+        out, out_twin = [], []
+        for w, e, _ in arcs:
+            copy = xl[e]
+            cross = 1.0 - copy
+            if copy < top:
+                out.append((w, copy, e))
+                out_twin.append((w + n, copy, e))
+            if cross < top:
+                out.append((w + n, cross, e))
+                out_twin.append((w, cross, e))
+        base.append(out)
+        twin.append(out_twin)
+    return base + twin
 
 
-def twin_walk(aux: AuxGraph, source):
-    """Shortest path from ``source`` to its twin, if shorter than 1 - SEP_GATE.
+def twin_walk(aux, source):
+    """Shortest path from ``source`` to its twin in the arc lists ``aux`` of
+    ``build_aux_graph``, if shorter than 1 - SEP_GATE.
 
     Returns (length, closed walk) or None. The search runs to half that
     length only. The aux graph is symmetric under the copy swap σ and every
@@ -107,8 +91,7 @@ def twin_walk(aux: AuxGraph, source):
     path of length l, the arc (a, b) across l/2 has a and σb within l/2, and
     whichever of b and σb is labelled last closes l.
     """
-    n = aux.n
-    adjacency = aux.adjacency
+    n = len(aux) // 2
     dist = [math.inf] * (2 * n)
     pred = [None] * (2 * n)  # (tail, edge id) of the incoming arc
     dist[source] = 0.0
@@ -125,7 +108,7 @@ def twin_walk(aux: AuxGraph, source):
             continue
         if dv + dv >= ub:
             break
-        for w, weight, eid in adjacency[v]:
+        for w, weight, eid in aux[v]:
             cand = dv + weight
             if cand < dist[w]:
                 dist[w] = cand
@@ -143,10 +126,10 @@ def twin_walk(aux: AuxGraph, source):
     # s -> meet along the search tree, then the σ-mirror of the tree path
     # s -> σmeet walked backwards: σmeet ... s mirrors to meet ... σs
     out_v, out_e = _tree_path(pred, meet)
-    back_v, back_e = _tree_path(pred, aux.twin(meet))
+    back_v, back_e = _tree_path(pred, (meet + n) % (2 * n))
     out_v.reverse()
     out_e.reverse()
-    verts = out_v + [aux.twin(u) for u in back_v[1:]]
+    verts = out_v + [(u + n) % (2 * n) for u in back_v[1:]]
     eids = out_e + back_e
     in_f = [(verts[i] < n) != (verts[i + 1] < n) for i in range(len(eids))]
     return ub, ClosedWalk([u % n for u in verts], eids, in_f)
@@ -165,43 +148,30 @@ def _tree_path(pred, w):
     return verts, eids
 
 
-def _split_walk(walk: ClosedWalk):
-    """All simple cycles of a closed walk (stack splitting at vertex repeats)."""
-    cycles = []
-    stack_v = [walk.verts[0]]
-    stack_e: list[tuple[int, bool]] = []
-    pos = {walk.verts[0]: 0}
-    for i, (eid, flag) in enumerate(zip(walk.edge_ids, walk.in_f)):
-        v = walk.verts[i + 1]
-        stack_e.append((eid, flag))
-        if v in pos:
-            k = pos[v]
-            cyc_v = stack_v[k:]
-            cyc_e = stack_e[k:]
-            for u in stack_v[k + 1 :]:
-                del pos[u]
-            del stack_v[k + 1 :]
-            del stack_e[k:]
-            cycles.append((cyc_v, [e for e, _ in cyc_e], [f for _, f in cyc_e]))
-        else:
-            stack_v.append(v)
-            pos[v] = len(stack_v) - 1
-    return cycles
-
-
 def extract_simple_cycles(walk: ClosedWalk):
     """Simple cycles of the walk that can carry a cycle inequality.
 
+    The walk is split into simple cycles on a stack, at each vertex repeat.
     Degenerate two-edge cycles and cycles with an even number of crossing
     edges are discarded (no odd F can be formed from them).
     """
     out = []
-    for verts, eids, in_f in _split_walk(walk):
-        if len(eids) < 3:
+    verts, eids, in_f = [walk.verts[0]], [], []
+    pos = {walk.verts[0]: 0}
+    for v, eid, flag in zip(walk.verts[1:], walk.edge_ids, walk.in_f):
+        eids.append(eid)
+        in_f.append(flag)
+        k = pos.get(v)
+        if k is None:
+            pos[v] = len(verts)
+            verts.append(v)
             continue
-        if sum(in_f) % 2 == 0:
-            continue
-        out.append((verts, eids, in_f))
+        cycle = (verts[k:], eids[k:], in_f[k:])
+        for u in verts[k + 1:]:
+            del pos[u]
+        del verts[k + 1:], eids[k:], in_f[k:]
+        if len(cycle[1]) >= 3 and sum(cycle[2]) % 2 == 1:
+            out.append(cycle)
     return out
 
 
@@ -284,8 +254,6 @@ def separate_exact(g, x, deadline=None):
     the caller must check the clock before it reads an empty list as "no
     violated cut".
     """
-    if g.m == 0:
-        return []
     aux = build_aux_graph(g, x)
     xl = np.asarray(x, dtype=np.float64).tolist()
     arcs = g.arcs

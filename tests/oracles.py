@@ -2,7 +2,8 @@
 values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers, the LP's status codes,
 tolerances, error type and cut type, the cut-solution container, the
-triangle separator's degree cap and the exact separator's auxiliary graph."""
+triangle separator's degree cap and the arc lists that the exact separator
+builds for its two-copy auxiliary graph (``build_aux_graph``)."""
 
 import heapq
 import itertools
@@ -211,14 +212,17 @@ def reference_triangle_table(g, budget, degree_cap=DEGREE_CAP):
     the two endpoints' neighbor lists edge by edge: the first ``budget``
     rows (e, e_uz, e_vz), ordered by e then z, skipping edges with an
     endpoint of degree above ``degree_cap``."""
+    deg = np.diff(g.csr_offsets)
     rows = [np.empty((0, 3), dtype=np.int64)]
     count = 0
     for e in range(g.m):
         u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        if g.degree(u) > degree_cap or g.degree(v) > degree_cap:
+        if deg[u] > degree_cap or deg[v] > degree_cap:
             continue
-        nu, eu, _ = g.incident(u)
-        nv, ev, _ = g.incident(v)
+        su = slice(g.csr_offsets[u], g.csr_offsets[u + 1])
+        sv = slice(g.csr_offsets[v], g.csr_offsets[v + 1])
+        nu, eu = g.csr_heads[su], g.csr_eids[su]
+        nv, ev = g.csr_heads[sv], g.csr_eids[sv]
         common, iu, iv = np.intersect1d(nu, nv, assume_unique=True,
                                         return_indices=True)
         above = common > v
@@ -235,14 +239,15 @@ def reference_separate_triangles(g, x, budget):
     """Per-edge triangle separation, frozen from the version that listed a
     graph's triangles again on every call: violated cycle inequalities on the
     first ``budget`` triangles, all four odd F sets each."""
+    deg = np.diff(g.csr_offsets)
     cuts = []
     seen = set()
     count = 0
     for e in range(g.m):
         u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        if g.degree(u) > DEGREE_CAP or g.degree(v) > DEGREE_CAP:
+        if deg[u] > DEGREE_CAP or deg[v] > DEGREE_CAP:
             continue
-        common = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
+        common = np.intersect1d(_incident(g, u)[0], _incident(g, v)[0], assume_unique=True)
         for z in common:
             z = int(z)
             if z <= v:
@@ -265,13 +270,14 @@ def reference_separate_triangles(g, x, budget):
 
 def reference_twin_distance(aux, source):
     """Full-radius twin search, frozen from the version that searched to the
-    twin itself: Dijkstra over the aux graph's ``adjacency`` from ``source``
-    with the stop-at-1 and twin pruning rules. Returns the distance to the
-    twin, or inf when the search stops before reaching it."""
-    n = aux.n
+    twin itself: Dijkstra over the aux arc lists from ``source`` (twin of
+    aux vertex v is (v + n) mod 2n) with the stop-at-1 and twin pruning rules.
+    Returns the distance to the twin, or inf when the search stops before
+    reaching it."""
+    n = len(aux) // 2
     dist = [math.inf] * (2 * n)
     scanned = [False] * (2 * n)
-    target = aux.twin(source)
+    target = (source + n) % (2 * n)
     dist[source] = 0.0
     heap = [(0.0, 0, source)]
     pushes = 1
@@ -284,10 +290,10 @@ def reference_twin_distance(aux, source):
         scanned[v] = True
         if v == target:
             return dv
-        tw = aux.twin(v)
+        tw = (v + n) % (2 * n)
         if scanned[tw] and dv + dist[tw] >= 1.0:
             continue
-        for w, weight, _ in aux.adjacency[v]:
+        for w, weight, _ in aux[v]:
             cand = dv + weight
             if cand < dist[w]:
                 dist[w] = cand
@@ -302,8 +308,7 @@ def has_chord(g, verts):
     on_cycle = set(verts)
     pos = {v: i for i, v in enumerate(verts)}
     for i, v in enumerate(verts):
-        for u in g.neighbors(v):
-            u = int(u)
+        for u, _, _ in g.arcs[v]:
             if u not in on_cycle:
                 continue
             d = abs(pos[u] - i)

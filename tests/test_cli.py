@@ -84,6 +84,52 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "announced 5 edges" in captured.err
 
 
+def test_overflowing_total_weight_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.mc"
+    path.write_text("3 3\n1 2 1e308\n1 3 1e308\n2 3 1e308\n")
+    rc = main([str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "total |weight| of the edges exceeds 1e+300" in captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--bogus"],
+    ["--time-limit", "abc"],
+    ["--time-limit", "nan"],
+    ["--time-limit", "inf"],
+    ["--time-limit", "-1"],
+    ["--gap", "-0.5"],
+    ["--gap", "nan"],
+    ["--node-limit", "-1"],
+    ["--node-limit", "1.5"],
+    ["--enum-threshold", "-1"],
+])
+def test_usage_error_exit_code(tmp_path, capsys, extra):
+    path = tmp_path / "tri.mc"
+    path.write_text(MC_TRIANGLE)
+    rc = main([str(path), *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "usage: sparsecut" in captured.err and "error:" in captured.err
+
+
+def test_help_exit_code(capsys):
+    assert main(["--help"]) == 0
+    assert "0 for none" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [
+    ["--time-limit", "0"], ["--gap", "0"], ["--node-limit", "0"], ["--enum-threshold", "0"],
+])
+def test_zero_limits_are_accepted(tmp_path, capsys, extra):
+    rc, out = run_cli(tmp_path, capsys, MC_TRIANGLE, "tri.mc", extra)
+    assert rc == 0
+    assert json.loads(out)["best_value"] == 2.0
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     rc = main([str(tmp_path / "nope.mc")])
     assert rc == 1

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from sparsecut.graph import (
+    Adjacency,
     ReductionTrace,
     WeightedGraph,
     biconnected_components,
     build_graph,
-    contract_edge,
     cut_weight,
     induce_subgraph,
-    merge_vertices,
 )
 from sparsecut.instances import RawMaxCutInstance
 
@@ -25,10 +24,9 @@ def make(n, edges):
 
 def test_csr_adjacency_is_sorted_and_complete():
     g = make(4, [(0, 1, 1.0), (0, 3, 2.0), (1, 2, -1.0), (0, 2, 0.5)])
-    assert g.degree(0) == 3
-    assert list(g.neighbors(0)) == [1, 2, 3]
-    heads, eids, weights = g.incident(1)
-    assert list(heads) == [0, 2]
+    assert len(g.arcs[0]) == 3
+    assert [w for w, _, _ in g.arcs[0]] == [1, 2, 3]
+    assert [w for w, _, _ in g.arcs[1]] == [0, 2]
     assert g.find_edge(2, 1) == g.find_edge(1, 2)
     assert g.find_edge(1, 3) is None
 
@@ -44,8 +42,10 @@ def test_csr_matches_a_per_vertex_scan_of_the_edge_list():
             expected = sorted(
                 (b if a == v else a, e, w) for e, (a, b, w) in enumerate(g.edge_list()) if v in (a, b)
             )
-            heads, eids, weights = g.incident(v)
-            assert list(zip(heads.tolist(), eids.tolist(), weights.tolist())) == expected
+            lo, hi = g.csr_offsets[v], g.csr_offsets[v + 1]
+            csr = zip(g.csr_heads[lo:hi].tolist(), g.csr_eids[lo:hi].tolist(),
+                      g.csr_weights[lo:hi].tolist())
+            assert list(csr) == expected
             assert g.arcs[v] == expected
         ids = {(a, b): e for e, (a, b, _) in enumerate(g.edge_list())}
         for a in range(-1, n + 1):
@@ -82,9 +82,11 @@ def test_cut_weight_matches_direct_sum():
 def test_same_side_contraction_merges_parallel_edges():
     g = make(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 3.0)])
     trace = ReductionTrace()
-    g2 = contract_edge(g, g.find_edge(0, 1), "same_side", trace)
+    adj = Adjacency(g)
+    adj.merge(0, 1, opposite=False, trace=trace)
+    g2 = adj.to_graph()
     # vertex 1 absorbed into 0; its edge to 2 merges with (0, 2)
-    assert g2.degree(1) == 0
+    assert g2.arcs[1] == []
     assert g2.edge_list() == [(0, 2, 4.0)]
     assert trace.offset == 0.0
 
@@ -93,7 +95,9 @@ def test_opposite_side_contraction_negates_and_offsets():
     # path 0 -5- 1 -2- 2; contract the 5-edge to opposite sides
     g = make(3, [(0, 1, 5.0), (1, 2, 2.0)])
     trace = ReductionTrace()
-    g2 = contract_edge(g, g.find_edge(0, 1), "opposite_side", trace)
+    adj = Adjacency(g)
+    adj.merge(0, 1, opposite=True, trace=trace)
+    g2 = adj.to_graph()
     assert g2.edge_list() == [(0, 2, -2.0)]
     assert trace.offset == 7.0
     # reduced optimum 0 (edge negative, keep uncut) + offset 7 = original optimum
@@ -112,14 +116,16 @@ def test_trace_replay_composes_across_contractions():
             continue
         g = make(n, edges)
         trace = ReductionTrace()
-        h = g
-        # contract a few random edges with random modes
+        adj = Adjacency(g)
+        # contract a few random edges into their lower endpoint, each to the
+        # same side or to opposite sides at random
         for _ in range(rng.randint(1, n - 2)):
+            h = adj.to_graph()
             if h.m == 0:
                 break
-            e = rng.randrange(h.m)
-            mode = rng.choice(["same_side", "opposite_side"])
-            h = contract_edge(h, e, mode, trace)
+            keep, gone = h.edge_endpoints(rng.randrange(h.m))
+            adj.merge(keep, gone, rng.choice([False, True]), trace)
+        h = adj.to_graph()
         # the binding invariant: cut on the original = cut on the reduced + offset
         for _ in range(5):
             y_red = [rng.randint(0, 1) for _ in range(n)]
@@ -132,7 +138,9 @@ def test_trace_replay_composes_across_contractions():
 def test_merge_vertices_cancels_opposite_parallel_edges():
     g = make(3, [(0, 2, 1.0), (1, 2, 1.0)])
     trace = ReductionTrace()
-    g2 = merge_vertices(g, 0, 1, opposite=True, trace=trace)
+    adj = Adjacency(g)
+    adj.merge(0, 1, opposite=True, trace=trace)
+    g2 = adj.to_graph()
     # (1,2,1) negates to (0,2,-1) and cancels (0,2,1)
     assert g2.m == 0
     assert trace.offset == 1.0

@@ -124,7 +124,7 @@ def _hub_graphs(seed, count, integral):
                 key = (min(hub, v), max(hub, v))
                 edges.setdefault(key, float(rng.choice([-3, -2, -1, 1, 2, 3])))
         g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
-        assert g.degree(hub) >= 9 and all(g.degree(v) == 0 for v in isolated)
+        assert len(g.arcs[hub]) >= 9 and all(not g.arcs[v] for v in isolated)
         yield rng, g
 
 

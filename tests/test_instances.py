@@ -56,6 +56,7 @@ def test_parse_maxcut_percent_comments_and_blank_lines():
         ("2 1\n1 2 inf\n", "line 2: edge (1, 2) weight is not finite"),
         ("2 1\n1 2 1e309\n", "line 2: edge (1, 2) weight is not finite"),
         ("2 2\n1 2 1e308\n2 1 1e308\n", "line 3: edge (2, 1) weight is not finite"),
+        ("3 3\n1 2 1e308\n1 3 1e308\n2 3 1e308\n", "total |weight| of the edges exceeds 1e+300"),
     ],
 )
 def test_parse_maxcut_errors_carry_line_numbers(text, fragment):
@@ -68,6 +69,14 @@ def test_parse_qubo_rejects_a_weight_that_is_not_finite():
     with pytest.raises(ParseError) as err:
         parse_qubo("2 2\n1 2 1\n1 1 1e309\n")
     assert "line 3: entry (1, 1) weight is not finite" in str(err.value)
+
+
+def test_parse_qubo_rejects_a_total_weight_that_overflows():
+    with pytest.raises(ParseError) as err:
+        parse_qubo("2 3\n1 1 -1e308\n2 2 -1e308\n1 2 -1e308\n")
+    assert "total |weight| of the entries exceeds 1e+300" in str(err.value)
+    # the bound is on the total, inclusive
+    assert parse_qubo("2 2\n1 1 -5e299\n2 2 5e299\n").entries == [(1, 1, -5e299), (2, 2, 5e299)]
 
 
 def test_parse_qubo_basic():

@@ -203,7 +203,7 @@ def test_presolve_reaches_a_rule_fixpoint():
             edges.append((0, n, -0.5 * alpha))  # adjacent twins
         graphs.append(WeightedGraph(n + 1, edges))
     hubs = [_hub_image(rng, rng.randint(5, 14)) for _ in range(40)]
-    assert sum(g.degree(0) >= g.n - 2 for g in hubs) >= 30
+    assert sum(len(g.arcs[0]) >= g.n - 2 for g in hubs) >= 30
     merged = 0
     for g in graphs + hubs:
         reduced, trace, stats = presolve_loop(g)

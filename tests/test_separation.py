@@ -8,6 +8,7 @@ import sparsecut.separation as separation
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import CycleCut
 from sparsecut.separation import (
+    EPS_SKIP,
     SEP_GATE,
     ClosedWalk,
     build_aux_graph,
@@ -41,12 +42,41 @@ def test_aux_graph_omits_near_one_arcs():
     g, x = cycle_graph(3, 0.5)
     x[0] = 1.0 - 1e-9  # copy arcs for this edge are ~1 and must be skipped
     aux = build_aux_graph(g, x)
-    eids_from_arcs = set(int(e) for e in aux.edge_ids)
+    eids_from_arcs = set(e for arcs in aux for _, _, e in arcs)
     # edge 0 appears only through its crossing arcs
     assert 0 in eids_from_arcs
-    for pos in range(aux.offsets[0], aux.offsets[0 + 1]):
-        if int(aux.edge_ids[pos]) == 0:
-            assert aux.weights[pos] < 0.5
+    for _, weight, e in aux[0]:
+        if e == 0:
+            assert weight < 0.5
+
+
+def _scanned_aux_arcs(g, x):
+    """The aux arc lists by a scan of the edges in id order: for each edge
+    (u, v), its copy arcs u->v, v->u and their twins, then its crossing arcs
+    u->v', v->u' and their twins, each unless its weight is >= 1 - EPS_SKIP."""
+    n = g.n
+    aux = [[] for _ in range(2 * n)]
+    for e, (u, v, _) in enumerate(g.edge_list()):
+        xe = float(x[e])
+        if xe < 1.0 - EPS_SKIP:
+            for a, b in ((u, v), (v, u), (u + n, v + n), (v + n, u + n)):
+                aux[a].append((b, xe, e))
+        if 1.0 - xe < 1.0 - EPS_SKIP:
+            for a, b in ((u, v + n), (v, u + n), (u + n, v), (v + n, u)):
+                aux[a].append((b, 1.0 - xe, e))
+    return aux
+
+
+def test_aux_graph_matches_a_per_edge_scan():
+    rng = random.Random(17)
+    edge_values = [0.0, 1.0, 1e-9, 1.0 - 1e-9, 1.0 - EPS_SKIP, EPS_SKIP,
+                   math.nextafter(1.0 - EPS_SKIP, 0.0),
+                   math.nextafter(1.0 - EPS_SKIP, 1.0), 0.5]
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.2, 0.7)))
+        x = np.array([rng.choice(edge_values + [rng.random()]) for _ in range(g.m)])
+        assert build_aux_graph(g, x) == _scanned_aux_arcs(g, x)
 
 
 def test_dijkstra_finds_twin_path_on_violated_cycle():
@@ -168,8 +198,7 @@ def test_separate_exact_matches_enumeration_oracle():
     _exactness_check(seed=10, trials=40)
 
 
-@pytest.mark.parametrize("build", [build_aux_graph], ids=["plain"])
-def test_shortest_twin_distance_matches_most_violated_inequality(build):
+def test_shortest_twin_distance_matches_most_violated_inequality():
     # the twin distance, minimised over sources, is 1 - (largest violation)
     # on the plain two-copy graph, the one aux graph the separator searches
     rng = random.Random(15)
@@ -182,10 +211,10 @@ def test_shortest_twin_distance_matches_most_violated_inequality(build):
         g = WeightedGraph(n, edges)
         x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()])
                       for _ in range(g.m)])
-        aux = build(g, x)
+        aux = build_aux_graph(g, x)
         best = math.inf
         for v in range(n):
-            if g.degree(v) > 0:
+            if g.arcs[v]:
                 found = twin_walk(aux, v)
                 if found is not None:
                     best = min(best, found[0])

@@ -56,6 +56,10 @@ def main(argv=None):
     p.add_argument("--pattern", default="*", help="filename glob filter")
     p.add_argument("--csv", metavar="FILE", help="also write results as CSV")
     args = p.parse_args(argv)
+    try:
+        cfg = Config(time_limit_s=args.time_limit, seed=args.seed)
+    except ValueError as exc:  # a limit that is negative or not finite
+        p.error(str(exc))
 
     paths = sorted(
         q for q in Path(args.directory).glob(args.pattern)
@@ -65,7 +69,6 @@ def main(argv=None):
         print(f"no instances found in {args.directory}", file=sys.stderr)
         return 1
 
-    cfg = Config(time_limit_s=args.time_limit, seed=args.seed)
     rows = []
     header = ("instance", "format", "size", "nnz", "status", "best_value",
               "gap_percent", "bnb_nodes", "wall_time_s")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 
@@ -106,9 +105,10 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
-        for name in ("time_limit", "gap", "node_limit", "enum_threshold"):
-            if not 0 <= getattr(args, name) < math.inf:
-                parser.error(f"--{name.replace('_', '-')} must be finite and >= 0")
+        try:
+            cfg = config_from_args(args)
+        except ValueError as exc:  # a limit that is negative or not finite
+            parser.error(str(exc))
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     # presolve statistics are logged at info level during the solve
@@ -122,7 +122,6 @@ def main(argv=None) -> int:
         return 1
 
     fmt = args.format if args.format != "auto" else detect_format(args.instance, text)
-    cfg = config_from_args(args)
     try:
         if fmt == "bq":
             raw = parse_qubo(text)

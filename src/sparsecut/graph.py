@@ -2,10 +2,10 @@
 contraction, and biconnected components.
 
 ``WeightedGraph`` alone knows how a graph is laid out. It keeps three views
-of its edges: the edge and CSR arrays (``csr_offsets``, ``csr_heads``,
-``csr_eids``, ``csr_weights``) for numpy code, ``arcs`` (per-vertex lists) for
-per-vertex Python loops, and ``edge_keys`` (sorted ``u * n + v``) for lookups
-by endpoints. It is immutable: contraction happens on ``Adjacency`` alone.
+of its edges: the edge arrays and ``degrees`` for numpy code, ``arcs``
+(per-vertex lists) for per-vertex Python loops, and ``edge_keys`` (sorted
+``u * n + v``) for lookups by endpoints. It is immutable: contraction happens
+on ``Adjacency`` alone.
 
 Vertex ids are 0-based and stable under contraction: the absorbed endpoint
 simply becomes isolated, so reduction records can refer to vertex ids of the
@@ -61,12 +61,13 @@ class ReductionTrace:
 
 
 class WeightedGraph:
-    """Immutable simple undirected graph with weighted edges in CSR form.
+    """Immutable simple undirected graph with weighted edges.
 
     Isolated vertices are allowed (contraction leaves the absorbed vertex
     behind with empty adjacency). Edge ``e`` connects ``edge_u[e] < edge_v[e]``
-    with weight ``edge_w[e]``; edges are sorted by (u, v). ``edges`` are
-    (u, v, w) rows in any orientation and order: triples or an (m, 3) array.
+    with weight ``edge_w[e]``; edges are sorted by (u, v), and ``degrees[v]``
+    counts the edges at v. ``edges`` are (u, v, w) rows in any orientation
+    and order: triples or an (m, 3) array.
     """
 
     def __init__(self, num_vertices, edges):
@@ -91,27 +92,20 @@ class WeightedGraph:
         if len(parallel):
             e = parallel[0]
             raise ValueError(f"parallel edge ({self.edge_u[e]}, {self.edge_v[e]})")
-
-        # both arcs of every edge, ordered by (tail, head), so that every
-        # vertex's neighbor list is sorted
-        tails = np.concatenate([self.edge_u, self.edge_v])
-        heads = np.concatenate([self.edge_v, self.edge_u])
-        order = np.lexsort((heads, tails))
-        self.csr_heads = heads[order]
-        self.csr_eids = np.concatenate([np.arange(self.m, dtype=np.int64)] * 2)[order]
-        self.csr_weights = self.edge_w[self.csr_eids]
-        self.csr_offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=self.n), out=self.csr_offsets[1:])
+        self.degrees = np.bincount(np.concatenate([self.edge_u, self.edge_v]),
+                                   minlength=self.n)
 
     @cached_property
     def arcs(self):
         """``arcs[v]``: the (neighbor, edge id, weight) of each arc leaving v,
-        in CSR order. Per-vertex loops over a few neighbors index these lists
-        far faster than numpy slices; built on first use and kept."""
-        offs = self.csr_offsets.tolist()
-        flat = list(zip(self.csr_heads.tolist(), self.csr_eids.tolist(),
-                        self.csr_weights.tolist()))
-        return [flat[offs[v]:offs[v + 1]] for v in range(self.n)]
+        in edge-id order, which is neighbour order (each edge (h, v), h < v,
+        sorts before any (v, h')). Per-vertex loops over a few neighbors index
+        these lists far faster than numpy slices; built on first use, kept."""
+        arcs = [[] for _ in range(self.n)]
+        for e, (u, v, w) in enumerate(self.edge_list()):
+            arcs[u].append((v, e, w))
+            arcs[v].append((u, e, w))
+        return arcs
 
     def find_edge(self, u, v):
         """Id of the edge joining u and v, or None."""
@@ -127,11 +121,11 @@ class WeightedGraph:
 
     def alive_vertices(self):
         """Ids of the vertices with at least one edge, ascending."""
-        return np.flatnonzero(np.diff(self.csr_offsets))
+        return np.flatnonzero(self.degrees)
 
 
 def build_graph(raw) -> WeightedGraph:
-    """Build a 0-based CSR graph from a parsed instance; zero edges dropped."""
+    """Build a 0-based graph from a parsed instance; zero edges dropped."""
     rows = np.array(raw.edges, dtype=np.float64).reshape(-1, 3) - (1, 1, 0)
     return WeightedGraph(raw.num_vertices, rows[np.abs(rows[:, 2]) > ZERO_EPS])
 

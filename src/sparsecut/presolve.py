@@ -8,8 +8,8 @@ visited vertex the rules are tried in ``RULE_NAMES`` order on the current
 graph and the first site that applies is contracted. Whether a rule applies
 at a site depends only on the edges and |w|-degree sums of its vertices, and
 a contraction touches every vertex whose edges or sums change, so a round
-that contracts nothing leaves no site where a rule applies. The CSR graph is
-built once, at the end.
+that contracts nothing leaves no site where a rule applies. The
+``WeightedGraph`` is built once, at the end.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass, field
 
 from .graph import Adjacency, ReductionTrace, WeightedGraph
+from .separation import DEGREE_CAP
 
 REL_TOL = 1e-9
-TRIANGLE_DEGREE_CAP = 512
 
 RULE_NAMES = ("dominating_edge", "triangle_zero", "triangle_one", "symmetry_merge")
 
@@ -64,7 +64,7 @@ def rule_dominating_edge(g):
 
 def _triangles_at(a, v):
     """Triangles through ``v``, each once as (x, y, z) with x < y < z, whose
-    two lowest vertices have degree at most ``TRIANGLE_DEGREE_CAP``."""
+    two lowest vertices have degree at most separation's ``DEGREE_CAP``."""
     adj = a.adj
     nv = adj[v]
     for y in nv:
@@ -72,7 +72,7 @@ def _triangles_at(a, v):
         for z in (nv if len(nv) <= len(ny) else ny):
             if z > y and z in nv and z in ny:
                 x, y2, z2 = sorted((v, y, z))
-                if len(adj[x]) <= TRIANGLE_DEGREE_CAP and len(adj[y2]) <= TRIANGLE_DEGREE_CAP:
+                if len(adj[x]) <= DEGREE_CAP and len(adj[y2]) <= DEGREE_CAP:
                     yield x, y2, z2
 
 

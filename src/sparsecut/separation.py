@@ -34,7 +34,7 @@ SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
 EMIT_TOL = 1e-9        # emitted cuts must have slack-form value < 1 - EMIT_TOL
 TRIANGLE_BUDGET = 50_000
 TRIANGLE_SLAB = 512    # edges whose wedges triangle_table lists at once
-DEGREE_CAP = 512
+DEGREE_CAP = 512       # skip triangles with one of the two lowest degrees above it
 
 
 @dataclass
@@ -295,7 +295,7 @@ def triangle_table(g, budget=TRIANGLE_BUDGET):
     TRIANGLE_SLAB edges at a time, which bounds the memory, until the budget
     is met.
     """
-    deg = np.diff(g.csr_offsets)
+    deg = g.degrees
     eids = np.arange(g.m)
     later = np.searchsorted(g.edge_u, g.edge_u, side="right") - eids - 1
     later[(deg[g.edge_u] > DEGREE_CAP) | (deg[g.edge_v] > DEGREE_CAP)] = 0

@@ -66,6 +66,12 @@ class Config:
     heuristics: bool = True
     heur_restarts: int = DEFAULT_RESTARTS
 
+    def __post_init__(self):
+        # 0 is no limit; nan never expires and a negative limit has expired
+        for name in ("time_limit_s", "gap_percent", "node_limit", "enum_threshold"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+
 
 @dataclass
 class SolveStats:
@@ -146,9 +152,6 @@ class ComponentSolver:
         if self.best is None or sol.weight > self.best.weight + PRUNE_TOL:
             self.best = sol
 
-    def _incumbent_value(self):
-        return -math.inf if self.best is None else self.best.weight
-
     # -- main loop ---------------------------------------------------------
 
     def solve(self, initial: CutSolution | None = None):
@@ -172,23 +175,19 @@ class ComponentSolver:
                 status = self._stop_status()
                 break
             neg_bound, _, fixed = heapq.heappop(heap)
-            inc = self._incumbent_value()
+            inc = self.best.weight
             if -neg_bound <= inc + PRUNE_TOL:
                 continue  # bound from the parent already dominated
-            if self._gap_closed(-neg_bound, inc):
+            if _gap_percent(inc, -neg_bound) <= cfg.gap_percent + 1e-12:
                 status = "gap_limit" if cfg.gap_percent > 0 else "optimal"
                 heap = []
                 break
             self.stats.nodes += 1
-            outcome, children = self._process_node(-neg_bound, fixed)
-            for bound, child_fixed in children:
+            for bound, child_fixed in self._process_node(-neg_bound, fixed):
                 counter += 1
                 heapq.heappush(heap, (-bound, counter, child_fixed))
-            if outcome == "abort":
-                status = self._stop_status()
-                break
 
-        dual = self._incumbent_value()
+        dual = self.best.weight
         if heap:
             # a root stopped before its first LP still carries bound +inf
             open_bound = min(max(-item[0] for item in heap), _trivial_bound(g))
@@ -206,21 +205,16 @@ class ComponentSolver:
     def _stop_status(self):
         return "time_limit" if self._past_deadline() else "node_limit"
 
-    def _gap_closed(self, dual, primal):
-        if primal == -math.inf:
-            return False
-        return _gap_percent(primal, dual) <= self.cfg.gap_percent + 1e-12
-
     # -- node processing ---------------------------------------------------
 
     def _process_node(self, parent_bound, fixed):
-        """Cutting-plane loop at one node; returns (outcome, children), each
-        child a (bound, fixings) pair.
+        """Cutting-plane loop at one node; returns its children, each a
+        (bound, fixings) pair.
 
-        On "abort" (the deadline passed, between rounds or inside an LP
-        solve or exact separation) the only child is the node itself,
-        re-queued at the smaller of ``parent_bound`` and its last effective
-        LP bound.
+        When the deadline passes (between rounds or inside an LP solve or
+        exact separation) the only child is the node itself, re-queued at the
+        smaller of ``parent_bound`` and its last effective LP bound; the
+        solve loop then stops at its deadline check.
         """
         g, cfg = self.g, self.cfg
         lb = np.zeros(g.m)
@@ -232,22 +226,22 @@ class ComponentSolver:
         rounds = 0
         while True:
             if self._past_deadline():
-                return "abort", [(min(parent_bound, eff), fixed)]
+                return [(min(parent_bound, eff), fixed)]
             for e, val in fixed.items():
                 lb[e] = ub[e] = float(val)
             state = self.engine.solve(lb, ub)
             self.stats.lp_solves += 1
             if state.expired:
-                return "abort", [(min(parent_bound, eff), fixed)]
+                return [(min(parent_bound, eff), fixed)]
             if not state.feasible:
-                return "pruned", []
+                return []
             bound = state.objective
-            inc = self._incumbent_value()
+            inc = self.best.weight
             eff = effective_bound(bound, self.integral)
             if eff <= inc + PRUNE_TOL:
-                return "pruned", []
+                return []
 
-            if cfg.propagation and inc > -math.inf:
+            if cfg.propagation:
                 new_fixed, _ = propagate(
                     g, state, bound, inc, lb, ub, fixed, self.integral
                 )
@@ -265,7 +259,7 @@ class ComponentSolver:
             if not cuts:
                 cuts = separate_exact(g, state.x, self.deadline)
                 if self._past_deadline():  # the list may be cut short
-                    return "abort", [(min(parent_bound, eff), fixed)]
+                    return [(min(parent_bound, eff), fixed)]
             cuts.sort(key=lambda c: -c.violation(state.x))
             added = self.engine.add_cuts(cuts[: 2 * g.n])  # the most violated
             rounds += 1
@@ -280,11 +274,11 @@ class ComponentSolver:
             # already in the pool), or the bound has stalled at a fractional x
             if not added or (tail >= TAILING_OFF_ROUNDS and not x_integral):
                 if not x_integral:
-                    return "branched", self._branch(state, fixed, bound)
+                    return self._branch(state, fixed, bound)
                 if not cfg.heuristics:
                     # the point is the incidence vector of a cut: certify it
                     self._offer(spanning_tree_rounding(g, state.x))
-                return "pruned", []
+                return []
 
     def _branch(self, state, fixed, bound):
         """Two children, each with one more edge fixed (down child first).

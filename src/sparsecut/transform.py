@@ -20,11 +20,9 @@ from .instances import RawMaxCutInstance, RawQuboInstance
 
 @dataclass(frozen=True)
 class TransformCertificate:
-    direction: str  # "qubo_to_mc" | "mc_to_qubo"
     constant_offset: float
     sign: float
     root_vertex: int  # 1-based id of the pinned vertex (qubo_to_mc only)
-    note: str = ""
 
 
 def _collect_coefficients(q: RawQuboInstance):
@@ -73,11 +71,9 @@ def qubo_to_maxcut(q: RawQuboInstance):
         all_integral=all(float(w).is_integer() for _, _, w in edges),
     )
     cert = TransformCertificate(
-        direction="qubo_to_mc",
         constant_offset=0.0,
         sign=-1.0,
         root_vertex=1,
-        note="x_i x_j = (x_i + x_j - [x_i != x_j]) / 2 with root pinned to side 0",
     )
     return instance, cert
 
@@ -112,11 +108,9 @@ def maxcut_to_qubo(g: RawMaxCutInstance):
 
     instance = RawQuboInstance(dimension=max(n, 1), entries=entries)
     cert = TransformCertificate(
-        direction="mc_to_qubo",
         constant_offset=0.0,
         sign=-1.0,
         root_vertex=1,
-        note="vertex 1 pinned to side 0; variable i is the side of vertex i+1",
     )
     return instance, cert
 

@@ -212,17 +212,14 @@ def reference_triangle_table(g, budget, degree_cap=DEGREE_CAP):
     the two endpoints' neighbor lists edge by edge: the first ``budget``
     rows (e, e_uz, e_vz), ordered by e then z, skipping edges with an
     endpoint of degree above ``degree_cap``."""
-    deg = np.diff(g.csr_offsets)
+    incident = _incident(g)
     rows = [np.empty((0, 3), dtype=np.int64)]
     count = 0
     for e in range(g.m):
         u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        if deg[u] > degree_cap or deg[v] > degree_cap:
+        (nu, eu, _), (nv, ev, _) = incident[u], incident[v]
+        if len(nu) > degree_cap or len(nv) > degree_cap:
             continue
-        su = slice(g.csr_offsets[u], g.csr_offsets[u + 1])
-        sv = slice(g.csr_offsets[v], g.csr_offsets[v + 1])
-        nu, eu = g.csr_heads[su], g.csr_eids[su]
-        nv, ev = g.csr_heads[sv], g.csr_eids[sv]
         common, iu, iv = np.intersect1d(nu, nv, assume_unique=True,
                                         return_indices=True)
         above = common > v
@@ -239,15 +236,16 @@ def reference_separate_triangles(g, x, budget):
     """Per-edge triangle separation, frozen from the version that listed a
     graph's triangles again on every call: violated cycle inequalities on the
     first ``budget`` triangles, all four odd F sets each."""
-    deg = np.diff(g.csr_offsets)
+    incident = _incident(g)
     cuts = []
     seen = set()
     count = 0
     for e in range(g.m):
         u, v = int(g.edge_u[e]), int(g.edge_v[e])
-        if deg[u] > DEGREE_CAP or deg[v] > DEGREE_CAP:
+        nu, nv = incident[u][0], incident[v][0]
+        if len(nu) > DEGREE_CAP or len(nv) > DEGREE_CAP:
             continue
-        common = np.intersect1d(_incident(g, u)[0], _incident(g, v)[0], assume_unique=True)
+        common = np.intersect1d(nu, nv, assume_unique=True)
         for z in common:
             z = int(z)
             if z <= v:
@@ -319,11 +317,22 @@ def has_chord(g, verts):
 
 # -- reference copies of the numpy per-vertex primal heuristics -------------
 # Frozen from the implementation they were rewritten from; the rewrite must
-# follow the same search. They read only the CSR arrays of the graph.
+# follow the same search. They read the graph's adjacency from ``_incident``.
 
-def _incident(g, v):
-    lo, hi = g.csr_offsets[v], g.csr_offsets[v + 1]
-    return g.csr_heads[lo:hi], g.csr_weights[lo:hi]
+def _incident(g):
+    """(heads, edge ids, weights) of the arcs at each vertex, sorted by head:
+    numpy slices of a CSR layout built from the edge arrays alone, so the
+    references share no adjacency code with ``WeightedGraph.arcs``."""
+    tails = np.concatenate([g.edge_u, g.edge_v])
+    heads = np.concatenate([g.edge_v, g.edge_u])
+    order = np.lexsort((heads, tails))
+    heads = heads[order]
+    eids = np.concatenate([np.arange(g.m)] * 2)[order]
+    weights = g.edge_w[eids]
+    offsets = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=g.n), out=offsets[1:])
+    return [(heads[lo:hi], eids[lo:hi], weights[lo:hi])
+            for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
 def _cut_value(g, y):
@@ -339,11 +348,12 @@ def reference_local_minimize(g, theta, grad_tol=1e-4, rel_tol=1e-5,
     """Gauss-Seidel angle sweeps with one complex numpy field per vertex; the
     energy decrease of each sweep is recomputed from scratch."""
     theta = np.array(theta, dtype=float)
+    incident = _incident(g)
     for _ in range(max_sweeps):
         before = _energy(g, theta)
         max_move = 0.0
         for v in range(g.n):
-            heads, weights = _incident(g, v)
+            heads, _, weights = incident[v]
             if len(heads) == 0:
                 continue
             field = np.sum(weights * np.exp(1j * theta[heads]))
@@ -373,8 +383,9 @@ def reference_best_diameter_cut(g, theta):
         events.append(((theta[v] - alpha) % (2 * math.pi), v))
         events.append(((theta[v] + math.pi - alpha) % (2 * math.pi), v))
     events.sort()
+    incident = _incident(g)
     for _, v in events:
-        heads, weights = _incident(g, v)
+        heads, _, weights = incident[v]
         same = weights[y[heads] == y[v]].sum()
         diff = weights[y[heads] != y[v]].sum()
         weight += same - diff
@@ -389,10 +400,11 @@ def reference_kernighan_lin(g, y):
     y = np.array(y, dtype=np.int8)
     best_total = _cut_value(g, y)
     n = g.n
+    incident = _incident(g)
     while True:
         gains = np.zeros(n)
         for v in range(n):
-            heads, weights = _incident(g, v)
+            heads, _, weights = incident[v]
             if len(heads) == 0:
                 gains[v] = -np.inf
                 continue
@@ -413,7 +425,7 @@ def reference_kernighan_lin(g, y):
             running += gains[v]
             flips.append(v)
             locked[v] = True
-            heads, weights = _incident(g, v)
+            heads, _, weights = incident[v]
             trial_side = trial[v] ^ 1
             trial[v] = trial_side
             for u, w in zip(heads, weights):

@@ -111,7 +111,7 @@ def test_spanning_tree_rounding_handles_fractional_points():
 def _hub_graphs(seed, count, integral):
     """Random graphs with n <= 14, a hub of degree >= 9 at a random vertex and
     two isolated vertices, so sums over the hub run past numpy's 8-way
-    unrolled block and vertex loops meet empty CSR rows."""
+    unrolled block and vertex loops meet empty arc lists."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(12, 14)

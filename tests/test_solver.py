@@ -492,3 +492,19 @@ def test_deadline_stops_the_simplex_mid_solve(monkeypatch):
     assert expire_at < pivots[0] <= expire_at + _BoundedSimplex.DEADLINE_EVERY
     assert report.status == "time_limit"
     assert math.isfinite(report.primal_dual_gap_percent)
+
+
+@pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+def test_config_rejects_limits_that_are_negative_or_not_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        Config(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold"])
+def test_config_zero_means_no_limit(name):
+    """0 is no limit: a 10 x 10 torus is still solved to optimality."""
+    raw = raw_from_edges(100, torus_edges(random.Random(7), 10))
+    report = solve_maxcut(raw, Config(**{name: 0}))
+    assert report.status == "optimal"
+    assert report.best_value == 66.0

@@ -62,8 +62,6 @@ def build_arg_parser():
                    help="write the JSON report to FILE instead of stdout")
     p.add_argument("--write-solution", action="store_true",
                    help="include the full partition in the report")
-    p.add_argument("--presolve-stats", action="store_true",
-                   help="print presolve statistics to stderr")
     p.add_argument("--no-presolve", action="store_true",
                    help="disable the reduction rules")
     p.add_argument("--no-propagation", action="store_true",
@@ -77,12 +75,10 @@ def build_arg_parser():
     return p
 
 
-def _configure_logging(force_info=False):
+def _configure_logging():
     level_name = os.environ.get("SOLVER_LOG", "info").lower()
     levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
     level = levels.get(level_name, logging.INFO)
-    if force_info:
-        level = min(level, logging.INFO)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
 
 
@@ -111,8 +107,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
-    # presolve statistics are logged at info level during the solve
-    _configure_logging(force_info=args.presolve_stats)
+    _configure_logging()
 
     try:
         with open(args.instance, encoding="utf-8") as fh:
@@ -135,7 +130,7 @@ def main(argv=None) -> int:
 
     if not args.write_solution:
         report.partition = {}
-    rendered = write_report(report, format="json")
+    rendered = write_report(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)

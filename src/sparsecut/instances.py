@@ -202,30 +202,18 @@ def write_qubo(instance: RawQuboInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: ResultReport, format: str = "text") -> str:
-    """Serialize a result report deterministically as JSON or plain text."""
-    if format == "json":
-        # a stable key order, documented in the README
-        payload = {
-            "status": report.status,
-            "best_value": report.best_value,
-            "primal_dual_gap_percent": report.primal_dual_gap_percent,
-            "bnb_nodes": report.bnb_nodes,
-            "wall_time_s": report.wall_time_s,
-            "partition": {str(k): report.partition[k] for k in sorted(report.partition)},
-        }
-        return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
-    if format == "text":
-        value = _format_number(report.best_value)
-        lines = [
-            f"status: {report.status}",
-            f"best_value: {value}",
-            f"primal_dual_gap_percent: {report.primal_dual_gap_percent:.6g}",
-            f"bnb_nodes: {report.bnb_nodes}",
-            f"wall_time_s: {report.wall_time_s:.3f}",
-        ]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
+def write_report(report: ResultReport) -> str:
+    """Serialize a result report deterministically as strict JSON."""
+    # a stable key order, documented in the README
+    payload = {
+        "status": report.status,
+        "best_value": report.best_value,
+        "primal_dual_gap_percent": report.primal_dual_gap_percent,
+        "bnb_nodes": report.bnb_nodes,
+        "wall_time_s": report.wall_time_s,
+        "partition": {str(k): report.partition[k] for k in sorted(report.partition)},
+    }
+    return json.dumps(payload, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def read_report_json(text) -> ResultReport:

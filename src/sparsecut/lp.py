@@ -11,7 +11,7 @@ bounds, a solve starts from the previous basis without a phase 1. The inverse
 is carried across solves, new bounds, added cuts (bordered) and purged cuts
 whose slacks are basic; the slack identity is never multiplied, and the
 duals are updated along the pivot row and priced exactly before a solve
-returns.
+returns. A solve still running at its deadline raises :class:`TimeUp`.
 
 Reduced-cost sign convention (maximization): nonbasic-at-lower variables have
 reduced cost <= 0, nonbasic-at-upper >= 0, basic exactly 0. Forcing a nonbasic
@@ -42,6 +42,11 @@ log = logging.getLogger("sparsecut")
 
 class LpError(RuntimeError):
     """Unrecoverable numerical failure in the LP engine."""
+
+
+class TimeUp(Exception):
+    """The deadline passed before the work finished: it gives no result.
+    Not an LpError, so the cold restart never retries it."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,6 @@ class LpState:
     basis_status: np.ndarray  # BASIC / AT_LOWER / AT_UPPER per edge
     iterations: int
     feasible: bool = True
-    expired: bool = False     # the deadline passed mid-solve: no bound
 
 
 @dataclass
@@ -200,7 +204,8 @@ class _BoundedSimplex:
 
     def solve(self):
         """Dual simplex from the warm (else slack) basis. Returns True at an
-        optimum, False if infeasible, and None if the deadline passed.
+        optimum and False if infeasible; raises TimeUp once the deadline has
+        passed, looking at the clock every DEADLINE_EVERY pivots.
 
         After BLAND_AFTER degenerate pivots in a row, Bland's rule picks the
         rows and columns until a pivot makes progress, and the edge costs are
@@ -244,7 +249,7 @@ class _BoundedSimplex:
                 raise LpError("simplex iteration limit exceeded")
             if self.iterations % self.DEADLINE_EVERY == self.DEADLINE_EVERY - 1 and (
                     self.deadline is not None and time.monotonic() >= self.deadline):
-                return None
+                raise TimeUp
             bland = stall > self.BLAND_AFTER
             if bland and not perturbed:
                 d = self._make_dual_feasible(perturb=True)
@@ -376,8 +381,8 @@ class _BoundedSimplex:
 
 class LpEngine:
     """Cut-pool LP for one max-cut (sub)instance; owns pool and warm basis.
-    A solve still running at ``deadline`` (a ``time.monotonic`` value) stops
-    within DEADLINE_EVERY pivots and returns a state marked ``expired``."""
+    A solve still running at ``deadline`` (a ``time.monotonic`` value) raises
+    TimeUp within DEADLINE_EVERY pivots."""
 
     def __init__(self, graph, deadline=None):
         self.graph = graph
@@ -394,14 +399,14 @@ class LpEngine:
         ub = np.ones(m) if ub is None else np.asarray(ub, dtype=float)
         self._simplex.set_bounds(lb, ub)
         try:
-            outcome = self._simplex.solve()
+            optimal = self._simplex.solve()
         except LpError as exc:
             # safeguarded retry from the slack basis
             self.cold_restarts += 1
             log.debug("LP cold restart: %s", exc)
             self._simplex.reset_basis()
-            outcome = self._simplex.solve()
-        if not outcome:
+            optimal = self._simplex.solve()
+        if not optimal:
             return LpState(
                 x=np.zeros(m),
                 objective=-np.inf,
@@ -409,7 +414,6 @@ class LpEngine:
                 basis_status=np.full(m, AT_LOWER, dtype=np.int8),
                 iterations=self._simplex.iterations,
                 feasible=False,
-                expired=outcome is None,
             )
         state = LpState(
             x=np.clip(self._simplex.solution(), 0.0, 1.0),
@@ -448,6 +452,3 @@ class LpEngine:
         self.pool.remove_indices(doomed)
         self._simplex.remove_rows(doomed)
         return len(doomed)
-
-    def reset_basis(self):
-        self._simplex.reset_basis()

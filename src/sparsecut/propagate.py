@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .lp import AT_LOWER, AT_UPPER
+import numpy as np
+
+from .lp import AT_UPPER, BASIC
 
 FIX_TOL = 1e-9
 INT_SNAP = 1e-6
@@ -24,37 +26,24 @@ def effective_bound(bound, integral):
     return bound
 
 
-def reduced_cost_fix(g, state, upper_bound, incumbent, lb, ub, integral=False):
-    """Edges whose flip would push the bound below the incumbent.
-
-    Returns a list of (edge id, value) fixings at the edge's current nonbasic
-    bound. ``upper_bound`` is the LP objective of the current node.
-    """
-    fixes = []
-    for e in range(g.m):
-        if ub[e] - lb[e] < 0.5:
-            continue
-        status = state.basis_status[e]
-        if status == AT_LOWER or status == AT_UPPER:
-            degraded = effective_bound(
-                upper_bound - abs(state.reduced_costs[e]), integral
-            )
-            if degraded < incumbent - FIX_TOL:
-                fixes.append((e, 0 if status == AT_LOWER else 1))
-    return fixes
-
-
 def propagate(g, state, upper_bound, incumbent, lb, ub, fixed_edges,
               integral=False):
     """One reduced-cost fixing pass; mutates nothing.
 
-    Returns (new fixings dict overlaying ``fixed_edges``, node_infeasible).
-    ``node_infeasible`` is always False: reduced-cost fixing only fixes free
-    edges, so it never contradicts a fixing, and the pair is kept for callers
-    that unpack it.
+    A free edge at a nonbasic bound is fixed there when ``upper_bound`` (the
+    node's LP objective) less its |reduced cost|, rounded down when
+    ``integral``, falls below the incumbent.
+    Returns (``fixed_edges`` overlaid with the new fixings in ascending edge
+    id, node_infeasible). ``node_infeasible`` is always False: only free
+    edges are fixed, so no fixing is contradicted, and the pair is kept for
+    callers that unpack it.
     """
+    degraded = upper_bound - np.abs(state.reduced_costs)
+    if integral:
+        degraded = np.floor(degraded + INT_SNAP)
+    status = state.basis_status
+    fix = (ub - lb >= 0.5) & (status != BASIC) & (degraded < incumbent - FIX_TOL)
     new_fixed = dict(fixed_edges)
-    new_fixed.update(
-        reduced_cost_fix(g, state, upper_bound, incumbent, lb, ub, integral)
-    )
+    new_fixed.update(zip(np.flatnonzero(fix).tolist(),
+                         (status[fix] == AT_UPPER).astype(int).tolist()))
     return new_fixed, False

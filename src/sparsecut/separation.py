@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .lp import VIOLATION_TOL, CycleCut
+from .lp import VIOLATION_TOL, CycleCut, TimeUp
 
 EPS_SKIP = 1e-6        # aux arcs with weight >= 1 - EPS_SKIP are never built
 SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
@@ -249,10 +249,8 @@ def separate_exact(g, x, deadline=None):
 
     One ``twin_walk`` search runs from every non-isolated vertex; the
     simple cycles of the walks it finds are decomposed into cuts, each
-    distinct cycle (edge set and F) once. Once ``time.monotonic()`` passes
-    ``deadline``, no further search starts, so the list may be cut short:
-    the caller must check the clock before it reads an empty list as "no
-    violated cut".
+    distinct cycle (edge set and F) once. Raises TimeUp instead of starting
+    a search once ``time.monotonic()`` has passed ``deadline``.
     """
     aux = build_aux_graph(g, x)
     xl = np.asarray(x, dtype=np.float64).tolist()
@@ -262,7 +260,7 @@ def separate_exact(g, x, deadline=None):
     cuts: list[CycleCut] = []
     for v in range(g.n):
         if deadline is not None and time.monotonic() >= deadline:
-            break
+            raise TimeUp
         if not arcs[v]:
             continue
         found = twin_walk(aux, v)

@@ -35,7 +35,7 @@ from .heuristics import (
     spanning_tree_rounding,
 )
 from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
-from .lp import LpEngine
+from .lp import LpEngine, TimeUp
 from .presolve import format_stats, presolve_loop
 from .propagate import effective_bound, propagate
 from .separation import separate_exact, separate_triangles, triangle_table
@@ -67,7 +67,7 @@ class Config:
     heur_restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
-        # 0 is no limit; nan never expires and a negative limit has expired
+        # 0 is no limit; nan is never reached and a negative limit is past
         for name in ("time_limit_s", "gap_percent", "node_limit", "enum_threshold"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
@@ -171,8 +171,11 @@ class ComponentSolver:
         status = "optimal"
 
         while heap:
-            if self._should_stop():
-                status = self._stop_status()
+            if self._past_deadline():
+                status = "time_limit"
+                break
+            if self.node_budget and self.stats.nodes >= self.node_budget:
+                status = "node_limit"
                 break
             neg_bound, _, fixed = heapq.heappop(heap)
             inc = self.best.weight
@@ -197,24 +200,17 @@ class ComponentSolver:
     def _past_deadline(self):
         return self.deadline is not None and time.monotonic() >= self.deadline
 
-    def _should_stop(self):
-        if self.node_budget and self.stats.nodes >= self.node_budget:
-            return True
-        return self._past_deadline()
-
-    def _stop_status(self):
-        return "time_limit" if self._past_deadline() else "node_limit"
-
     # -- node processing ---------------------------------------------------
 
     def _process_node(self, parent_bound, fixed):
         """Cutting-plane loop at one node; returns its children, each a
         (bound, fixings) pair.
 
-        When the deadline passes (between rounds or inside an LP solve or
-        exact separation) the only child is the node itself, re-queued at the
-        smaller of ``parent_bound`` and its last effective LP bound; the
-        solve loop then stops at its deadline check.
+        The deadline stops the loop by a TimeUp, raised between rounds, inside
+        an LP solve or inside exact separation and caught here only: the only
+        child is then the node itself, re-queued at the smaller of
+        ``parent_bound`` and its last effective LP bound, and the solve loop
+        stops at its deadline check.
         """
         g, cfg = self.g, self.cfg
         lb = np.zeros(g.m)
@@ -224,61 +220,60 @@ class ComponentSolver:
         eff = math.inf
         tail = 0
         rounds = 0
-        while True:
-            if self._past_deadline():
-                return [(min(parent_bound, eff), fixed)]
-            for e, val in fixed.items():
-                lb[e] = ub[e] = float(val)
-            state = self.engine.solve(lb, ub)
-            self.stats.lp_solves += 1
-            if state.expired:
-                return [(min(parent_bound, eff), fixed)]
-            if not state.feasible:
-                return []
-            bound = state.objective
-            inc = self.best.weight
-            eff = effective_bound(bound, self.integral)
-            if eff <= inc + PRUNE_TOL:
-                return []
+        try:
+            while True:
+                if self._past_deadline():
+                    raise TimeUp
+                for e, val in fixed.items():
+                    lb[e] = ub[e] = float(val)
+                state = self.engine.solve(lb, ub)
+                self.stats.lp_solves += 1
+                if not state.feasible:
+                    return []
+                bound = state.objective
+                inc = self.best.weight
+                eff = effective_bound(bound, self.integral)
+                if eff <= inc + PRUNE_TOL:
+                    return []
 
-            if cfg.propagation:
-                new_fixed, _ = propagate(
-                    g, state, bound, inc, lb, ub, fixed, self.integral
-                )
-                if len(new_fixed) > len(fixed):
-                    fixed = new_fixed
-                    continue
+                if cfg.propagation:
+                    new_fixed, _ = propagate(
+                        g, state, bound, inc, lb, ub, fixed, self.integral
+                    )
+                    if len(new_fixed) > len(fixed):
+                        fixed = new_fixed
+                        continue
 
-            if cfg.heuristics:
-                self._offer(spanning_tree_rounding(g, state.x))
-
-            x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
-            if self.triangles is None:
-                self.triangles = triangle_table(g)
-            cuts = separate_triangles(state.x, self.triangles)
-            if not cuts:
-                cuts = separate_exact(g, state.x, self.deadline)
-                if self._past_deadline():  # the list may be cut short
-                    return [(min(parent_bound, eff), fixed)]
-            cuts.sort(key=lambda c: -c.violation(state.x))
-            added = self.engine.add_cuts(cuts[: 2 * g.n])  # the most violated
-            rounds += 1
-            if self.stats.nodes == 1:  # the root
-                log.info(
-                    "round %d: dual=%.6f, primal=%.6f, cuts=+%d, time=%.2f",
-                    rounds, bound, inc, added, time.monotonic() - self._start,
-                )
-            tail = tail + 1 if prev_bound - bound < TAILING_OFF_TOL else 0
-            prev_bound = bound
-            # no progress: nothing new to add (every violated cut, if any, is
-            # already in the pool), or the bound has stalled at a fractional x
-            if not added or (tail >= TAILING_OFF_ROUNDS and not x_integral):
-                if not x_integral:
-                    return self._branch(state, fixed, bound)
-                if not cfg.heuristics:
-                    # the point is the incidence vector of a cut: certify it
+                if cfg.heuristics:
                     self._offer(spanning_tree_rounding(g, state.x))
-                return []
+
+                x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
+                if self.triangles is None:
+                    self.triangles = triangle_table(g)
+                cuts = separate_triangles(state.x, self.triangles)
+                if not cuts:
+                    cuts = separate_exact(g, state.x, self.deadline)
+                cuts.sort(key=lambda c: -c.violation(state.x))
+                added = self.engine.add_cuts(cuts[: 2 * g.n])  # the most violated
+                rounds += 1
+                if self.stats.nodes == 1:  # the root
+                    log.info(
+                        "round %d: dual=%.6f, primal=%.6f, cuts=+%d, time=%.2f",
+                        rounds, bound, inc, added, time.monotonic() - self._start,
+                    )
+                tail = tail + 1 if prev_bound - bound < TAILING_OFF_TOL else 0
+                prev_bound = bound
+                # no progress: nothing new to add (every violated cut, if any, is
+                # already in the pool), or the bound has stalled at a fractional x
+                if not added or (tail >= TAILING_OFF_ROUNDS and not x_integral):
+                    if not x_integral:
+                        return self._branch(state, fixed, bound)
+                    if not cfg.heuristics:
+                        # the point is the incidence vector of a cut: certify it
+                        self._offer(spanning_tree_rounding(g, state.x))
+                    return []
+        except TimeUp:
+            return [(min(parent_bound, eff), fixed)]
 
     def _branch(self, state, fixed, bound):
         """Two children, each with one more edge fixed (down child first).

@@ -2,7 +2,7 @@
 values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers, the LP's status codes,
 tolerances, error type and cut type, the cut-solution container, the
-triangle separator's degree cap and the arc lists that the exact separator
+fixing tolerances, the triangle separator's degree cap and the arc lists that the exact separator
 builds for its two-copy auxiliary graph (``build_aux_graph``)."""
 
 import heapq
@@ -22,6 +22,7 @@ from sparsecut.lp import (
     CycleCut,
     LpError,
 )
+from sparsecut.propagate import FIX_TOL, INT_SNAP
 from sparsecut.separation import DEGREE_CAP
 
 
@@ -205,6 +206,24 @@ def cycle_vertices(g, eids):
             break
         verts.append(nxts[0])
     return verts
+
+
+def reference_propagate(state, upper_bound, incumbent, lb, ub, fixed_edges,
+                        integral):
+    """Reduced-cost fixing edge by edge, frozen from the loop version of
+    ``propagate``: ``fixed_edges`` overlaid with the new fixings."""
+    fixed = dict(fixed_edges)
+    for e in range(len(lb)):
+        if ub[e] - lb[e] < 0.5:
+            continue
+        status = state.basis_status[e]
+        if status == AT_LOWER or status == AT_UPPER:
+            degraded = upper_bound - abs(state.reduced_costs[e])
+            if integral:
+                degraded = math.floor(degraded + INT_SNAP)
+            if degraded < incumbent - FIX_TOL:
+                fixed[e] = 0 if status == AT_LOWER else 1
+    return fixed
 
 
 def reference_triangle_table(g, budget, degree_cap=DEGREE_CAP):

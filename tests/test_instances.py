@@ -145,7 +145,7 @@ def test_report_json_roundtrip_and_key_order():
         partition={1: 0, 2: 1},
         status="optimal",
     )
-    text = write_report(report, format="json")
+    text = write_report(report)
     payload = json.loads(text)
     assert list(payload) == [
         "status",
@@ -162,10 +162,4 @@ def test_report_json_roundtrip_and_key_order():
 def test_json_report_rejects_non_finite_numbers():
     report = ResultReport(5.0, math.inf, 0, 0.1, {}, "time_limit")
     with pytest.raises(ValueError):
-        write_report(report, format="json")
-
-
-def test_report_text_format():
-    report = ResultReport(5.0, 0.0, 0, 0.1, {}, "optimal")
-    text = write_report(report, format="text")
-    assert text.startswith("status: optimal\nbest_value: 5\n")
+        write_report(report)

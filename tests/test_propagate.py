@@ -4,9 +4,9 @@ import numpy as np
 
 from sparsecut.graph import WeightedGraph
 from sparsecut.lp import LpEngine
-from sparsecut.propagate import propagate, reduced_cost_fix
+from sparsecut.propagate import propagate
 
-from oracles import all_optimal_cuts, random_graph
+from oracles import all_optimal_cuts, random_graph, reference_propagate
 
 
 def test_reduced_cost_fix_requires_incumbent_margin():
@@ -15,12 +15,11 @@ def test_reduced_cost_fix_requires_incumbent_margin():
     state = engine.solve()
     lb, ub = np.zeros(3), np.ones(3)
     # weak incumbent: nothing can be fixed
-    assert reduced_cost_fix(g, state, state.objective, -100.0, lb, ub) == []
+    assert propagate(g, state, state.objective, -100.0, lb, ub, {}) == ({}, False)
     # incumbent at the optimum 6: flipping the 5-edge loses 5 > 6 - 6
-    fixes = reduced_cost_fix(g, state, state.objective, 6.0, lb, ub,
-                             integral=True)
-    fixed_edges = {e for e, _ in fixes}
-    assert g.find_edge(0, 1) in fixed_edges
+    fixed, _ = propagate(g, state, state.objective, 6.0, lb, ub, {},
+                         integral=True)
+    assert g.find_edge(0, 1) in fixed
 
 
 def _agrees(g, y, fixed):
@@ -46,6 +45,10 @@ def _fixing_safety(seed, trials):
         )
         assert not dead
         assert any(_agrees(g, y, fixed) for y in optima), (edges, fixed, optima)
+        for integral in (True, False):
+            args = (state, state.objective, best, lb, ub, {}, integral)
+            assert (list(propagate(g, *args)[0].items())
+                    == list(reference_propagate(*args).items()))
 
 
 def test_root_fixing_never_cuts_off_all_optima():
@@ -77,6 +80,8 @@ def test_fixing_below_the_root_keeps_an_optimum_of_the_node():
             g, state, state.objective, best, lb, ub, node, integral=True
         )
         assert not dead
+        assert list(fixed.items()) == list(reference_propagate(
+            state, state.objective, best, lb, ub, node, True).items())
         assert fixed.items() >= node.items()
         assert any(_agrees(g, z, fixed) for z in optima if _agrees(g, z, node)), (
             edges, node, fixed)

@@ -13,7 +13,7 @@ import sparsecut.separation as separation
 import sparsecut.solver as solver_mod
 from sparsecut.graph import WeightedGraph, build_graph
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
-from sparsecut.lp import _BoundedSimplex
+from sparsecut.lp import LpState, TimeUp, _BoundedSimplex
 from sparsecut.solver import (
     ComponentSolver,
     Config,
@@ -423,10 +423,11 @@ def test_root_stopped_after_its_lp_keeps_the_lp_bound(monkeypatch):
 
 
 def test_deadline_stops_exact_separation_between_sources(monkeypatch):
-    """A clock that expires as exact separation starts stops it before its
-    first search. The root's first LP point (no cuts yet on a triangle-free
-    torus) is integral but no cut, so reading the empty list as "no violated
-    cut" would prune it; the root is re-queued instead, as on any time-out."""
+    """A clock that expires as exact separation starts makes it raise TimeUp
+    before its first search. The root's first LP point (no cuts yet on a
+    triangle-free torus) is integral but no cut, so reading a cut-short empty
+    list as "no violated cut" would prune it; the root is re-queued instead,
+    as on any time-out."""
     raw = raw_from_edges(196, torus_edges(random.Random(62), 14))
     real_clock = time.monotonic
     offset = [0.0]
@@ -443,27 +444,33 @@ def test_deadline_stops_exact_separation_between_sources(monkeypatch):
         searches[0] += 1
         return real_twin_walk(aux, source)
 
-    results = []
+    outcomes = []  # (x integral, the returned cuts or "TimeUp") per call
     real_separate = solver_mod.separate_exact
 
     def separate_exact(g, x, deadline=None):
-        results.append((np.all(np.minimum(x, 1.0 - x) < 1e-6),
-                        real_separate(g, x, deadline)))
-        return results[-1][1]
+        integral = np.all(np.minimum(x, 1.0 - x) < 1e-6)
+        try:
+            cuts = real_separate(g, x, deadline)
+        except TimeUp:
+            outcomes.append((integral, "TimeUp"))
+            raise
+        outcomes.append((integral, cuts))
+        return cuts
 
     monkeypatch.setattr(separation, "build_aux_graph", build_aux_graph)
     monkeypatch.setattr(separation, "twin_walk", twin_walk)
     monkeypatch.setattr(solver_mod, "separate_exact", separate_exact)
     report = solve_maxcut(raw, Config(time_limit_s=600.0))
-    assert results == [(True, [])] and searches[0] == 0
+    assert outcomes == [(True, "TimeUp")] and searches[0] == 0
     assert report.status == "time_limit"
     assert math.isfinite(report.primal_dual_gap_percent)
     assert report.bnb_nodes == 1
 
 
 def test_deadline_stops_the_simplex_mid_solve(monkeypatch):
-    """A clock that expires during a long solve stops the simplex within
-    DEADLINE_EVERY pivots; the root is re-queued as on any time-out."""
+    """A clock that expires during a long solve makes the simplex raise
+    TimeUp within DEADLINE_EVERY pivots; the root is re-queued as on any
+    time-out."""
     raw = raw_from_edges(196, torus_edges(random.Random(62), 14))
     real_clock = time.monotonic
     offset = [0.0]
@@ -478,20 +485,66 @@ def test_deadline_stops_the_simplex_mid_solve(monkeypatch):
             offset[0] = 1e6
         return real_ratio_test(self, *args)
 
-    states = []
+    outcomes = []  # the state or "TimeUp" per solve
     real_solve = solver_mod.LpEngine.solve
 
     def solve(self, lb=None, ub=None):
-        states.append(real_solve(self, lb, ub))
-        return states[-1]
+        try:
+            outcomes.append(real_solve(self, lb, ub))
+        except TimeUp:
+            outcomes.append("TimeUp")
+            raise
+        return outcomes[-1]
 
     monkeypatch.setattr(_BoundedSimplex, "_ratio_test", ratio_test)
     monkeypatch.setattr(solver_mod.LpEngine, "solve", solve)
     report = solve_maxcut(raw, Config(time_limit_s=600.0))
-    assert states[-1].expired and not any(s.expired for s in states[:-1])
+    assert outcomes[-1] == "TimeUp"
+    assert all(isinstance(s, LpState) for s in outcomes[:-1])
     assert expire_at < pivots[0] <= expire_at + _BoundedSimplex.DEADLINE_EVERY
     assert report.status == "time_limit"
     assert math.isfinite(report.primal_dual_gap_percent)
+
+
+@pytest.mark.parametrize("heuristics", [True, False])
+def test_a_deadline_at_any_clock_read_keeps_the_answer_sound(monkeypatch, heuristics):
+    """The clock jumps past the deadline at its k-th read, for every read k of
+    a solve that branches (3 nodes) and runs exact separation.
+    Wherever the time-out lands (heuristics, an LP solve, separation, between
+    rounds or nodes), the run ends at time_limit or optimal with a finite gap,
+    and value <= optimum <= dual, the optimum coming from enumeration.
+    Without heuristics the first incumbent is not optimal, so a node wrongly
+    pruned at its time-out shows as a wrong optimal value."""
+    edges = torus_edges(random.Random(3), 5)
+    raw = raw_from_edges(25, edges)
+    _, best = enumerate_component(WeightedGraph(25, edges))
+    cfg = Config(enum_threshold=0, time_limit_s=600.0, heuristics=heuristics)
+    real_clock = time.monotonic
+    reads = [0]
+    jump_at = [math.inf]
+
+    def clock():
+        reads[0] += 1
+        return real_clock() + (1e6 if reads[0] >= jump_at[0] else 0.0)
+
+    monkeypatch.setattr(time, "monotonic", clock)
+    # no LP here runs DEADLINE_EVERY pivots: look at the clock every pivot
+    monkeypatch.setattr(_BoundedSimplex, "DEADLINE_EVERY", 1)
+    plain = solve_maxcut(raw, cfg)
+    assert plain.status == "optimal" and plain.bnb_nodes >= 3
+    total = reads[0]
+    assert total >= 40
+    statuses = set()
+    for k in range(1, total + 1):
+        reads[0], jump_at[0] = 0, k
+        report = solve_maxcut(raw, cfg)
+        statuses.add(report.status)
+        assert report.status in ("time_limit", "optimal"), k
+        gap = report.primal_dual_gap_percent
+        assert math.isfinite(gap), k
+        dual = report.best_value + gap / 100.0 * max(1.0, abs(report.best_value))
+        assert report.best_value <= best + 1e-9 and best <= dual + 1e-9, k
+    assert statuses == {"time_limit", "optimal"}
 
 
 @pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold"])

@@ -103,7 +103,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         try:
             cfg = config_from_args(args)
-        except ValueError as exc:  # a limit that is negative or not finite
+        except ValueError as exc:  # a limit or seed that is negative or not finite
             parser.error(str(exc))
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0

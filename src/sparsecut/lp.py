@@ -13,6 +13,9 @@ whose slacks are basic; the slack identity is never multiplied, and the
 duals are updated along the pivot row and priced exactly before a solve
 returns. A solve still running at its deadline raises :class:`TimeUp`.
 
+The pool keeps its cuts in row order with an age array beside them; a purge
+removes the rows aged AGE_LIMIT from the pool and the simplex together.
+
 Reduced-cost sign convention (maximization): nonbasic-at-lower variables have
 reduced cost <= 0, nonbasic-at-upper >= 0, basic exactly 0. Forcing a nonbasic
 edge to its opposite bound degrades the LP bound by at least |reduced cost|.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +53,11 @@ class TimeUp(Exception):
     Not an LpError, so the cold restart never retries it."""
 
 
+def cycle_key(edges, in_f):
+    """Identity of a cycle with odd set F: its edge ids, with ~e for e in F."""
+    return frozenset(~e if flag else e for e, flag in zip(edges, in_f))
+
+
 @dataclass(frozen=True)
 class CycleCut:
     """Cycle inequality sum_F x - sum_{C\\F} x <= |F| - 1 with |F| odd."""
@@ -68,10 +77,9 @@ class CycleCut:
     def rhs(self):
         return sum(self.in_f) - 1
 
+    @cached_property
     def key(self):
-        f = frozenset(e for e, flag in zip(self.edges, self.in_f) if flag)
-        rest = frozenset(e for e, flag in zip(self.edges, self.in_f) if not flag)
-        return (f, rest)
+        return cycle_key(self.edges, self.in_f)
 
     def slack_form(self, x):
         """Value of sum_F (1 - x) + sum_{C\\F} x; the cut is violated iff < 1."""
@@ -94,39 +102,37 @@ class LpState:
     feasible: bool = True
 
 
-@dataclass
-class _PoolEntry:
-    cut: CycleCut
-    age: int = 0
-
-
 class CutPool:
-    """Active cycle cuts with duplicate detection and age counters."""
+    """Active cycle cuts in LP row order: ``entries[i]`` is row i of the
+    simplex, and ``ages[i]`` counts the solves in a row that left it
+    nonbinding. A cut whose key is already in the pool is refused."""
 
     def __init__(self):
-        self.entries: list[_PoolEntry] = []
+        self.entries: list[CycleCut] = []
+        self.ages = np.zeros(0, dtype=np.int64)
         self._keys: set = set()
 
     def __len__(self):
         return len(self.entries)
 
-    def add(self, cut: CycleCut):
-        key = cut.key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.entries.append(_PoolEntry(cut))
-        return True
+    def add(self, cuts):
+        """Append the cuts not yet in the pool, at age 0; returns them."""
+        new = []
+        for cut in cuts:
+            if cut.key not in self._keys:
+                self._keys.add(cut.key)
+                new.append(cut)
+        self.entries += new
+        self.ages = np.concatenate([self.ages, np.zeros(len(new), dtype=np.int64)])
+        return new
 
     def remove_indices(self, indices):
-        doomed = set(indices)
-        kept = []
-        for i, entry in enumerate(self.entries):
-            if i in doomed:
-                self._keys.discard(entry.cut.key())
-            else:
-                kept.append(entry)
-        self.entries = kept
+        keep = np.ones(len(self.entries), dtype=bool)
+        keep[indices] = False
+        for i in indices:
+            self._keys.discard(self.entries[i].key)
+        self.entries = [cut for cut, kept in zip(self.entries, keep) if kept]
+        self.ages = self.ages[keep]
 
 
 class _BoundedSimplex:
@@ -422,12 +428,13 @@ class LpEngine:
             basis_status=self._simplex.statuses(),
             iterations=self._simplex.iterations,
         )
-        self._age_cuts()
+        self.pool.ages = np.where(
+            self._simplex.row_slacks() > PURGE_SLACK_TOL, self.pool.ages + 1, 0)
         return state
 
     def add_cuts(self, cuts) -> int:
         """Insert deduplicated cuts as LP rows in one batch; returns the number."""
-        new = [cut for cut in cuts if self.pool.add(cut)]
+        new = self.pool.add(cuts)
         if new:
             rows = np.zeros((len(new), self.graph.m))
             for row, cut in zip(rows, new):
@@ -435,20 +442,11 @@ class LpEngine:
             self._simplex.add_rows(rows, [cut.rhs for cut in new])
         return len(new)
 
-    def _age_cuts(self):
-        slacks = self._simplex.row_slacks()
-        for i, entry in enumerate(self.pool.entries):
-            if slacks[i] > PURGE_SLACK_TOL:
-                entry.age += 1
-            else:
-                entry.age = 0
-
     def purge_cuts(self) -> int:
         """Drop cuts nonbinding for AGE_LIMIT consecutive solves; the basis
         stays when all their slacks are basic."""
-        doomed = [i for i, entry in enumerate(self.pool.entries) if entry.age >= AGE_LIMIT]
-        if not doomed:
-            return 0
-        self.pool.remove_indices(doomed)
-        self._simplex.remove_rows(doomed)
+        doomed = np.flatnonzero(self.pool.ages >= AGE_LIMIT)
+        if doomed.size:
+            self.pool.remove_indices(doomed)
+            self._simplex.remove_rows(doomed)
         return len(doomed)

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .lp import VIOLATION_TOL, CycleCut, TimeUp
+from .lp import VIOLATION_TOL, CycleCut, TimeUp, cycle_key
 
 EPS_SKIP = 1e-6        # aux arcs with weight >= 1 - EPS_SKIP are never built
 SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
@@ -178,12 +178,14 @@ def extract_simple_cycles(walk: ClosedWalk):
 def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
     """Split a violated simple cycle along chords into chordless violated cuts.
 
-    Uses prefix sums of the F-count and of the slack-form value for O(1)
-    violation checks per chord; violated sub-cycles are selected greedily by
-    size with index marking and re-decomposed until chordless. Returns the
-    original cut when no chord yields a violated sub-cycle (then the cycle is
-    necessarily chordless, as any chord splits the violation). Chords are
-    read from ``g.arcs``.
+    A chord (a, b), a < b, closes two sub-cycles: the spans (a, b) and
+    (b, a + k) of the doubled cycle ``verts + verts``. Prefix sums of the
+    F-count and of the slack-form value check each in O(1); violated spans
+    are taken greedily by (size, a, b, start), marking their interiors (mod
+    k) against chords that end there, and re-decomposed until chordless.
+    Returns the original cut when no chord yields a violated sub-cycle (then
+    the cycle is necessarily chordless, as any chord splits the violation).
+    Chords are read from ``g.arcs``.
     """
     k = len(eids)
     q = list(accumulate(((1.0 - x[e]) if flag else x[e]
@@ -205,41 +207,29 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
                 continue  # cycle edge, not a chord
             xc = float(x[ceid])
             qd = q[b] - q[a]
-            fd = f[b] - f[a]
-            chord_in_inner = fd % 2 == 0
+            chord_in_inner = (f[b] - f[a]) % 2 == 0
             lhs_in = qd + (1.0 - xc if chord_in_inner else xc)
             lhs_out = (total_lhs - qd) + (xc if chord_in_inner else 1.0 - xc)
-            if lhs_in < 1.0 - queue_tol:
-                candidates.append((b - a + 1, a, b, "inner", ceid, chord_in_inner))
-            if lhs_out < 1.0 - queue_tol:
-                candidates.append(
-                    (k - (b - a) + 1, a, b, "outer", ceid, not chord_in_inner)
-                )
+            for start, end, lhs, chord_in in ((a, b, lhs_in, chord_in_inner),
+                                              (b, a + k, lhs_out, not chord_in_inner)):
+                if lhs < 1.0 - queue_tol:
+                    candidates.append((end - start + 1, a, b, start, end, ceid, chord_in))
 
     if not candidates:
         return [CycleCut(tuple(eids), tuple(in_f))]
 
-    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
+    candidates.sort(key=lambda c: c[:4])
+    ring_v, ring_e, ring_f = verts + verts, eids + eids, in_f + in_f
     marked = [False] * k
     cuts = []
-    for _, a, b, which, ceid, chord_in in candidates:
+    for _, a, b, start, end, ceid, chord_in in candidates:
         if marked[a] or marked[b]:
             continue
-        if which == "inner":
-            sub_v = verts[a : b + 1]
-            sub_e = eids[a:b] + [ceid]
-            sub_f = in_f[a:b] + [chord_in]
-            for t in range(a + 1, b):
-                marked[t] = True
-        else:
-            sub_v = verts[b:] + verts[: a + 1]
-            sub_e = eids[b:] + eids[:a] + [ceid]
-            sub_f = in_f[b:] + in_f[:a] + [chord_in]
-            for t in range(b + 1, k):
-                marked[t] = True
-            for t in range(a):
-                marked[t] = True
-        cuts.extend(chordless_decompose(sub_v, sub_e, sub_f, x, g, queue_tol))
+        for t in range(start + 1, end):
+            marked[t % k] = True
+        cuts.extend(chordless_decompose(ring_v[start:end + 1],
+                                        ring_e[start:end] + [ceid],
+                                        ring_f[start:end] + [chord_in], x, g, queue_tol))
     return cuts
 
 
@@ -267,14 +257,13 @@ def separate_exact(g, x, deadline=None):
         if found is None:
             continue
         for verts, eids, in_f in extract_simple_cycles(found[1]):
-            cycle = frozenset(~e if flag else e for e, flag in zip(eids, in_f))
+            cycle = cycle_key(eids, in_f)
             if cycle in decomposed:
                 continue
             decomposed.add(cycle)
             for cut in chordless_decompose(verts, eids, in_f, xl, g):
-                key = cut.key()
-                if key not in seen:
-                    seen.add(key)
+                if cut.key not in seen:
+                    seen.add(cut.key)
                     cuts.append(cut)
     return cuts
 

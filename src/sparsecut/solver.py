@@ -67,8 +67,8 @@ class Config:
     heur_restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
-        # 0 is no limit; nan is never reached and a negative limit is past
-        for name in ("time_limit_s", "gap_percent", "node_limit", "enum_threshold"):
+        # 0 is no limit; nan is never reached and a negative limit (or seed) is past
+        for name in ("time_limit_s", "gap_percent", "node_limit", "enum_threshold", "seed"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
 
@@ -415,9 +415,8 @@ def racing_solve(raw: RawMaxCutInstance, cfg: Config | None = None,
 def solve_qubo(raw: RawQuboInstance, cfg: Config | None = None) -> ResultReport:
     """Solve min x^T Q x through the max-cut reduction; reports the QUBO value."""
     start = time.monotonic()
-    mc, cert = qubo_to_maxcut(raw)
+    mc = qubo_to_maxcut(raw)
     mc_partition, dual, status, nodes = _solve_instance(mc, cfg)
-    x = qubo_assignment_from_maxcut(mc_partition, cert, raw.dimension)
-    # a max-cut upper bound maps to a QUBO lower bound with the same gap size
-    qubo_dual = cert.sign * dual + cert.constant_offset
-    return _report(start, raw.objective(x), qubo_dual, status, nodes, x)
+    x = qubo_assignment_from_maxcut(mc_partition, raw.dimension)
+    # x^T Q x == -cut: a max-cut upper bound is a QUBO lower bound, same gap
+    return _report(start, raw.objective(x), -dual, status, nodes, x)

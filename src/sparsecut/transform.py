@@ -1,28 +1,18 @@
-"""QUBO <-> max-cut reductions with a value-preservation certificate.
+"""QUBO <-> max-cut reductions.
 
-Both directions use the classic one-extra-vertex construction. The binding
-identity, checked exhaustively in the tests, is
+Both directions use the classic one-extra-vertex construction: QUBO variable
+i is graph vertex i + 1, and vertex 1 is pinned to side 0. The identity,
+checked exhaustively in the tests, is
 
-    original_objective(assignment) ==
-        certificate.sign * transformed_objective(mapped assignment)
-        + certificate.constant_offset
+    x^T Q x == -cut(y(x))
 
-for *every* binary assignment, where the max-cut side always places the root
-vertex on side 0.
+for *every* binary assignment x, where y(x) puts vertex 1 on side 0 and
+vertex i + 1 on side x_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .instances import RawMaxCutInstance, RawQuboInstance
-
-
-@dataclass(frozen=True)
-class TransformCertificate:
-    constant_offset: float
-    sign: float
-    root_vertex: int  # 1-based id of the pinned vertex (qubo_to_mc only)
 
 
 def _collect_coefficients(q: RawQuboInstance):
@@ -65,17 +55,11 @@ def qubo_to_maxcut(q: RawQuboInstance):
         if w != 0.0:
             edges.append((i + 1, j + 1, w))
 
-    instance = RawMaxCutInstance(
+    return RawMaxCutInstance(
         num_vertices=n + 1,
         edges=edges,
         all_integral=all(float(w).is_integer() for _, _, w in edges),
     )
-    cert = TransformCertificate(
-        constant_offset=0.0,
-        sign=-1.0,
-        root_vertex=1,
-    )
-    return instance, cert
 
 
 def maxcut_to_qubo(g: RawMaxCutInstance):
@@ -106,16 +90,10 @@ def maxcut_to_qubo(g: RawMaxCutInstance):
         if coef != 0.0:
             entries.append((i, j, coef))
 
-    instance = RawQuboInstance(dimension=max(n, 1), entries=entries)
-    cert = TransformCertificate(
-        constant_offset=0.0,
-        sign=-1.0,
-        root_vertex=1,
-    )
-    return instance, cert
+    return RawQuboInstance(dimension=max(n, 1), entries=entries)
 
 
-def maxcut_assignment_from_qubo(x, cert: TransformCertificate, num_vertices):
+def maxcut_assignment_from_qubo(x, num_vertices):
     """Map QUBO variables (1-based dict/list) to the max-cut partition."""
     partition = {1: 0}
     for i in range(1, num_vertices):
@@ -123,7 +101,7 @@ def maxcut_assignment_from_qubo(x, cert: TransformCertificate, num_vertices):
     return partition
 
 
-def qubo_assignment_from_maxcut(partition, cert: TransformCertificate, dimension):
-    """Map a max-cut partition back to QUBO variables, normalizing the root to 0."""
-    flip = partition[cert.root_vertex]
+def qubo_assignment_from_maxcut(partition, dimension):
+    """Map a max-cut partition back to QUBO variables, normalizing vertex 1 to 0."""
+    flip = partition[1]
     return {i: int(partition[i + 1]) ^ flip for i in range(1, dimension + 1)}

@@ -2,7 +2,8 @@
 values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers, the LP's status codes,
 tolerances, error type and cut type, the cut-solution container, the
-fixing tolerances, the triangle separator's degree cap and the arc lists that the exact separator
+fixing tolerances, the triangle separator's degree cap, the chordless
+decomposition's emit tolerance and the arc lists that the exact separator
 builds for its two-copy auxiliary graph (``build_aux_graph``)."""
 
 import heapq
@@ -23,7 +24,7 @@ from sparsecut.lp import (
     LpError,
 )
 from sparsecut.propagate import FIX_TOL, INT_SNAP
-from sparsecut.separation import DEGREE_CAP
+from sparsecut.separation import DEGREE_CAP, EMIT_TOL
 
 
 def brute_force_maxcut(n, edges):
@@ -279,8 +280,8 @@ def reference_separate_triangles(g, x, budget):
                 lhs = sum((1.0 - xs[i]) if mask[i] else xs[i] for i in range(3))
                 if lhs < 1.0 - VIOLATION_TOL:
                     cut = CycleCut(tri, mask)
-                    if cut.key() not in seen:
-                        seen.add(cut.key())
+                    if cut.key not in seen:
+                        seen.add(cut.key)
                         cuts.append(cut)
     return cuts
 
@@ -317,6 +318,66 @@ def reference_twin_distance(aux, source):
                 heapq.heappush(heap, (cand, pushes, w))
                 pushes += 1
     return math.inf
+
+
+def reference_chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
+    """Chordless decomposition, frozen from the version that gave each chord
+    an "inner" sub-cycle (positions a..b) and an "outer" one (b..k-1, then
+    0..a), each with its own slice-and-mark code. Candidates sort by (size,
+    a, b, tag), so an inner sub-cycle goes before an outer one of equal
+    size."""
+    k = len(eids)
+    q = [0.0]
+    for e, flag in zip(eids, in_f):
+        q.append(q[-1] + ((1.0 - x[e]) if flag else x[e]))
+    total_lhs = q[k]
+    if total_lhs >= 1.0 - queue_tol:
+        return []
+    f = list(itertools.accumulate(in_f, initial=0))
+    pos = {v: i for i, v in enumerate(verts)}
+    candidates = []
+    for b in range(k):
+        for nb, ceid, _ in g.arcs[verts[b]]:
+            a = pos.get(nb)
+            if a is None or a >= b:
+                continue
+            if b - a == 1 or (a == 0 and b == k - 1):
+                continue  # cycle edge, not a chord
+            xc = float(x[ceid])
+            qd = q[b] - q[a]
+            chord_in_inner = (f[b] - f[a]) % 2 == 0
+            lhs_in = qd + (1.0 - xc if chord_in_inner else xc)
+            lhs_out = (total_lhs - qd) + (xc if chord_in_inner else 1.0 - xc)
+            if lhs_in < 1.0 - queue_tol:
+                candidates.append((b - a + 1, a, b, "inner", ceid, chord_in_inner))
+            if lhs_out < 1.0 - queue_tol:
+                candidates.append(
+                    (k - (b - a) + 1, a, b, "outer", ceid, not chord_in_inner)
+                )
+    if not candidates:
+        return [CycleCut(tuple(eids), tuple(in_f))]
+    candidates.sort(key=lambda c: (c[0], c[1], c[2], c[3]))
+    marked = [False] * k
+    cuts = []
+    for _, a, b, which, ceid, chord_in in candidates:
+        if marked[a] or marked[b]:
+            continue
+        if which == "inner":
+            sub_v = verts[a : b + 1]
+            sub_e = eids[a:b] + [ceid]
+            sub_f = in_f[a:b] + [chord_in]
+            for t in range(a + 1, b):
+                marked[t] = True
+        else:
+            sub_v = verts[b:] + verts[: a + 1]
+            sub_e = eids[b:] + eids[:a] + [ceid]
+            sub_f = in_f[b:] + in_f[:a] + [chord_in]
+            for t in range(b + 1, k):
+                marked[t] = True
+            for t in range(a):
+                marked[t] = True
+        cuts.extend(reference_chordless_decompose(sub_v, sub_e, sub_f, x, g, queue_tol))
+    return cuts
 
 
 def has_chord(g, verts):

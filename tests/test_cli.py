@@ -105,6 +105,7 @@ def test_overflowing_total_weight_exit_code(tmp_path, capsys):
     ["--node-limit", "-1"],
     ["--node-limit", "1.5"],
     ["--enum-threshold", "-1"],
+    ["--seed", "-1"],
 ])
 def test_usage_error_exit_code(tmp_path, capsys, extra):
     path = tmp_path / "tri.mc"

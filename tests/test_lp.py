@@ -44,9 +44,12 @@ def test_cut_pool_deduplicates_by_edge_sets():
     pool = CutPool()
     a = CycleCut((0, 1, 2), (True, False, False))
     b = CycleCut((2, 1, 0), (False, False, True))  # same F and complement
-    assert pool.add(a)
-    assert not pool.add(b)
+    c = CycleCut((0, 1, 2), (False, True, False))  # same edges, another F
+    assert pool.add([a]) == [a]
+    assert pool.add([b]) == []
     assert len(pool) == 1
+    assert pool.add([c, a]) == [c]
+    assert pool.entries == [a, c] and len(pool.ages) == 2
 
 
 def test_unconstrained_lp_puts_positive_edges_at_upper_bound():
@@ -414,7 +417,7 @@ def test_warm_solves_after_cuts_and_bounds_do_not_refactorize(monkeypatch):
     state = engine.solve(lb, ub)  # after new bounds alone
     assert len(engine._simplex.rhs) > 0 and refactors == []
     cold = LpEngine(g)
-    cold.add_cuts([entry.cut for entry in engine.pool.entries])
+    cold.add_cuts(engine.pool.entries)
     assert state.objective == pytest.approx(cold.solve(lb, ub).objective)
     assert _inverse_error(engine._simplex) < 1e-8
 
@@ -432,9 +435,10 @@ def test_carried_inverse_stays_the_inverse_of_the_basis():
             if engine._simplex.basis is not None:
                 assert _inverse_error(engine._simplex) < 1e-8
                 checked += 1
-            for entry in engine.pool.entries[::3]:
-                entry.age = AGE_LIMIT
+            engine.pool.ages[::3] = AGE_LIMIT
             engine.purge_cuts()
+            pool = engine.pool
+            assert len(pool.ages) == len(pool.entries) == len(engine._simplex.rhs)
     assert checked >= 100, checked
 
 
@@ -451,14 +455,16 @@ def test_purge_of_basic_slacks_keeps_the_basis():
         for _ in range(AGE_LIMIT):
             before = engine.solve()
         simplex = engine._simplex
-        doomed = [i for i, e in enumerate(engine.pool.entries) if e.age >= AGE_LIMIT]
-        if not doomed or np.any(simplex.stat[g.m + np.array(doomed)] != BASIC):
+        doomed = np.flatnonzero(engine.pool.ages >= AGE_LIMIT)
+        if not doomed.size or np.any(simplex.stat[g.m + doomed] != BASIC):
             continue
         assert engine.purge_cuts() == len(doomed)
+        pool = engine.pool
+        assert len(pool.ages) == len(pool.entries) == len(simplex.rhs)
         assert simplex.basis is not None and _inverse_error(simplex) < 1e-8
         after = engine.solve()
         cold = LpEngine(g)
-        cold.add_cuts([entry.cut for entry in engine.pool.entries])
+        cold.add_cuts(engine.pool.entries)
         assert after.iterations == 0
         assert after.objective == pytest.approx(before.objective, abs=1e-9)
         assert after.objective == pytest.approx(cold.solve().objective, abs=1e-9)

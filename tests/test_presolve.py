@@ -169,7 +169,7 @@ def test_presolve_runs_to_its_fixpoint_on_a_field_torus_image():
                for (u, v), q in zip(pairs, rng.choice([-1, 1], size=len(pairs)))]
     entries += [(i + 1, i + 1, int(h))
                 for i, h in enumerate(rng.choice([-1, 1], size=L * L))]
-    image, _ = qubo_to_maxcut(RawQuboInstance(L * L, entries))
+    image = qubo_to_maxcut(RawQuboInstance(L * L, entries))
     reduced, _, _ = presolve_loop(build_graph(image))
     assert rule_dominating_edge(reduced) == []
     assert rule_triangle_zero(reduced) == []
@@ -181,9 +181,9 @@ def _hub_image(rng, n):
     """Max-cut image of a QUBO with a field on every variable: the root,
     vertex 0, is adjacent to (almost) every other vertex."""
     edges = random_graph(rng, n, 0.4)
-    qubo, _ = maxcut_to_qubo(RawMaxCutInstance(n, [(u + 1, v + 1, w) for u, v, w in edges]))
+    qubo = maxcut_to_qubo(RawMaxCutInstance(n, [(u + 1, v + 1, w) for u, v, w in edges]))
     field = [(i, i, float(rng.choice([-2, -1, 1, 2]))) for i in range(1, n)]
-    image, _ = qubo_to_maxcut(RawQuboInstance(qubo.dimension, qubo.entries + field))
+    image = qubo_to_maxcut(RawQuboInstance(qubo.dimension, qubo.entries + field))
     return build_graph(image)
 
 

@@ -24,6 +24,7 @@ from oracles import (
     has_chord,
     most_violated_cycle_inequality,
     random_graph,
+    reference_chordless_decompose,
     reference_separate_triangles,
     reference_triangle_table,
     reference_twin_distance,
@@ -153,6 +154,28 @@ def test_chordless_decompose_rejects_unviolated_input():
     g, x = cycle_graph(3, 0.5)
     eids = [g.find_edge(i, (i + 1) % 3) for i in range(3)]
     assert chordless_decompose([0, 1, 2], eids, [True, False, False], x, g) == []
+
+
+def test_chordless_decompose_matches_the_two_branch_reference():
+    """The one-span decomposition gives the reference's cuts in the
+    reference's order on the cycles of exact-separation walks."""
+    rng = random.Random(17)
+    with_chords = 0
+    for _ in range(100):
+        n = rng.randint(6, 14)
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.4, 0.8)))
+        x = np.array([rng.choice([0.0, 1.0, rng.random(), rng.random()])
+                      for _ in range(g.m)])
+        aux = build_aux_graph(g, x)
+        for v in range(n):
+            found = twin_walk(aux, v) if g.arcs[v] else None
+            if found is None:
+                continue
+            for verts, eids, in_f in extract_simple_cycles(found[1]):
+                want = reference_chordless_decompose(verts, eids, in_f, x, g)
+                assert chordless_decompose(verts, eids, in_f, x, g) == want
+                with_chords += has_chord(g, verts)
+    assert with_chords >= 200, with_chords
 
 
 def test_separate_exact_on_violated_cycle():

@@ -547,7 +547,8 @@ def test_a_deadline_at_any_clock_read_keeps_the_answer_sound(monkeypatch, heuris
     assert statuses == {"time_limit", "optimal"}
 
 
-@pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold"])
+@pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold",
+                                  "seed"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
 def test_config_rejects_limits_that_are_negative_or_not_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):

@@ -15,34 +15,33 @@ from oracles import brute_force_maxcut, brute_force_qubo
 
 
 def check_qubo_to_mc_identity(q):
-    """The certificate identity must hold for every binary assignment."""
-    mc, cert = qubo_to_maxcut(q)
-    assert cert.sign == -1.0 and cert.constant_offset == 0.0
+    """x^T Q x == -cut(y(x)) must hold for every binary assignment."""
+    mc = qubo_to_maxcut(q)
     for bits in itertools.product((0, 1), repeat=q.dimension):
         x = {i + 1: bits[i] for i in range(q.dimension)}
-        partition = maxcut_assignment_from_qubo(x, cert, mc.num_vertices)
+        partition = maxcut_assignment_from_qubo(x, mc.num_vertices)
         qval = sum(c * x[i] * x[j] for i, j, c in q.entries)
         assert qval == pytest.approx(
-            cert.sign * mc.cut_value(partition) + cert.constant_offset
+            -1.0 * mc.cut_value(partition) + 0.0
         )
 
 
 def check_mc_to_qubo_identity(g):
-    mc_q, cert = maxcut_to_qubo(g)
+    mc_q = maxcut_to_qubo(g)
     for bits in itertools.product((0, 1), repeat=g.num_vertices - 1):
         partition = {1: 0}
         partition.update({v + 2: bits[v] for v in range(g.num_vertices - 1)})
-        x = qubo_assignment_from_maxcut(partition, cert, mc_q.dimension)
+        x = qubo_assignment_from_maxcut(partition, mc_q.dimension)
         qval = sum(c * x[i] * x[j] for i, j, c in mc_q.entries)
         assert g.cut_value(partition) == pytest.approx(
-            cert.sign * qval + cert.constant_offset
+            -1.0 * qval + 0.0
         )
 
 
 def test_single_negative_diagonal():
     # min x^2 * (-1): optimum -1 at x=1; the graph is one positive edge
     q = RawQuboInstance(1, [(1, 1, -1.0)])
-    mc, cert = qubo_to_maxcut(q)
+    mc = qubo_to_maxcut(q)
     assert mc.edges == [(1, 2, 1.0)]
     check_qubo_to_mc_identity(q)
 
@@ -53,11 +52,11 @@ def test_two_variable_fixture():
     check_qubo_to_mc_identity(q)
     best, _ = brute_force_qubo(2, q.entries)
     assert best == -1.0
-    mc, cert = qubo_to_maxcut(q)
+    mc = qubo_to_maxcut(q)
     mc_best, _ = brute_force_maxcut(
         mc.num_vertices, [(u - 1, v - 1, w) for u, v, w in mc.edges]
     )
-    assert cert.sign * mc_best + cert.constant_offset == best
+    assert -1.0 * mc_best + 0.0 == best
 
 
 def test_identity_on_random_qubos():
@@ -89,8 +88,8 @@ def test_asymmetric_entries_are_symmetrized():
     # only the symmetric part of Q matters: (1,2) and (2,1) entries add up
     q1 = RawQuboInstance(2, [(1, 2, 3.0)])
     q2 = RawQuboInstance(2, [(1, 2, 1.0), (2, 1, 2.0)])
-    mc1, _ = qubo_to_maxcut(q1)
-    mc2, _ = qubo_to_maxcut(q2)
+    mc1 = qubo_to_maxcut(q1)
+    mc2 = qubo_to_maxcut(q2)
     assert mc1.edges == mc2.edges
 
 
@@ -106,6 +105,6 @@ def test_roundtrip_optimum_agrees_both_directions():
         ]
         g = RawMaxCutInstance(n, edges)
         best, _ = brute_force_maxcut(n, [(u - 1, v - 1, w) for u, v, w in edges])
-        q, cert = maxcut_to_qubo(g)
+        q = maxcut_to_qubo(g)
         q_best, _ = brute_force_qubo(q.dimension, q.entries)
-        assert cert.sign * q_best + cert.constant_offset == pytest.approx(best)
+        assert -1.0 * q_best + 0.0 == pytest.approx(best)

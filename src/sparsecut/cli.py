@@ -64,12 +64,6 @@ def build_arg_parser():
                    help="include the full partition in the report")
     p.add_argument("--no-presolve", action="store_true",
                    help="disable the reduction rules")
-    p.add_argument("--no-propagation", action="store_true",
-                   help="disable reduced-cost fixing")
-    p.add_argument("--heur-restarts", type=int, default=defaults.heur_restarts,
-                   help="most restarts of the angular heuristic; restarts stop "
-                        "at the first one that does not improve the cut "
-                        "(default %(default)s)")
     p.add_argument("--heur-off", action="store_true",
                    help="disable primal heuristics")
     return p
@@ -91,9 +85,7 @@ def config_from_args(args) -> Config:
         enum_threshold=args.enum_threshold,
         node_limit=args.node_limit,
         presolve=not args.no_presolve,
-        propagation=not args.no_propagation,
         heuristics=not args.heur_off,
-        heur_restarts=args.heur_restarts,
     )
 
 
@@ -103,7 +95,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         try:
             cfg = config_from_args(args)
-        except ValueError as exc:  # a limit or seed that is negative or not finite
+        except ValueError as exc:  # a number that is negative or not finite
             parser.error(str(exc))
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0

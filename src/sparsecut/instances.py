@@ -36,7 +36,6 @@ class RawMaxCutInstance:
     num_vertices: int
     # (u, v, w) with 1 <= u < v <= num_vertices, no duplicates after parsing
     edges: list[tuple[int, int, float]]
-    all_integral: bool = True
 
     def cut_value(self, partition):
         """Weight of the cut induced by a vertex->{0,1} map (1-based keys)."""
@@ -174,8 +173,7 @@ def _edge_key(u, v, line_no):
 def parse_maxcut(text) -> RawMaxCutInstance:
     """Parse an edge-list max-cut instance from a string or byte stream."""
     n, edges = _read_triplets(text, _MAXCUT, _edge_key)
-    all_integral = all(float(w).is_integer() for _, _, w in edges)
-    return RawMaxCutInstance(num_vertices=n, edges=edges, all_integral=all_integral)
+    return RawMaxCutInstance(num_vertices=n, edges=edges)
 
 
 def parse_qubo(text) -> RawQuboInstance:

@@ -8,7 +8,8 @@ original instance before it is reported.
 
 Branch-and-cut takes open nodes in best-bound order. A node is its bound and
 its fixed edges; it branches on the free fractional edge of largest
-``max(|w|, 1) * min(x, 1 - x)``.
+``max(|w|, 1) * min(x, 1 - x)``. A component whose weights are all integers
+has integer cut weights, so its LP bounds are rounded down; no option sets this.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .graph import (
     build_graph,
     induce_subgraph,
 )
-from .heuristics import (
-    DEFAULT_RESTARTS,
-    burer_rank2,
-    kernighan_lin,
-    spanning_tree_rounding,
-)
+from .heuristics import burer_rank2, kernighan_lin, spanning_tree_rounding
 from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
 from .lp import LpEngine, TimeUp
 from .presolve import format_stats, presolve_loop
@@ -62,13 +58,12 @@ class Config:
     enum_threshold: int = DEFAULT_ENUM_THRESHOLD
     node_limit: int = 0          # 0 = unlimited
     presolve: bool = True
-    propagation: bool = True
     heuristics: bool = True
-    heur_restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
-        # 0 is no limit; nan is never reached and a negative limit (or seed) is past
-        for name in ("time_limit_s", "gap_percent", "node_limit", "enum_threshold", "seed"):
+        # 0 is no limit; nan is never reached and a negative limit (or count) is past
+        for name in ("time_limit_s", "gap_percent", "node_limit", "enum_threshold",
+                     "seed", "threads"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
 
@@ -135,10 +130,11 @@ def enumerate_component(g) -> tuple[CutSolution, float]:
 class ComponentSolver:
     """Best-bound branch-and-cut on one (biconnected) component graph."""
 
-    def __init__(self, g, cfg: Config, all_integral, deadline, node_budget=0):
+    def __init__(self, g, cfg: Config, deadline, node_budget=0):
         self.g = g
         self.cfg = cfg
-        self.integral = all_integral
+        # integer weights give integer cuts: LP bounds are rounded down
+        self.integral = bool(np.all(g.edge_w == np.floor(g.edge_w)))
         self.deadline = deadline
         self.node_budget = node_budget
         self.engine = LpEngine(g, deadline)
@@ -160,8 +156,7 @@ class ComponentSolver:
         if initial is not None:
             self._offer(initial)
         if cfg.heuristics:
-            self._offer(burer_rank2(g, seed=cfg.seed, restarts=cfg.heur_restarts,
-                                    deadline=self.deadline))
+            self._offer(burer_rank2(g, seed=cfg.seed, deadline=self.deadline))
         else:
             self._offer(CutSolution.from_assignment(g, np.zeros(g.n, dtype=np.int8)))
 
@@ -236,13 +231,12 @@ class ComponentSolver:
                 if eff <= inc + PRUNE_TOL:
                     return []
 
-                if cfg.propagation:
-                    new_fixed, _ = propagate(
-                        g, state, bound, inc, lb, ub, fixed, self.integral
-                    )
-                    if len(new_fixed) > len(fixed):
-                        fixed = new_fixed
-                        continue
+                new_fixed, _ = propagate(
+                    g, state, bound, inc, lb, ub, fixed, self.integral
+                )
+                if len(new_fixed) > len(fixed):
+                    fixed = new_fixed
+                    continue
 
                 if cfg.heuristics:
                     self._offer(spanning_tree_rounding(g, state.x))
@@ -295,7 +289,7 @@ class ComponentSolver:
 
 # -- whole-instance orchestration -----------------------------------------
 
-def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
+def _solve_component(sub, cfg, deadline, stats: SolveStats):
     """Returns (solution, dual bound, status). A component too large to
     enumerate that is reached after the deadline runs no rank-2 and no LP:
     it keeps the trivial bound and a KL cut from the all-zero assignment."""
@@ -307,7 +301,7 @@ def _solve_component(sub, cfg, all_integral, deadline, stats: SolveStats):
         zero = CutSolution.from_assignment(sub, np.zeros(sub.n, dtype=np.int8))
         return kernighan_lin(sub, zero), _trivial_bound(sub), "time_limit"
     budget = max(1, cfg.node_limit - stats.nodes) if cfg.node_limit else 0
-    solver = ComponentSolver(sub, cfg, all_integral, deadline, node_budget=budget)
+    solver = ComponentSolver(sub, cfg, deadline, node_budget=budget)
     sol, dual, status = solver.solve()
     stats.nodes += solver.stats.nodes
     stats.lp_solves += solver.stats.lp_solves
@@ -335,7 +329,7 @@ def _stitch(n, pieces):
     return y
 
 
-def solve_graph(g, cfg: Config, all_integral=False):
+def solve_graph(g, cfg: Config):
     """Solve max-cut on a built graph; returns (solution, dual bound, status, stats)."""
     deadline = time.monotonic() + cfg.time_limit_s if cfg.time_limit_s else None
     stats = SolveStats()
@@ -355,9 +349,7 @@ def solve_graph(g, cfg: Config, all_integral=False):
     status = "optimal"
     for comp_edges in components:
         sub, verts = induce_subgraph(reduced, comp_edges)
-        sol, dual, comp_status = _solve_component(
-            sub, cfg, all_integral, deadline, stats
-        )
+        sol, dual, comp_status = _solve_component(sub, cfg, deadline, stats)
         pieces.append((verts, sol.y))
         dual_total += dual
         status = max(status, comp_status, key=_STATUS_RANK.__getitem__)
@@ -366,8 +358,6 @@ def solve_graph(g, cfg: Config, all_integral=False):
     solution = CutSolution.from_assignment(g, y_full)  # revalidate on the original
     if status == "optimal":
         dual_total = max(dual_total, solution.weight)
-        if all_integral:
-            dual_total = solution.weight
     return solution, dual_total, status, stats
 
 
@@ -378,7 +368,7 @@ def _gap_percent(primal, dual):
 def _solve_instance(mc: RawMaxCutInstance, cfg: Config | None):
     """Solve a max-cut instance; returns (1-based partition, dual, status, nodes)."""
     g = build_graph(mc)
-    solution, dual, status, stats = solve_graph(g, cfg or Config(), mc.all_integral)
+    solution, dual, status, stats = solve_graph(g, cfg or Config())
     partition = {v + 1: int(solution.y[v]) for v in range(g.n)}
     return partition, dual, status, stats.nodes
 

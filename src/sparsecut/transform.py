@@ -55,11 +55,7 @@ def qubo_to_maxcut(q: RawQuboInstance):
         if w != 0.0:
             edges.append((i + 1, j + 1, w))
 
-    return RawMaxCutInstance(
-        num_vertices=n + 1,
-        edges=edges,
-        all_integral=all(float(w).is_integer() for _, _, w in edges),
-    )
+    return RawMaxCutInstance(num_vertices=n + 1, edges=edges)
 
 
 def maxcut_to_qubo(g: RawMaxCutInstance):

@@ -44,8 +44,7 @@ N_INSTANCES = 500
 
 
 def _raw(n, edges):
-    return RawMaxCutInstance(n, [(u + 1, v + 1, w) for u, v, w in edges],
-                             all(float(w).is_integer() for _, _, w in edges))
+    return RawMaxCutInstance(n, [(u + 1, v + 1, w) for u, v, w in edges])
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def corpus():
 
 def test_oracle_equivalence_on_500_instances(corpus):
     start = time.monotonic()
-    cfg = Config(heur_restarts=2)
+    cfg = Config()
     for n, edges, best in corpus:
         report = solve_maxcut(_raw(n, edges), cfg)
         assert report.status == "optimal"
@@ -92,7 +91,7 @@ def test_oracle_equivalence_on_500_instances_by_branch_and_cut(corpus, monkeypat
     branch-and-cut instead of enumeration."""
     calls = _count_branch_and_cut(monkeypatch)
     start = time.monotonic()
-    cfg = Config(heur_restarts=2, enum_threshold=10)
+    cfg = Config(enum_threshold=10)
     for n, edges, best in corpus:
         report = solve_maxcut(_raw(n, edges), cfg)
         assert report.status == "optimal"
@@ -124,8 +123,8 @@ def test_separation_exactness_against_enumeration():
 def test_presolve_safety_on_the_oracle_corpus(corpus):
     for n, edges, best in corpus:
         raw = _raw(n, edges)
-        on = solve_maxcut(raw, Config(heur_restarts=2))
-        off = solve_maxcut(raw, Config(heur_restarts=2, presolve=False))
+        on = solve_maxcut(raw, Config())
+        off = solve_maxcut(raw, Config(presolve=False))
         assert on.best_value == off.best_value == best
 
 
@@ -133,9 +132,8 @@ def test_presolve_safety_on_the_oracle_corpus_by_branch_and_cut(corpus, monkeypa
     calls = _count_branch_and_cut(monkeypatch)
     for n, edges, best in corpus:
         raw = _raw(n, edges)
-        on = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=10))
-        off = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=10,
-                                       presolve=False))
+        on = solve_maxcut(raw, Config(enum_threshold=10))
+        off = solve_maxcut(raw, Config(enum_threshold=10, presolve=False))
         assert on.best_value == off.best_value == best
     assert calls
 
@@ -193,7 +191,7 @@ def test_qubo_maxcut_certificates_roundtrip():
         q_best, _ = brute_force_qubo(n, entries)
 
         # QUBO -> max-cut: the solver's minimum matches enumeration
-        report = solve_qubo(qubo, Config(heur_restarts=2))
+        report = solve_qubo(qubo, Config())
         assert report.status == "optimal"
         assert report.best_value == pytest.approx(q_best)
         assert qubo.objective(report.partition) == pytest.approx(q_best)
@@ -309,7 +307,7 @@ def test_lp_bounds_always_dominate_subproblem_optima(corpus, monkeypatch):
         return state
 
     monkeypatch.setattr(LpEngine, "solve", spy)
-    cfg = Config(heur_restarts=2, enum_threshold=0)
+    cfg = Config(enum_threshold=0)
     for n, edges, best in corpus:
         report = solve_maxcut(_raw(n, edges), cfg)
         assert report.best_value == best
@@ -333,7 +331,7 @@ def test_racing_matches_sequential_optima(corpus):
     for workers in (2, 4):
         for n, edges, best in corpus[:50]:
             report = racing_solve(_raw(n, edges),
-                                  Config(heur_restarts=2), workers=workers)
+                                  Config(), workers=workers)
             assert report.status == "optimal"
             assert report.best_value == best
 
@@ -343,11 +341,11 @@ def test_incumbent_sharing_node_count_regression():
     edges = random_graph(rng, 18, 0.4)
     g = WeightedGraph(18, edges)
     best, y = exhaustive_maxcut(18, edges)
-    cfg = Config(enum_threshold=0, heuristics=False, heur_restarts=1)
+    cfg = Config(enum_threshold=0, heuristics=False)
 
-    cold = ComponentSolver(g, cfg, True, None)
+    cold = ComponentSolver(g, cfg, None)
     sol_cold, _, st_cold = cold.solve()
-    warm = ComponentSolver(g, cfg, True, None)
+    warm = ComponentSolver(g, cfg, None)
     sol_warm, _, st_warm = warm.solve(initial=CutSolution.from_assignment(g, y))
 
     assert st_cold == st_warm == "optimal"

@@ -106,6 +106,7 @@ def test_overflowing_total_weight_exit_code(tmp_path, capsys):
     ["--node-limit", "1.5"],
     ["--enum-threshold", "-1"],
     ["--seed", "-1"],
+    ["--threads", "-4"],
 ])
 def test_usage_error_exit_code(tmp_path, capsys, extra):
     path = tmp_path / "tri.mc"
@@ -159,8 +160,7 @@ def test_limit_hit_exit_code(tmp_path, capsys):
         f"{u} {v} {w}\n" for u, v, w in edges
     )
     rc, out = run_cli(tmp_path, capsys, content, "big.mc",
-                      ["--node-limit", "1", "--enum-threshold", "0",
-                       "--heur-restarts", "1"])
+                      ["--node-limit", "1", "--enum-threshold", "0"])
     payload = json.loads(out)
     if payload["status"] == "optimal":
         assert rc == 0
@@ -192,7 +192,7 @@ def test_time_limited_run_prints_strict_json(tmp_path, capsys):
 def test_solver_flags_are_accepted(tmp_path, capsys):
     rc, out = run_cli(
         tmp_path, capsys, MC_TRIANGLE, "tri.mc",
-        ["--no-presolve", "--no-propagation", "--heur-off", "--seed", "3",
+        ["--no-presolve", "--heur-off", "--seed", "3",
          "--enum-threshold", "0",
          "--time-limit", "60", "--gap", "0", "--threads", "1"],
     )

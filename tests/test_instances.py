@@ -30,13 +30,11 @@ def test_parse_maxcut_basic():
     raw = parse_maxcut(MC_BASIC)
     assert raw.num_vertices == 3
     assert raw.edges == [(1, 2, 1.0), (1, 3, 2.5), (2, 3, -1.0)]
-    assert not raw.all_integral
 
 
 def test_parse_maxcut_merges_duplicates():
     raw = parse_maxcut("2 2\n1 2 3\n2 1 4\n")
     assert raw.edges == [(1, 2, 7.0)]
-    assert raw.all_integral
 
 
 def test_parse_maxcut_percent_comments_and_blank_lines():
@@ -117,8 +115,7 @@ def maxcut_instances(draw):
     )
     chosen = draw(st.dictionaries(pairs, weights, max_size=12))
     edges = [(u, v, w) for (u, v), w in sorted(chosen.items())]
-    return RawMaxCutInstance(n, edges,
-                             all(float(w).is_integer() for _, _, w in edges))
+    return RawMaxCutInstance(n, edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,7 +124,6 @@ def test_maxcut_write_parse_is_identity(raw):
     again = parse_maxcut(write_maxcut(raw))
     assert again.num_vertices == raw.num_vertices
     assert again.edges == raw.edges
-    assert again.all_integral == raw.all_integral
 
 
 def test_cut_value_counts_crossing_edges_only():

@@ -2,7 +2,7 @@ import math
 import random
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,8 +34,7 @@ from oracles import (
 
 
 def raw_from_edges(n, edges):
-    return RawMaxCutInstance(n, [(u + 1, v + 1, w) for u, v, w in edges],
-                             all(float(w).is_integer() for _, _, w in edges))
+    return RawMaxCutInstance(n, [(u + 1, v + 1, w) for u, v, w in edges])
 
 
 def test_enumerate_component_matches_brute_force():
@@ -94,16 +93,47 @@ def test_branch_takes_the_heaviest_fractional_free_edge():
              (1, 3, 0.25),   # 0.5: |w| counts as 1
              (2, 3, 1.0)]    # 0.45
     g = WeightedGraph(4, edges)  # edge ids follow the sorted (u, v) order
-    solver = ComponentSolver(g, Config(), True, None)
+    solver = ComponentSolver(g, Config(), None)
     state = SimpleNamespace(x=np.array([0.5, 1 - 5e-7, 0.3, 0.7, 0.5, 0.55]))
     fixed = {0: 1}
     children = solver._branch(state, fixed, 7.5)
-    assert children == [(7, {0: 1, 2: 0}), (7, {0: 1, 2: 1})]
+    # the 0.25 weight gives fractional cut weights: the bound stays 7.5
+    assert children == [(7.5, {0: 1, 2: 0}), (7.5, {0: 1, 2: 1})]
     assert fixed == {0: 1}
-    assert solver._branch(state, {}, 7.5)[0] == (7, {0: 0})
+    assert solver._branch(state, {}, 7.5)[0] == (7.5, {0: 0})
+    # with integer weights (the 0.25 made 1, 1e7 made 3) it is rounded down
+    integral = ComponentSolver(WeightedGraph(4, [(0, 1, 5.0), (0, 2, 3.0), (0, 3, -2.0),
+                                                 (1, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)]),
+                               Config(), None)
+    assert integral._branch(state, fixed, 7.5) == [(7, {0: 1, 2: 0}), (7, {0: 1, 2: 1})]
+    assert integral._branch(state, {}, 7.5)[0] == (7, {0: 0})
     state.x = np.array([0.5, 1 - 5e-7, 0.0, 1e-9, 1.0, 0.0])
     with pytest.raises(RuntimeError):
         solver._branch(state, fixed, 7.5)
+
+
+def test_component_integrality_is_read_from_its_weights():
+    edges = [(0, 1, 3.0), (0, 2, -2.0), (1, 2, 1e7), (2, 3, 1.0)]
+    assert ComponentSolver(WeightedGraph(4, edges), Config(), None).integral is True
+    edges[3] = (2, 3, 0.25)
+    assert ComponentSolver(WeightedGraph(4, edges), Config(), None).integral is False
+
+
+def test_fractional_instances_built_without_a_flag_report_the_true_optimum():
+    """Rounding every LP bound down is valid only for integer weights: with
+    two-decimal weights it pruned the optimum and still reported optimal.
+    With rank-2 off, the optimum is not found before a bound prunes it."""
+    cfg = Config(enum_threshold=0, heuristics=False)
+    for seed in range(300):
+        r = random.Random(seed)
+        n = r.randint(6, 10)
+        edges = [(u, v, round(r.uniform(-1, 1), 2))
+                 for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 if r.random() < 0.6]
+        report = solve_maxcut(RawMaxCutInstance(n, edges), cfg)
+        best, _ = brute_force_maxcut(n, [(u - 1, v - 1, w) for u, v, w in edges])
+        assert report.status == "optimal", seed
+        assert report.best_value == pytest.approx(best), seed
 
 
 def test_unit_triangle():
@@ -134,11 +164,10 @@ def test_solver_matches_brute_force_with_all_paths():
         raw = raw_from_edges(n, edges)
         best, _ = brute_force_maxcut(n, edges)
         for cfg in (
-            Config(heur_restarts=2),                          # enum path
-            Config(heur_restarts=2, enum_threshold=0),        # branch and cut
-            Config(heur_restarts=2, enum_threshold=0, presolve=False),
-            Config(heur_restarts=2, enum_threshold=0, propagation=False),
-            Config(heur_restarts=2, enum_threshold=0, heuristics=False),
+            Config(),                                  # enum path
+            Config(enum_threshold=0),                  # branch and cut
+            Config(enum_threshold=0, presolve=False),
+            Config(enum_threshold=0, heuristics=False),
         ):
             report = solve_maxcut(raw, cfg)
             assert report.status == "optimal"
@@ -153,11 +182,9 @@ def test_fractional_weights_are_handled():
         edges = random_graph(rng, n, 0.6, integral=False)
         if not edges:
             continue
-        raw = RawMaxCutInstance(
-            n, [(u + 1, v + 1, w) for u, v, w in edges], all_integral=False
-        )
+        raw = raw_from_edges(n, edges)
         best, _ = brute_force_maxcut(n, edges)
-        report = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=0))
+        report = solve_maxcut(raw, Config(enum_threshold=0))
         assert report.best_value == pytest.approx(best)
 
 
@@ -168,7 +195,7 @@ def test_disconnected_and_articulated_instances():
              (5, 6, 4.0)]
     raw = raw_from_edges(7, edges)
     best, _ = brute_force_maxcut(7, edges)
-    for cfg in (Config(), Config(enum_threshold=0, heur_restarts=2)):
+    for cfg in (Config(), Config(enum_threshold=0)):
         report = solve_maxcut(raw, cfg)
         assert report.best_value == pytest.approx(best) == 8.0
 
@@ -196,8 +223,7 @@ def test_stitching_aligns_blocks_across_articulation_vertices():
         raw = raw_from_edges(n, edges)
         best, _ = brute_force_maxcut(n, edges)
         # without presolve, which would reduce these small blocks first
-        report = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=0,
-                                          presolve=False))
+        report = solve_maxcut(raw, Config(enum_threshold=0, presolve=False))
         assert report.best_value == pytest.approx(best)
 
 
@@ -206,7 +232,7 @@ def test_node_limit_status_and_exitable_gap():
     edges = random_graph(rng, 20, 0.5)
     raw = raw_from_edges(20, edges)
     report = solve_maxcut(
-        raw, Config(enum_threshold=0, node_limit=1, heur_restarts=1)
+        raw, Config(enum_threshold=0, node_limit=1)
     )
     assert report.status in ("optimal", "node_limit")
     if report.status == "node_limit":
@@ -216,8 +242,8 @@ def test_node_limit_status_and_exitable_gap():
 def test_node_limit_of_one_solves_the_root():
     """The node that fills the budget still runs its cutting-plane loop."""
     g = WeightedGraph(14, random_graph(random.Random(15), 14, 0.5))
-    cfg = Config(node_limit=1, enum_threshold=0, heur_restarts=2)
-    solver = ComponentSolver(g, cfg, True, None, node_budget=1)
+    cfg = Config(node_limit=1, enum_threshold=0)
+    solver = ComponentSolver(g, cfg, None, node_budget=1)
     sol, dual, status = solver.solve()
     assert status == "node_limit"
     assert solver.stats.nodes == 1
@@ -229,8 +255,7 @@ def test_time_limit_is_respected():
     rng = random.Random(56)
     edges = random_graph(rng, 40, 0.5)
     raw = raw_from_edges(40, edges)
-    report = solve_maxcut(raw, Config(enum_threshold=0, time_limit_s=0.05,
-                                      heur_restarts=1))
+    report = solve_maxcut(raw, Config(enum_threshold=0, time_limit_s=0.05))
     assert report.status in ("optimal", "time_limit")
     assert report.wall_time_s < 20.0
 
@@ -253,7 +278,7 @@ def test_heuristic_restarts_stop_at_the_time_limit(monkeypatch):
     monkeypatch.setattr(solver_mod, "burer_rank2", rank2)
     rng = random.Random(58)
     g = WeightedGraph(12, random_graph(rng, 12, 0.5))
-    _, _, status = ComponentSolver(g, Config(), True, time.monotonic() - 1.0).solve()
+    _, _, status = ComponentSolver(g, Config(), time.monotonic() - 1.0).solve()
     assert status == "time_limit"
     assert local_calls == rank2_calls == [12]
 
@@ -311,7 +336,7 @@ def test_qubo_end_to_end():
                         entries.append((i, j, float(c)))
         raw = RawQuboInstance(n, entries)
         best, _ = brute_force_qubo(n, entries)
-        report = solve_qubo(raw, Config(heur_restarts=2))
+        report = solve_qubo(raw, Config())
         assert report.status == "optimal"
         assert report.best_value == pytest.approx(best)
         assert raw.objective(report.partition) == pytest.approx(best)
@@ -323,8 +348,8 @@ def test_racing_matches_single_threaded_value():
         n = 12
         edges = random_graph(rng, n, 0.4)
         raw = raw_from_edges(n, edges)
-        single = solve_maxcut(raw, Config(heur_restarts=2, enum_threshold=0))
-        raced = racing_solve(raw, Config(heur_restarts=2, enum_threshold=0),
+        single = solve_maxcut(raw, Config(enum_threshold=0))
+        raced = racing_solve(raw, Config(enum_threshold=0),
                              workers=3)
         assert raced.status == "optimal"
         assert raced.best_value == pytest.approx(single.best_value)
@@ -338,7 +363,7 @@ def test_racing_and_threads_give_the_plain_answer():
     rng = random.Random(60)
     cases = [(raw_from_edges(64, torus_edges(rng, 8)), Config()) for _ in range(3)]
     # needs three nodes in the plain solve, so a one-node limit must stop it
-    node_cfg = Config(node_limit=1, enum_threshold=0, heur_restarts=2)
+    node_cfg = Config(node_limit=1, enum_threshold=0)
     cases.append((raw_from_edges(14, random_graph(random.Random(15), 14, 0.5)),
                   node_cfg))
     for raw, cfg in cases:
@@ -353,7 +378,7 @@ def test_stopped_root_reports_a_finite_dual():
     rng = random.Random(61)
     g = WeightedGraph(12, random_graph(rng, 12, 0.5))
     sol, dual, status = ComponentSolver(
-        g, Config(), True, time.monotonic() - 1.0).solve()
+        g, Config(), time.monotonic() - 1.0).solve()
     assert status == "time_limit"
     assert sol.weight <= dual <= float(np.clip(g.edge_w, 0.0, None).sum())
 
@@ -363,13 +388,13 @@ def test_incumbent_injection_cannot_increase_nodes():
     edges = random_graph(rng, 16, 0.5)
     g = WeightedGraph(16, edges)
     best, y = brute_force_maxcut(16, edges)
-    cfg = Config(enum_threshold=0, heur_restarts=1, heuristics=False)
+    cfg = Config(enum_threshold=0, heuristics=False)
 
-    cold = ComponentSolver(g, cfg, True, None)
+    cold = ComponentSolver(g, cfg, None)
     sol_cold, _, st_cold = cold.solve()
 
     from sparsecut.graph import CutSolution
-    warm = ComponentSolver(g, cfg, True, None)
+    warm = ComponentSolver(g, cfg, None)
     sol_warm, _, st_warm = warm.solve(
         initial=CutSolution.from_assignment(g, np.array(y, dtype=np.int8))
     )
@@ -387,7 +412,7 @@ def test_dual_bound_dominates_optimum_on_limit_hits():
         raw = raw_from_edges(n, edges)
         best, _ = brute_force_maxcut(n, edges)
         report = solve_maxcut(
-            raw, Config(enum_threshold=0, node_limit=1, heur_restarts=1)
+            raw, Config(enum_threshold=0, node_limit=1)
         )
         assert report.best_value <= best + 1e-9
         if report.status == "optimal":
@@ -404,7 +429,7 @@ def test_root_stopped_after_its_lp_keeps_the_lp_bound(monkeypatch):
     """A time-out inside the root re-queues it at its last effective LP
     bound, not at the parent's bound +inf (clamped to the trivial bound)."""
     g = WeightedGraph(64, torus_edges(random.Random(62), 8))
-    solver = ComponentSolver(g, Config(), True, time.monotonic() + 600.0)
+    solver = ComponentSolver(g, Config(), time.monotonic() + 600.0)
     objectives = []
     real_solve = solver_mod.LpEngine.solve
 
@@ -548,11 +573,23 @@ def test_a_deadline_at_any_clock_read_keeps_the_answer_sound(monkeypatch, heuris
 
 
 @pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold",
-                                  "seed"])
+                                  "seed", "threads"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
 def test_config_rejects_limits_that_are_negative_or_not_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
         Config(**{name: value})
+
+
+def test_every_numeric_config_field_is_validated():
+    """A numeric option added later cannot skip the check in __post_init__."""
+    # solver.py postpones annotations, so each type is a string
+    numeric = [f for f in fields(Config) if f.type in ("int", "float")]
+    assert {f.name for f in numeric} >= {"time_limit_s", "threads", "seed"}
+    for f in numeric:
+        values = (-1, math.nan, math.inf) if f.type == "float" else (-1,)
+        for value in values:
+            with pytest.raises(ValueError):
+                Config(**{f.name: value})
 
 
 @pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold"])

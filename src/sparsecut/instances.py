@@ -87,13 +87,11 @@ def detect_format(path, text) -> str:
         return "mc"
     if path.endswith(".bq"):
         return "bq"
-    # header sniffing: a QUBO file may carry diagonal (i, i) entries, a
-    # max-cut file never does; default to max-cut otherwise
-    for line in text.splitlines()[1:]:
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
-            continue
-        tokens = stripped.split()
+    # a QUBO file may carry diagonal (i, i) entries, a max-cut file never
+    # does; default to max-cut otherwise
+    lines = _data_lines(text)
+    next(lines, None)  # the header
+    for _, tokens in lines:
         if len(tokens) == 3 and tokens[0] == tokens[1]:
             return "bq"
     return "mc"
@@ -106,8 +104,7 @@ def _parse_weight(token, line_no):
         raise ParseError(f"cannot parse weight {token!r}", line_no) from None
 
 
-# The words a triplet format's error messages use; a max-cut file also
-# rejects a negative edge count at its header.
+# The words a triplet format's error messages use.
 _Words = namedtuple("_Words", "header size item items line index indices")
 _MAXCUT = _Words("n m", "number of vertices", "edge", "edges", "u v w",
                  "vertex id", "vertex ids")
@@ -135,7 +132,7 @@ def _read_triplets(text, words, key=lambda i, j, line_no: (i, j)):
                          header_no) from None
     if n <= 0:
         raise ParseError(f"{words.size} must be positive", header_no)
-    if words is _MAXCUT and k < 0:
+    if k < 0:
         raise ParseError(f"number of {words.items} must be nonnegative", header_no)
 
     merged: dict[tuple[int, int], float] = {}  # insertion order is file order
@@ -186,18 +183,19 @@ def _format_number(x):
     return repr(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def write_maxcut(instance: RawMaxCutInstance) -> str:
-    lines = [f"{instance.num_vertices} {len(instance.edges)}"]
-    for u, v, w in instance.edges:
-        lines.append(f"{u} {v} {_format_number(w)}")
+def _write_triplets(n, triplets):
+    """The inverse of ``_read_triplets``: a header ``n k`` and ``k`` lines."""
+    lines = [f"{n} {len(triplets)}"]
+    lines += [f"{i} {j} {_format_number(value)}" for i, j, value in triplets]
     return "\n".join(lines) + "\n"
+
+
+def write_maxcut(instance: RawMaxCutInstance) -> str:
+    return _write_triplets(instance.num_vertices, instance.edges)
 
 
 def write_qubo(instance: RawQuboInstance) -> str:
-    lines = [f"{instance.dimension} {len(instance.entries)}"]
-    for i, j, q in instance.entries:
-        lines.append(f"{i} {j} {_format_number(q)}")
-    return "\n".join(lines) + "\n"
+    return _write_triplets(instance.dimension, instance.entries)
 
 
 def write_report(report: ResultReport) -> str:

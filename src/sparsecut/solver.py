@@ -7,9 +7,13 @@ presolve trace onto the original graph. Every incumbent is re-evaluated on the
 original instance before it is reported.
 
 Branch-and-cut takes open nodes in best-bound order. A node is its bound and
-its fixed edges; it branches on the free fractional edge of largest
-``max(|w|, 1) * min(x, 1 - x)``. A component whose weights are all integers
-has integer cut weights, so its LP bounds are rounded down; no option sets this.
+its fixed edges. Every bound in the heap is valid for its node's subtree (the
+root's is the trivial bound), so each stop -- gap, node or time limit -- is
+read at the heap's top while that node is still queued, and the dual is the
+larger of the incumbent and the top's bound. A node branches on the free
+fractional edge of largest ``max(|w|, 1) * min(x, 1 - x)``. A component whose
+weights are all integers has integer cut weights, so its LP bounds are rounded
+down; no option sets this.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ def enumerate_component(g) -> tuple[CutSolution, float]:
 class ComponentSolver:
     """Best-bound branch-and-cut on one (biconnected) component graph."""
 
-    def __init__(self, g, cfg: Config, deadline, node_budget=0):
+    def __init__(self, g, cfg: Config, deadline, node_budget=math.inf):
         self.g = g
         self.cfg = cfg
         # integer weights give integer cuts: LP bounds are rounded down
@@ -162,35 +166,32 @@ class ComponentSolver:
 
         self._start = time.monotonic()
         counter = 0
-        heap = [(-math.inf, 0, {})]  # (-bound, counter, fixed)
+        heap = [(-_trivial_bound(g), 0, {})]  # (-bound, counter, fixed)
         status = "optimal"
 
         while heap:
+            bound = -heap[0][0]  # the best open node stays queued until it runs
+            inc = self.best.weight
+            if bound <= inc + PRUNE_TOL:
+                heapq.heappop(heap)  # dominated by the incumbent
+                continue
             if self._past_deadline():
                 status = "time_limit"
                 break
-            if self.node_budget and self.stats.nodes >= self.node_budget:
+            if self.stats.nodes >= self.node_budget:
                 status = "node_limit"
                 break
-            neg_bound, _, fixed = heapq.heappop(heap)
-            inc = self.best.weight
-            if -neg_bound <= inc + PRUNE_TOL:
-                continue  # bound from the parent already dominated
-            if _gap_percent(inc, -neg_bound) <= cfg.gap_percent + 1e-12:
+            if _gap_percent(inc, bound) <= cfg.gap_percent + 1e-12:
                 status = "gap_limit" if cfg.gap_percent > 0 else "optimal"
-                heap = []
                 break
+            _, _, fixed = heapq.heappop(heap)
             self.stats.nodes += 1
-            for bound, child_fixed in self._process_node(-neg_bound, fixed):
+            for child_bound, child_fixed in self._process_node(bound, fixed):
                 counter += 1
-                heapq.heappush(heap, (-bound, counter, child_fixed))
+                heapq.heappush(heap, (-child_bound, counter, child_fixed))
 
-        dual = self.best.weight
-        if heap:
-            # a root stopped before its first LP still carries bound +inf
-            open_bound = min(max(-item[0] for item in heap), _trivial_bound(g))
-            dual = max(dual, open_bound)
-        return self.best, dual, status
+        open_bound = -heap[0][0] if heap else -math.inf
+        return self.best, max(self.best.weight, open_bound), status
 
     def _past_deadline(self):
         return self.deadline is not None and time.monotonic() >= self.deadline
@@ -238,10 +239,10 @@ class ComponentSolver:
                     fixed = new_fixed
                     continue
 
-                if cfg.heuristics:
+                x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
+                if cfg.heuristics or x_integral:  # an integral x is a cut's vector
                     self._offer(spanning_tree_rounding(g, state.x))
 
-                x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
                 if self.triangles is None:
                     self.triangles = triangle_table(g)
                 cuts = separate_triangles(state.x, self.triangles)
@@ -260,17 +261,13 @@ class ComponentSolver:
                 # no progress: nothing new to add (every violated cut, if any, is
                 # already in the pool), or the bound has stalled at a fractional x
                 if not added or (tail >= TAILING_OFF_ROUNDS and not x_integral):
-                    if not x_integral:
-                        return self._branch(state, fixed, bound)
-                    if not cfg.heuristics:
-                        # the point is the incidence vector of a cut: certify it
-                        self._offer(spanning_tree_rounding(g, state.x))
-                    return []
+                    return [] if x_integral else self._branch(state, fixed, eff)
         except TimeUp:
             return [(min(parent_bound, eff), fixed)]
 
     def _branch(self, state, fixed, bound):
-        """Two children, each with one more edge fixed (down child first).
+        """Two children at the node's effective ``bound``, each with one more
+        edge fixed (down child first).
 
         The edge is the free one with the largest ``max(|w|, 1) * min(x, 1 - x)``;
         among scores within 1e-15 of the largest, the lowest edge id.
@@ -283,8 +280,7 @@ class ComponentSolver:
         if best < 0:
             raise RuntimeError("no fractional edge available for branching")
         e = int(np.flatnonzero(score > best - 1e-15)[0])
-        eff = effective_bound(bound, self.integral)
-        return [(eff, {**fixed, e: val}) for val in (0, 1)]
+        return [(bound, {**fixed, e: val}) for val in (0, 1)]
 
 
 # -- whole-instance orchestration -----------------------------------------
@@ -300,7 +296,7 @@ def _solve_component(sub, cfg, deadline, stats: SolveStats):
     if deadline is not None and time.monotonic() >= deadline:
         zero = CutSolution.from_assignment(sub, np.zeros(sub.n, dtype=np.int8))
         return kernighan_lin(sub, zero), _trivial_bound(sub), "time_limit"
-    budget = max(1, cfg.node_limit - stats.nodes) if cfg.node_limit else 0
+    budget = max(1, cfg.node_limit - stats.nodes) if cfg.node_limit else math.inf
     solver = ComponentSolver(sub, cfg, deadline, node_budget=budget)
     sol, dual, status = solver.solve()
     stats.nodes += solver.stats.nodes

@@ -77,6 +77,12 @@ def test_parse_qubo_rejects_a_total_weight_that_overflows():
     assert parse_qubo("2 2\n1 1 -5e299\n2 2 5e299\n").entries == [(1, 1, -5e299), (2, 2, 5e299)]
 
 
+def test_parse_qubo_rejects_a_negative_entry_count():
+    with pytest.raises(ParseError) as err:
+        parse_qubo("2 -1\n")
+    assert "line 1: number of entries must be nonnegative" in str(err.value)
+
+
 def test_parse_qubo_basic():
     raw = parse_qubo("2 3\n1 1 -1\n1 2 2\n2 2 -1\n")
     assert raw.dimension == 2

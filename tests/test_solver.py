@@ -11,7 +11,8 @@ import pytest
 import sparsecut.heuristics as heuristics
 import sparsecut.separation as separation
 import sparsecut.solver as solver_mod
-from sparsecut.graph import WeightedGraph, build_graph
+from sparsecut.graph import CutSolution, WeightedGraph, build_graph
+from sparsecut.heuristics import kernighan_lin
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
 from sparsecut.lp import LpState, TimeUp, _BoundedSimplex
 from sparsecut.solver import (
@@ -97,16 +98,10 @@ def test_branch_takes_the_heaviest_fractional_free_edge():
     state = SimpleNamespace(x=np.array([0.5, 1 - 5e-7, 0.3, 0.7, 0.5, 0.55]))
     fixed = {0: 1}
     children = solver._branch(state, fixed, 7.5)
-    # the 0.25 weight gives fractional cut weights: the bound stays 7.5
+    # the children keep the node's bound, which the caller has already rounded
     assert children == [(7.5, {0: 1, 2: 0}), (7.5, {0: 1, 2: 1})]
     assert fixed == {0: 1}
     assert solver._branch(state, {}, 7.5)[0] == (7.5, {0: 0})
-    # with integer weights (the 0.25 made 1, 1e7 made 3) it is rounded down
-    integral = ComponentSolver(WeightedGraph(4, [(0, 1, 5.0), (0, 2, 3.0), (0, 3, -2.0),
-                                                 (1, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)]),
-                               Config(), None)
-    assert integral._branch(state, fixed, 7.5) == [(7, {0: 1, 2: 0}), (7, {0: 1, 2: 1})]
-    assert integral._branch(state, {}, 7.5)[0] == (7, {0: 0})
     state.x = np.array([0.5, 1 - 5e-7, 0.0, 1e-9, 1.0, 0.0])
     with pytest.raises(RuntimeError):
         solver._branch(state, fixed, 7.5)
@@ -393,7 +388,6 @@ def test_incumbent_injection_cannot_increase_nodes():
     cold = ComponentSolver(g, cfg, None)
     sol_cold, _, st_cold = cold.solve()
 
-    from sparsecut.graph import CutSolution
     warm = ComponentSolver(g, cfg, None)
     sol_warm, _, st_warm = warm.solve(
         initial=CutSolution.from_assignment(g, np.array(y, dtype=np.int8))
@@ -423,6 +417,40 @@ def test_dual_bound_dominates_optimum_on_limit_hits():
                 1.0, abs(report.best_value)
             )
             assert dual >= best - 1e-6
+
+
+@pytest.mark.parametrize("seed", [26, 68])
+def test_gap_exit_keeps_the_best_open_bound_as_the_dual(seed):
+    """A gap stop returns the best open node's bound, not the incumbent: with
+    rank-2 off, the incumbent starts from Kernighan-Lin below the optimum."""
+    g = WeightedGraph(36, torus_edges(random.Random(seed), 6))
+
+    def solve(gap):
+        cfg = Config(enum_threshold=0, heuristics=False, gap_percent=gap)
+        zero = CutSolution.from_assignment(g, np.zeros(g.n, dtype=np.int8))
+        return ComponentSolver(g, cfg, None).solve(initial=kernighan_lin(g, zero))
+
+    sol, optimum, status = solve(0)
+    assert status == "optimal" and sol.weight == optimum
+    for gap in (10, 25, 50):
+        sol, dual, status = solve(gap)
+        assert status in ("optimal", "gap_limit"), gap
+        assert sol.weight <= optimum <= dual, gap
+
+
+def test_gap_limit_reports_the_gap_to_the_open_bound():
+    raw = raw_from_edges(144, torus_edges(random.Random(1), 12))
+    report = solve_maxcut(raw, Config(gap_percent=2))
+    assert report.status == "gap_limit"
+    assert 0 < report.primal_dual_gap_percent <= 2
+
+
+def test_a_heuristic_cut_at_the_trivial_bound_processes_no_node():
+    """The root enters the heap at the trivial bound, which an even ring's
+    heuristic cut meets, so no LP is solved."""
+    ring = [(v, v + 1, 1.0) for v in range(19)] + [(0, 19, 1.0)]
+    report = solve_maxcut(raw_from_edges(20, ring), Config(enum_threshold=0, presolve=False))
+    assert (report.status, report.best_value, report.bnb_nodes) == ("optimal", 20.0, 0)
 
 
 def test_root_stopped_after_its_lp_keeps_the_lp_bound(monkeypatch):

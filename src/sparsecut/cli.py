@@ -56,8 +56,8 @@ def build_arg_parser():
                    "enumeration is the faster of the two up to about 21)")
     p.add_argument("--node-limit", type=int, default=defaults.node_limit,
                    metavar="N",
-                   help="stop after N branch-and-bound nodes (default "
-                   "%(default)s = unlimited)")
+                   help="stop after N branch-and-bound nodes over all "
+                   "components (default %(default)s = unlimited)")
     p.add_argument("--out", metavar="FILE",
                    help="write the JSON report to FILE instead of stdout")
     p.add_argument("--write-solution", action="store_true",
@@ -124,8 +124,12 @@ def main(argv=None) -> int:
         report.partition = {}
     rendered = write_report(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(rendered)
 

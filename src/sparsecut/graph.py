@@ -133,8 +133,6 @@ def build_graph(raw) -> WeightedGraph:
 def cut_weight(g: WeightedGraph, y) -> float:
     """Total weight of edges whose endpoints get different sides under y."""
     y = np.asarray(y)
-    if g.m == 0:
-        return 0.0
     crossing = y[g.edge_u] != y[g.edge_v]
     return float(g.edge_w[crossing].sum())
 

@@ -4,11 +4,11 @@ and spanning-tree rounding of LP points."""
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from .graph import CutSolution, cut_weight
+from .lp import expired
 
 GRAD_TOL = 1e-4
 REL_TOL = 1e-5
@@ -19,8 +19,6 @@ DEFAULT_RESTARTS = 8
 
 def angular_energy(g, theta):
     """sum over edges of w * cos(theta_u - theta_v); low energy = heavy cut."""
-    if g.m == 0:
-        return 0.0
     return float(np.sum(g.edge_w * np.cos(theta[g.edge_u] - theta[g.edge_v])))
 
 
@@ -78,7 +76,7 @@ def _local_minimize(g, theta, deadline=None):
         energy -= drop
         if max_move < GRAD_TOL or drop <= REL_TOL * abs(energy):
             break
-        if deadline is not None and time.monotonic() >= deadline:
+        if expired(deadline):
             break
     theta[:] = angle
     return theta
@@ -178,7 +176,7 @@ def burer_rank2(g, seed=0, restarts=DEFAULT_RESTARTS,
     base = rng.uniform(0.0, 2 * math.pi, size=g.n)
     best = None
     for attempt in range(max(1, restarts)):
-        if attempt > 0 and deadline is not None and time.monotonic() >= deadline:
+        if attempt > 0 and expired(deadline):
             break
         theta = base.copy()
         if attempt > 0:

@@ -53,6 +53,12 @@ class TimeUp(Exception):
     Not an LpError, so the cold restart never retries it."""
 
 
+def expired(deadline):
+    """Whether ``time.monotonic()`` has passed ``deadline``; ``None`` never
+    expires and reads no clock."""
+    return deadline is not None and time.monotonic() >= deadline
+
+
 def cycle_key(edges, in_f):
     """Identity of a cycle with odd set F: its edge ids, with ~e for e in F."""
     return frozenset(~e if flag else e for e, flag in zip(edges, in_f))
@@ -253,8 +259,8 @@ class _BoundedSimplex:
                 return True
             if self.iterations > self.MAX_ITERS:
                 raise LpError("simplex iteration limit exceeded")
-            if self.iterations % self.DEADLINE_EVERY == self.DEADLINE_EVERY - 1 and (
-                    self.deadline is not None and time.monotonic() >= self.deadline):
+            if (self.iterations % self.DEADLINE_EVERY == self.DEADLINE_EVERY - 1
+                    and expired(self.deadline)):
                 raise TimeUp
             bland = stall > self.BLAND_AFTER
             if bland and not perturbed:

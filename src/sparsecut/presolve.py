@@ -225,7 +225,7 @@ def _reduction_at(a, v):
     return None
 
 
-def presolve_loop(g: WeightedGraph, trace: ReductionTrace | None = None):
+def presolve_loop(g: WeightedGraph):
     """Apply all rules in worklist rounds until a round contracts nothing.
 
     Returns (reduced graph, trace, stats); the reduced graph is ``g`` itself
@@ -233,7 +233,7 @@ def presolve_loop(g: WeightedGraph, trace: ReductionTrace | None = None):
     original optimal solutions from reduced ones.
     """
     start = time.perf_counter()
-    trace = trace if trace is not None else ReductionTrace()
+    trace = ReductionTrace()
     stats = PresolveStats()
     a = Adjacency(g)
 

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .lp import VIOLATION_TOL, CycleCut, TimeUp, cycle_key
+from .lp import VIOLATION_TOL, CycleCut, TimeUp, cycle_key, expired
 
 EPS_SKIP = 1e-6        # aux arcs with weight >= 1 - EPS_SKIP are never built
 SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
@@ -175,7 +174,7 @@ def extract_simple_cycles(walk: ClosedWalk):
     return out
 
 
-def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
+def chordless_decompose(verts, eids, in_f, x, g):
     """Split a violated simple cycle along chords into chordless violated cuts.
 
     A chord (a, b), a < b, closes two sub-cycles: the spans (a, b) and
@@ -191,7 +190,7 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
     q = list(accumulate(((1.0 - x[e]) if flag else x[e]
                          for e, flag in zip(eids, in_f)), initial=0.0))
     total_lhs = q[k]
-    if total_lhs >= 1.0 - queue_tol:
+    if total_lhs >= 1.0 - EMIT_TOL:
         return []
     f = list(accumulate(in_f, initial=0))
     arcs = g.arcs
@@ -212,7 +211,7 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
             lhs_out = (total_lhs - qd) + (xc if chord_in_inner else 1.0 - xc)
             for start, end, lhs, chord_in in ((a, b, lhs_in, chord_in_inner),
                                               (b, a + k, lhs_out, not chord_in_inner)):
-                if lhs < 1.0 - queue_tol:
+                if lhs < 1.0 - EMIT_TOL:
                     candidates.append((end - start + 1, a, b, start, end, ceid, chord_in))
 
     if not candidates:
@@ -229,7 +228,7 @@ def chordless_decompose(verts, eids, in_f, x, g, queue_tol=EMIT_TOL):
             marked[t % k] = True
         cuts.extend(chordless_decompose(ring_v[start:end + 1],
                                         ring_e[start:end] + [ceid],
-                                        ring_f[start:end] + [chord_in], x, g, queue_tol))
+                                        ring_f[start:end] + [chord_in], x, g))
     return cuts
 
 
@@ -249,7 +248,7 @@ def separate_exact(g, x, deadline=None):
     seen = set()
     cuts: list[CycleCut] = []
     for v in range(g.n):
-        if deadline is not None and time.monotonic() >= deadline:
+        if expired(deadline):
             raise TimeUp
         if not arcs[v]:
             continue
@@ -307,7 +306,7 @@ _ODD_F = ((True, False, False), (False, True, False),
           (False, False, True), (True, True, True))
 
 
-def separate_triangles(x, table, viol_tol=VIOLATION_TOL):
+def separate_triangles(x, table):
     """Violated cycle inequalities on the rows of a ``triangle_table``.
 
     Scores all four odd F sets of every row; cuts come in (row, F set) order.
@@ -315,6 +314,6 @@ def separate_triangles(x, table, viol_tol=VIOLATION_TOL):
     xt = np.asarray(x, dtype=np.float64)[table][:, None, :]
     terms = np.where(np.array(_ODD_F), 1.0 - xt, xt)  # (t, 4, 3) slack-form terms
     lhs = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]
-    rows, masks = np.nonzero(lhs < 1.0 - viol_tol)
+    rows, masks = np.nonzero(lhs < 1.0 - VIOLATION_TOL)
     return [CycleCut(tuple(table[r].tolist()), _ODD_F[f])
             for r, f in zip(rows.tolist(), masks.tolist())]

@@ -10,10 +10,11 @@ Branch-and-cut takes open nodes in best-bound order. A node is its bound and
 its fixed edges. Every bound in the heap is valid for its node's subtree (the
 root's is the trivial bound), so each stop -- gap, node or time limit -- is
 read at the heap's top while that node is still queued, and the dual is the
-larger of the incumbent and the top's bound. A node branches on the free
-fractional edge of largest ``max(|w|, 1) * min(x, 1 - x)``. A component whose
-weights are all integers has integer cut weights, so its LP bounds are rounded
-down; no option sets this.
+larger of the incumbent and the top's bound; components share one node
+budget. A node branches on the free fractional edge of largest
+``max(|w|, 1) * min(x, 1 - x)``. A component whose weights are all integers
+has integer cut weights, so its LP bounds are rounded down; no option sets
+this.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -33,9 +35,9 @@ from .graph import (
     build_graph,
     induce_subgraph,
 )
-from .heuristics import burer_rank2, kernighan_lin, spanning_tree_rounding
+from .heuristics import burer_rank2, spanning_tree_rounding
 from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
-from .lp import LpEngine, TimeUp
+from .lp import LpEngine, TimeUp, expired
 from .presolve import format_stats, presolve_loop
 from .propagate import effective_bound, propagate
 from .separation import separate_exact, separate_triangles, triangle_table
@@ -70,6 +72,11 @@ class Config:
                      "seed", "threads"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("node_limit", "enum_threshold", "seed", "threads"):
+            try:
+                operator.index(getattr(self, name))  # numpy integers pass too
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
 
 
 @dataclass
@@ -175,7 +182,7 @@ class ComponentSolver:
             if bound <= inc + PRUNE_TOL:
                 heapq.heappop(heap)  # dominated by the incumbent
                 continue
-            if self._past_deadline():
+            if expired(self.deadline):
                 status = "time_limit"
                 break
             if self.stats.nodes >= self.node_budget:
@@ -192,9 +199,6 @@ class ComponentSolver:
 
         open_bound = -heap[0][0] if heap else -math.inf
         return self.best, max(self.best.weight, open_bound), status
-
-    def _past_deadline(self):
-        return self.deadline is not None and time.monotonic() >= self.deadline
 
     # -- node processing ---------------------------------------------------
 
@@ -218,7 +222,7 @@ class ComponentSolver:
         rounds = 0
         try:
             while True:
-                if self._past_deadline():
+                if expired(self.deadline):
                     raise TimeUp
                 for e, val in fixed.items():
                     lb[e] = ub[e] = float(val)
@@ -286,17 +290,13 @@ class ComponentSolver:
 # -- whole-instance orchestration -----------------------------------------
 
 def _solve_component(sub, cfg, deadline, stats: SolveStats):
-    """Returns (solution, dual bound, status). A component too large to
-    enumerate that is reached after the deadline runs no rank-2 and no LP:
-    it keeps the trivial bound and a KL cut from the all-zero assignment."""
-    alive = len(sub.alive_vertices())
-    if alive <= cfg.enum_threshold:
+    """Returns (solution, dual bound, status). A component reached past the
+    deadline or with no nodes left stops at its root before any LP, with
+    rank-2's cut and the trivial bound."""
+    if sub.n <= cfg.enum_threshold:  # induce_subgraph leaves no isolated vertex
         sol, value = enumerate_component(sub)
         return sol, value, "optimal"
-    if deadline is not None and time.monotonic() >= deadline:
-        zero = CutSolution.from_assignment(sub, np.zeros(sub.n, dtype=np.int8))
-        return kernighan_lin(sub, zero), _trivial_bound(sub), "time_limit"
-    budget = max(1, cfg.node_limit - stats.nodes) if cfg.node_limit else math.inf
+    budget = cfg.node_limit - stats.nodes if cfg.node_limit else math.inf
     solver = ComponentSolver(sub, cfg, deadline, node_budget=budget)
     sol, dual, status = solver.solve()
     stats.nodes += solver.stats.nodes
@@ -332,7 +332,7 @@ def solve_graph(g, cfg: Config):
     trace = ReductionTrace()
     reduced = g
     if cfg.presolve:
-        reduced, trace, pstats = presolve_loop(g, trace=trace)
+        reduced, trace, pstats = presolve_loop(g)
         log.info("%s", format_stats(pstats))
 
     components, _ = biconnected_components(reduced)

@@ -61,6 +61,17 @@ def test_out_file_instead_of_stdout(tmp_path, capsys):
     assert payload["best_value"] == 2.0
 
 
+def test_out_file_that_cannot_be_written_exit_code(tmp_path, capsys):
+    path = tmp_path / "tri.mc"
+    path.write_text(MC_TRIANGLE)
+    dest = tmp_path / "missing" / "report.json"
+    rc = main([str(path), "--out", str(dest)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {dest}:" in captured.err
+
+
 def test_format_autodetect_without_extension():
     assert _detect_format("foo.mc", BQ_SMALL) == "mc"  # extension wins
     assert _detect_format("foo", BQ_SMALL) == "bq"  # diagonal entries

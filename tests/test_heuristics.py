@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sparsecut.heuristics as heuristics
+import sparsecut.lp as lp
 from sparsecut.graph import CutSolution, WeightedGraph, cut_weight
 from sparsecut.heuristics import (
     _best_diameter_cut,
@@ -282,7 +283,7 @@ def test_local_minimize_stops_after_the_sweep_that_passes_the_deadline(
     g = WeightedGraph(40, random_graph(rng, 40, 0.2, integral=False))
     start = np.random.default_rng(30).uniform(0, 2 * math.pi, size=g.n)
     full = _local_minimize(g, start.copy())
-    monkeypatch.setattr(heuristics, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=clock))
     assert np.array_equal(_local_minimize(g, start.copy()), full)
     assert reads == []
     stopped = _local_minimize(g, start.copy(), deadline=3.0)

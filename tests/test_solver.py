@@ -246,6 +246,23 @@ def test_node_limit_of_one_solves_the_root():
     assert sol.weight <= dual < solver_mod._trivial_bound(g)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_node_limit_counts_the_nodes_of_every_component(seed):
+    """Components share one node budget: with one node for three disjoint
+    tori, the second and third stop at their roots with no node run."""
+    rng = random.Random(seed)
+    edges = [(u + 36 * c, v + 36 * c, w)
+             for c in range(3) for u, v, w in torus_edges(rng, 6)]
+    raw = raw_from_edges(108, edges)
+    report = solve_maxcut(raw, Config(node_limit=1, enum_threshold=0))
+    assert report.bnb_nodes == 1
+    assert report.status == "node_limit"
+    best = solve_maxcut(raw).best_value
+    dual = report.best_value + report.primal_dual_gap_percent / 100.0 * max(
+        1.0, abs(report.best_value))
+    assert report.best_value <= best <= dual + 1e-9
+
+
 def test_time_limit_is_respected():
     rng = random.Random(56)
     edges = random_graph(rng, 40, 0.5)
@@ -278,38 +295,37 @@ def test_heuristic_restarts_stop_at_the_time_limit(monkeypatch):
     assert local_calls == rank2_calls == [12]
 
 
-def test_components_reached_after_the_deadline_run_no_rank2_or_lp(monkeypatch):
+def test_components_reached_after_the_deadline_run_no_lp(monkeypatch):
     """A component too large to enumerate that is reached after the deadline
-    keeps the trivial bound and a KL cut of the all-zero assignment; a small
-    one is still enumerated."""
-    calls = {"rank2": 0, "lp": 0, "kl": 0}
-    real_kl = solver_mod.kernighan_lin
+    runs one rank-2 restart of one descent, keeps the trivial bound and
+    solves no LP."""
+    local_calls, rank2_calls = [], []
+    real_local, real_rank2 = heuristics._local_minimize, solver_mod.burer_rank2
+
+    def local(g, theta, deadline=None):
+        local_calls.append(g.n)
+        return real_local(g, theta, deadline)
 
     def rank2(g, *args, **kwargs):
-        calls["rank2"] += 1
-        raise AssertionError("rank-2 after the deadline")
+        rank2_calls.append(g.n)
+        return real_rank2(g, *args, **kwargs)
 
     def lp_solve(self, lb=None, ub=None):
-        calls["lp"] += 1
         raise AssertionError("LP solve after the deadline")
 
-    def kl(g, sol):
-        calls["kl"] += 1
-        assert sol.weight == 0.0  # the all-zero assignment
-        return real_kl(g, sol)
-
+    monkeypatch.setattr(heuristics, "_local_minimize", local)
     monkeypatch.setattr(solver_mod, "burer_rank2", rank2)
     monkeypatch.setattr(solver_mod.LpEngine, "solve", lp_solve)
-    monkeypatch.setattr(solver_mod, "kernighan_lin", kl)
     rng = random.Random(58)
     blocks = [random_graph(rng, 12, 0.5) for _ in range(3)]
-    blocks.append([(0, 1, 3.0), (1, 2, -1.0), (0, 2, 2.0)])  # enumerated
+    blocks.append([(0, 1, 3.0), (1, 2, -1.0), (0, 2, 2.0)])  # presolve removes it
     edges = [(u + 12 * c, v + 12 * c, w)
              for c, block in enumerate(blocks) for u, v, w in block]
     report = solve_maxcut(raw_from_edges(48, edges),
                           Config(time_limit_s=1e-9, enum_threshold=10))
     assert report.status == "time_limit"
-    assert calls["rank2"] == calls["lp"] == 0 and calls["kl"] >= 3
+    # one call per branch-and-cut component; presolve leaves 12, 11 and 11 vertices
+    assert local_calls == rank2_calls == [12, 11, 11]
     best = sum(brute_force_maxcut(12, block)[0] for block in blocks)
     trivial = sum(w for block in blocks for _, _, w in block if w > 0)
     dual = report.best_value + report.primal_dual_gap_percent / 100.0 * max(
@@ -614,10 +630,11 @@ def test_every_numeric_config_field_is_validated():
     numeric = [f for f in fields(Config) if f.type in ("int", "float")]
     assert {f.name for f in numeric} >= {"time_limit_s", "threads", "seed"}
     for f in numeric:
-        values = (-1, math.nan, math.inf) if f.type == "float" else (-1,)
+        values = (-1, math.nan, math.inf) if f.type == "float" else (-1, 1.5)
         for value in values:
             with pytest.raises(ValueError):
                 Config(**{f.name: value})
+        Config(**{f.name: np.int64(2)})  # a numpy integer is an integer
 
 
 @pytest.mark.parametrize("name", ["time_limit_s", "gap_percent", "node_limit", "enum_threshold"])

@@ -2,10 +2,10 @@
 contraction, and biconnected components.
 
 ``WeightedGraph`` alone knows how a graph is laid out. It keeps three views
-of its edges: the edge arrays and ``degrees`` for numpy code, ``arcs``
-(per-vertex lists) for per-vertex Python loops, and ``edge_keys`` (sorted
-``u * n + v``) for lookups by endpoints. It is immutable: contraction happens
-on ``Adjacency`` alone.
+of its edges: the edge arrays, ``degrees`` and ``abs_degrees`` for numpy
+code, ``arcs`` (per-vertex lists) for per-vertex Python loops, and
+``edge_keys`` (sorted ``u * n + v``) for lookups by endpoints. It is
+immutable: contraction happens on ``Adjacency`` alone.
 
 Vertex ids are 0-based and stable under contraction: the absorbed endpoint
 simply becomes isolated, so reduction records can refer to vertex ids of the
@@ -107,6 +107,15 @@ class WeightedGraph:
             arcs[v].append((u, e, w))
         return arcs
 
+    @cached_property
+    def abs_degrees(self):
+        """``abs_degrees[v]``: the sum of |w| over the edges at v, added up in
+        edge-id order as one pass over the edges would add them (every edge
+        (h, v), h < v, sorts before any (v, h'))."""
+        aw = np.abs(self.edge_w)
+        return np.bincount(np.concatenate((self.edge_v, self.edge_u)),
+                           np.concatenate((aw, aw)), self.n)
+
     def find_edge(self, u, v):
         """Id of the edge joining u and v, or None."""
         u, v = min(u, v), max(u, v)
@@ -155,10 +164,10 @@ class Adjacency:
     neighbor of ``v`` to the edge weight and ``abs_sum[v]`` sums their |w|."""
 
     def __init__(self, g: WeightedGraph):
-        self.adj = [{} for _ in range(g.n)]
-        self.abs_sum = [0.0] * g.n
+        adj = self.adj = [{} for _ in range(g.n)]
         for u, v, w in g.edge_list():
-            self._link(u, v, w)
+            adj[u][v] = adj[v][u] = w
+        self.abs_sum = g.abs_degrees.tolist()
 
     def _link(self, u, v, w):
         self.adj[u][v] = self.adj[v][u] = w

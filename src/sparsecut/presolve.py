@@ -10,6 +10,11 @@ at a site depends only on the edges and |w|-degree sums of its vertices, and
 a contraction touches every vertex whose edges or sums change, so a round
 that contracts nothing leaves no site where a rule applies. The
 ``WeightedGraph`` is built once, at the end.
+
+One array pass over the input's edges and triangles first flags the vertices
+where a site passes a test looser than the exact one (``SCREEN_TOL``). A
+vertex is clean until a merge returns it, and a site of clean vertices is
+unchanged, so it is checked in Python only at a flagged vertex.
 """
 
 from __future__ import annotations
@@ -17,10 +22,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .graph import Adjacency, ReductionTrace, WeightedGraph
-from .separation import DEGREE_CAP
+import numpy as np
 
-REL_TOL = 1e-9
+from .graph import Adjacency, ReductionTrace, WeightedGraph
+from .separation import DEGREE_CAP, TRIANGLE_BUDGET, triangle_table
+
+REL_TOL = 1e-9  # a >= b passes if a >= b - REL_TOL * max(1, |a|, |b|), a > b if a > b + that
+SCREEN_TOL = 1e-6  # relative, and looser than REL_TOL: the screen never clears a site
+SCREEN_SLAB = 2048  # triangles that the screen tests at once
 
 RULE_NAMES = ("dominating_edge", "triangle_zero", "triangle_one", "symmetry_merge")
 
@@ -34,21 +43,14 @@ class PresolveStats:
     elapsed: float = 0.0
 
 
-def _geq(a, b):
-    return a >= b - REL_TOL * max(1.0, abs(a), abs(b))
-
-
-def _gt(a, b):
-    return a > b + REL_TOL * max(1.0, abs(a), abs(b))
-
-
 # -- dominating edge (singleton cut check) --------------------------------
 
 def _check_dominating(a, u, v):
     """Fix value for edge {u,v} if it dominates one endpoint's cut, else None."""
     w = a.adj[u][v]
-    rest = min(a.abs_sum[u], a.abs_sum[v]) - abs(w)
-    if _gt(abs(w), rest):
+    aw = abs(w)
+    rest = min(a.abs_sum[u], a.abs_sum[v]) - aw
+    if aw > rest + REL_TOL * max(1.0, aw, abs(rest)):
         return 1 if w > 0 else 0
     return None
 
@@ -87,22 +89,22 @@ def _triangle_zero_site(a, t):
     x(v1 v2) = 0, or None. The check is symmetric in v1 and v2."""
     adj, sums = a.adj, a.abs_sum
     x, y, z = t
-    for v1, v2, v3 in ((x, y, z), (x, z, y), (y, z, x)):
-        w12, w13, w23 = adj[v1][v2], adj[v1][v3], adj[v2][v3]
-        a12, a13, a23 = abs(w12), abs(w13), abs(w23)
+    wxy, wxz, wyz = adj[x][y], adj[x][z], adj[y][z]
+    axy, axz, ayz = abs(wxy), abs(wxz), abs(wyz)
+    sx, sy, sz = sums[x], sums[y], sums[z]
+    for v1, v2, v3, w12, w13, w23, a12, a13, a23, s1, s2, s3 in (
+            (x, y, z, wxy, wxz, wyz, axy, axz, ayz, sx, sy, sz),
+            (x, z, y, wxz, wxy, wyz, axz, axy, ayz, sx, sz, sy),
+            (y, z, x, wyz, wxy, wxz, ayz, axy, axz, sy, sz, sx)):
         # flipping a set with {v1,v2}, {v1,v3} in its cut removes w12 + w13
         # from the objective and changes the remaining crossing edges by at
         # most the right-hand side, so the fix is safe when -(w12 + w13)
-        # covers that loss
-        rhs1 = min(
-            sums[v1] - a12 - a13,                              # V1 = {v1}
-            sums[v2] + sums[v3] - 2 * a23 - a12 - a13,         # V1 = {v2, v3}
-        )
-        rhs2 = min(
-            sums[v2] - a12 - a23,                              # V2 = {v2}
-            sums[v1] + sums[v3] - 2 * a13 - a12 - a23,         # V2 = {v1, v3}
-        )
-        if _geq(-(w13 + w12), rhs1) and _geq(-(w12 + w23), rhs2):
+        # covers that loss; V1 = {v1} or {v2, v3}, V2 = {v2} or {v1, v3}
+        lhs1, lhs2 = -(w13 + w12), -(w12 + w23)
+        rhs1 = min(s1 - a12 - a13, s2 + s3 - 2 * a23 - a12 - a13)
+        rhs2 = min(s2 - a12 - a23, s1 + s3 - 2 * a13 - a12 - a23)
+        if (lhs1 >= rhs1 - REL_TOL * max(1.0, abs(lhs1), abs(rhs1))
+                and lhs2 >= rhs2 - REL_TOL * max(1.0, abs(lhs2), abs(rhs2))):
             return v1, v2, v3
     return None
 
@@ -129,16 +131,12 @@ def _triangle_one_site(a, t):
         if not (w12 > 0 and w13 > 0 and w23 < 0):
             return None
         a12, a13, a23 = abs(w12), abs(w13), abs(w23)
-        rhs1 = min(
-            sums[v1] - a12 - a13,                              # V1 = {v1}
-            sums[v2] + sums[v3] - 2 * a23 - a12 - a13,         # V1 = {v2, v3}
-        )
-        # the excluded set is {e12, e13}, so w23 stays on the right-hand side
-        rhs2 = min(
-            sums[v2] - a12,                                    # V2 = {v2}
-            sums[v1] + sums[v3] - 2 * a13 - a12,               # V2 = {v1, v3}
-        )
-        if _geq(w12 + w13, rhs1) and _geq(w12 - w23, rhs2):
+        # V1 = {v1} or {v2, v3}, V2 = {v2} or {v1, v3}; only e12, e13 are excluded
+        lhs1, lhs2 = w12 + w13, w12 - w23
+        rhs1 = min(sums[v1] - a12 - a13, sums[v2] + sums[v3] - 2 * a23 - a12 - a13)
+        rhs2 = min(sums[v2] - a12, sums[v1] + sums[v3] - 2 * a13 - a12)
+        if (lhs1 >= rhs1 - REL_TOL * max(1.0, abs(lhs1), abs(rhs1))
+                and lhs2 >= rhs2 - REL_TOL * max(1.0, abs(lhs2), abs(rhs2))):
             return v1, v2, v3
     return None
 
@@ -203,15 +201,53 @@ def rule_symmetry_merge(g):
 
 # -- driver ----------------------------------------------------------------
 
-def _reduction_at(a, v):
+def _screen(g):
+    """Per-vertex flags (dominating, triangle), as lists: the vertices of the
+    edges and triangles of ``g`` that pass their rules' tests with a slack of
+    ``SCREEN_TOL`` times 1 plus the |w| sums involved, which bound both sides.
+    A triangle table cut at ``TRIANGLE_BUDGET`` flags every vertex."""
+    u, v, w = g.edge_u, g.edge_v, g.edge_w
+    aw, sums = np.abs(w), g.abs_degrees
+    low = np.minimum(sums[u], sums[v])
+    hit = aw - (low - aw) >= -SCREEN_TOL * (1.0 + low)
+    dom = (np.bincount(np.concatenate((u[hit], v[hit])), minlength=g.n) > 0).tolist()
+    table = triangle_table(g, TRIANGLE_BUDGET + 1)
+    if len(table) == 0 or len(table) > TRIANGLE_BUDGET:
+        return dom, [len(table) > 0] * g.n
+    # ``ring`` holds the corners x, y, z, x, y and ``w_opp`` the weight of the
+    # edge opposite each, so the row slices A, B, C run over the rotations and
+    # every labeling (v1, v2, v3) is (A, B, C) or (A, C, B). With |w| moved to
+    # the left, neg = |w| - w, pos = |w| + w and m(v) = min(s_v, s_other -
+    # 2 |w_opp(v)|), triangle-zero is neg12 + neg13 >= m(v1), neg12 + neg23 >=
+    # m(v2), and triangle-one is pos12 + pos13 >= m(v1), pos12 - w23 >= m(v2).
+    x, y, z = u[table[:, 0]], v[table[:, 0]], v[table[:, 1]]
+    ring, opp = np.stack((x, y, z, x, y)), table[:, [2, 1, 0, 2, 1]].T
+    A, B, C = slice(0, 3), slice(1, 4), slice(2, 5)
+    passed = np.zeros(len(table), dtype=bool)
+    for lo in range(0, len(table), SCREEN_SLAB):
+        s, w_opp = sums[ring[:, lo:lo + SCREEN_SLAB]], w[opp[:, lo:lo + SCREEN_SLAB]]
+        a_opp, total = np.abs(w_opp), s[0] + s[1] + s[2]
+        m = np.minimum(s, total - s - 2 * a_opp) - SCREEN_TOL * (1.0 + total)
+        neg, pos = a_opp - w_opp, a_opp + w_opp
+        zero = (neg[C] + neg[B] >= m[A]) & (neg[C] + neg[A] >= m[B])
+        one = ((w_opp[A] < 0) & (w_opp[B] > 0) & (w_opp[C] > 0) & (pos[B] + pos[C] >= m[A])
+               & ((pos[C] - w_opp[A] >= m[B]) | (pos[B] - w_opp[A] >= m[C])))
+        passed[lo:lo + SCREEN_SLAB] = (zero | one).any(axis=0)
+    return dom, (np.bincount(ring[:3, passed].ravel(), minlength=g.n) > 0).tolist()
+
+
+def _reduction_at(a, v, dom, tri, dirty):
     """(rule, keep, gone, opposite) for the first site at ``v`` where a rule
     applies, trying the rules in ``RULE_NAMES`` order, or None. The
-    lower-indexed vertex survives."""
+    lower-indexed vertex survives. A site is skipped when the screen flags
+    (``dom``, ``tri``) cleared it and none of its vertices is ``dirty``."""
     for z in a.adj[v]:
-        fix = _check_dominating(a, v, z)
+        fix = _check_dominating(a, v, z) if dom[v] or v in dirty or z in dirty else None
         if fix is not None:
             return "dominating_edge", min(v, z), max(v, z), fix == 1
-    triangles = list(_triangles_at(a, v))
+    triangles = []
+    if tri[v] or v in dirty or not dirty.isdisjoint(a.adj[v]):
+        triangles = [t for t in _triangles_at(a, v) if tri[v] or not dirty.isdisjoint(t)]
     for rule, site_of in (("triangle_zero", _triangle_zero_site),
                           ("triangle_one", _triangle_one_site)):
         for t in triangles:
@@ -236,17 +272,21 @@ def presolve_loop(g: WeightedGraph):
     trace = ReductionTrace()
     stats = PresolveStats()
     a = Adjacency(g)
+    dom, tri = _screen(g)
+    dirty = set()  # the vertices merges have returned since the screen ran
 
     queue = range(g.n)
     while True:  # ends: every contraction removes a vertex
         stats.rounds += 1
         touched = set()
         for v in queue:
-            found = _reduction_at(a, v)
+            found = _reduction_at(a, v, dom, tri, dirty)
             if found is None:
                 continue
             rule, keep, gone, opposite = found
-            touched.update(a.merge(keep, gone, opposite, trace))
+            merged = a.merge(keep, gone, opposite, trace)
+            touched.update(merged)
+            dirty.update(merged)
             stats.rule_hits[rule] += 1
             stats.vertices_merged += 1
         if not touched:

@@ -300,7 +300,6 @@ def _solve_component(sub, cfg, deadline, stats: SolveStats):
     solver = ComponentSolver(sub, cfg, deadline, node_budget=budget)
     sol, dual, status = solver.solve()
     stats.nodes += solver.stats.nodes
-    stats.lp_solves += solver.stats.lp_solves
     return sol, dual, status
 
 

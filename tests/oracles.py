@@ -3,8 +3,10 @@ values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers, the LP's status codes,
 tolerances, error type and cut type, the cut-solution container, the
 fixing tolerances, the triangle separator's degree cap, the chordless
-decomposition's emit tolerance and the arc lists that the exact separator
-builds for its two-copy auxiliary graph (``build_aux_graph``)."""
+decomposition's emit tolerance, the arc lists that the exact separator
+builds for its two-copy auxiliary graph (``build_aux_graph``), and
+presolve's mutable ``Adjacency``, triangle listing and symmetric-pair
+search."""
 
 import heapq
 import itertools
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from sparsecut.graph import CutSolution
+from sparsecut.graph import Adjacency, CutSolution, ReductionTrace
 from sparsecut.lp import (
     AT_LOWER,
     AT_UPPER,
@@ -22,6 +24,12 @@ from sparsecut.lp import (
     VIOLATION_TOL,
     CycleCut,
     LpError,
+)
+from sparsecut.presolve import (
+    REL_TOL,
+    PresolveStats,
+    _symmetric_pairs,
+    _triangles_at,
 )
 from sparsecut.propagate import FIX_TOL, INT_SNAP
 from sparsecut.separation import DEGREE_CAP, EMIT_TOL
@@ -393,6 +401,101 @@ def has_chord(g, verts):
             if d not in (0, 1, k - 1):
                 return True
     return False
+
+
+# -- reference presolve --------------------------------------------------------
+# Frozen from the worklist that checked every site in Python, with no array
+# screen in front; the screened loop must reduce the same way.
+
+def _reference_check_dominating(a, u, v):
+    w = a.adj[u][v]
+    rest = min(a.abs_sum[u], a.abs_sum[v]) - abs(w)
+    if abs(w) > rest + REL_TOL * max(1.0, abs(w), abs(rest)):
+        return 1 if w > 0 else 0
+    return None
+
+
+def _reference_triangle_zero_site(a, t):
+    adj, sums = a.adj, a.abs_sum
+    x, y, z = t
+    for v1, v2, v3 in ((x, y, z), (x, z, y), (y, z, x)):
+        w12, w13, w23 = adj[v1][v2], adj[v1][v3], adj[v2][v3]
+        a12, a13, a23 = abs(w12), abs(w13), abs(w23)
+        rhs1 = min(sums[v1] - a12 - a13, sums[v2] + sums[v3] - 2 * a23 - a12 - a13)
+        rhs2 = min(sums[v2] - a12 - a23, sums[v1] + sums[v3] - 2 * a13 - a12 - a23)
+        lhs1, lhs2 = -(w13 + w12), -(w12 + w23)
+        if (lhs1 >= rhs1 - REL_TOL * max(1.0, abs(lhs1), abs(rhs1))
+                and lhs2 >= rhs2 - REL_TOL * max(1.0, abs(lhs2), abs(rhs2))):
+            return v1, v2, v3
+    return None
+
+
+def _reference_triangle_one_site(a, t):
+    adj, sums = a.adj, a.abs_sum
+    x, y, z = t
+    if adj[y][z] < 0:
+        v1, p, r = x, y, z
+    elif adj[x][z] < 0:
+        v1, p, r = y, x, z
+    else:
+        v1, p, r = z, x, y
+    for v2, v3 in ((p, r), (r, p)):
+        w12, w13, w23 = adj[v1][v2], adj[v1][v3], adj[v2][v3]
+        if not (w12 > 0 and w13 > 0 and w23 < 0):
+            return None
+        a12, a13, a23 = abs(w12), abs(w13), abs(w23)
+        rhs1 = min(sums[v1] - a12 - a13, sums[v2] + sums[v3] - 2 * a23 - a12 - a13)
+        rhs2 = min(sums[v2] - a12, sums[v1] + sums[v3] - 2 * a13 - a12)
+        lhs1, lhs2 = w12 + w13, w12 - w23
+        if (lhs1 >= rhs1 - REL_TOL * max(1.0, abs(lhs1), abs(rhs1))
+                and lhs2 >= rhs2 - REL_TOL * max(1.0, abs(lhs2), abs(rhs2))):
+            return v1, v2, v3
+    return None
+
+
+def _reference_reduction_at(a, v):
+    for z in a.adj[v]:
+        fix = _reference_check_dominating(a, v, z)
+        if fix is not None:
+            return "dominating_edge", min(v, z), max(v, z), fix == 1
+    triangles = list(_triangles_at(a, v))
+    for rule, site_of in (("triangle_zero", _reference_triangle_zero_site),
+                          ("triangle_one", _reference_triangle_one_site)):
+        for t in triangles:
+            site = site_of(a, t)
+            if site is not None:
+                return rule, min(site[:2]), max(site[:2]), rule == "triangle_one"
+    pair = next(_symmetric_pairs(a, v), None)
+    if pair is not None:
+        lo, hi, sign = pair
+        return "symmetry_merge", lo, hi, sign < 0
+    return None
+
+
+def reference_presolve_loop(g):
+    """(reduced graph, trace, stats) of worklist rounds that try every rule
+    at every visited vertex until a round contracts nothing."""
+    trace = ReductionTrace()
+    stats = PresolveStats()
+    a = Adjacency(g)
+    queue = range(g.n)
+    while True:
+        stats.rounds += 1
+        touched = set()
+        for v in queue:
+            found = _reference_reduction_at(a, v)
+            if found is None:
+                continue
+            rule, keep, gone, opposite = found
+            touched.update(a.merge(keep, gone, opposite, trace))
+            stats.rule_hits[rule] += 1
+            stats.vertices_merged += 1
+        if not touched:
+            break
+        queue = sorted(touched)
+    reduced = a.to_graph() if stats.vertices_merged else g
+    stats.edges_contracted = g.m - reduced.m
+    return reduced, trace, stats
 
 
 # -- reference copies of the numpy per-vertex primal heuristics -------------

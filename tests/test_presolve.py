@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import sparsecut.graph
+import sparsecut.presolve as presolve
 from sparsecut.graph import ReductionTrace, WeightedGraph, build_graph, cut_weight
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
 from sparsecut.presolve import (
+    _screen,
     presolve_loop,
     rule_dominating_edge,
     rule_symmetry_merge,
@@ -14,9 +16,15 @@ from sparsecut.presolve import (
     rule_triangle_zero,
 )
 
+from sparsecut.separation import triangle_table
 from sparsecut.transform import maxcut_to_qubo, qubo_to_maxcut
 
-from oracles import brute_force_maxcut, exhaustive_maxcut, random_graph
+from oracles import (
+    brute_force_maxcut,
+    exhaustive_maxcut,
+    random_graph,
+    reference_presolve_loop,
+)
 
 
 def solve_by_presolve(n, edges):
@@ -233,3 +241,113 @@ def test_presolve_builds_the_reduced_graph_once(monkeypatch):
     reduced, _, stats = presolve_loop(g)
     assert stats.vertices_merged == 7 and reduced.m == 0
     assert len(built) == 1
+
+
+# -- the array screen ---------------------------------------------------------
+
+def _block_tree(rng, n_target, lo=6, hi=16, weight=10, chord_p=0.6):
+    """A block tree of at least ``n_target`` vertices, built like the
+    benchmark's: each block is a Hamiltonian cycle plus random chords, and
+    each block after the first shares one random earlier vertex."""
+    n, edges = 0, {}
+    while n < n_target:
+        size = rng.randint(lo, hi)
+        verts = list(range(size)) if n == 0 else [rng.randrange(n)] + list(range(n, n + size - 1))
+        n = max(n, verts[-1] + 1)
+        order = rng.sample(verts, size)
+        pairs = set(zip(order, order[1:] + order[:1]))
+        pairs |= {(p, q) for i, p in enumerate(verts) for q in verts[i + 1:] if rng.random() < chord_p}
+        for p, q in pairs:
+            edges[min(p, q), max(p, q)] = float(rng.randint(1, weight) * rng.choice((-1, 1)))
+    return WeightedGraph(n, [(p, q, w) for (p, q), w in edges.items()])
+
+
+def _near_threshold(rng, g):
+    """``g`` with every weight moved by a relative 1e-10 ... 1e-7, either way.
+    Integral weights tie many rules' tests exactly; moved, the ties land
+    within the exact tolerance (relative 1e-9) or between it and the
+    screen's."""
+    return WeightedGraph(g.n, [(u, v, w * (1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-10, -7)))
+                               for u, v, w in g.edge_list()])
+
+
+def _assert_presolve_matches_reference(g):
+    reduced, trace, stats = presolve_loop(g)
+    want, want_trace, want_stats = reference_presolve_loop(g)
+    assert np.array_equal(reduced.edge_u, want.edge_u)
+    assert np.array_equal(reduced.edge_v, want.edge_v)
+    assert np.array_equal(reduced.edge_w, want.edge_w)
+    assert trace.records == want_trace.records and trace.offset == want_trace.offset
+    assert stats.rounds == want_stats.rounds
+    assert stats.vertices_merged == want_stats.vertices_merged
+    assert stats.rule_hits == want_stats.rule_hits
+    return stats
+
+
+def _screen_corpus(rng):
+    """Random graphs, hub images and block trees, and the same graphs with
+    their weights moved near the rules' thresholds."""
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(3, 14)
+        graphs.append(WeightedGraph(n, random_graph(rng, n, rng.uniform(0.3, 0.9),
+                                                    integral=rng.random() < 0.5)))
+    graphs += [_hub_image(rng, rng.randint(5, 14)) for _ in range(20)]
+    graphs += [_block_tree(rng, rng.randint(20, 120)) for _ in range(10)]
+    return graphs, [_near_threshold(rng, g) for g in graphs if g.m]
+
+
+def test_presolve_matches_the_unscreened_reference():
+    graphs, moved = _screen_corpus(random.Random(34))
+    merged = 0
+    for g in graphs + moved:
+        merged += _assert_presolve_matches_reference(g).vertices_merged
+    assert merged > 300
+
+
+def test_near_threshold_weights_fall_between_the_two_tolerances():
+    # the moved ties exercise the gap between the tolerances: near the
+    # threshold, some dominating-edge tests pass exactly and some pass only
+    # the screen's looser test
+    _, moved = _screen_corpus(random.Random(34))
+    passed = screened_only = 0
+    for g in moved:
+        aw, sums = np.abs(g.edge_w), g.abs_degrees
+        low = np.minimum(sums[g.edge_u], sums[g.edge_v])
+        rest = low - aw
+        near = np.abs(aw - rest) <= presolve.SCREEN_TOL * (1.0 + low)
+        exact = aw > rest + presolve.REL_TOL * np.maximum(1.0, np.maximum(aw, np.abs(rest)))
+        passed += int((near & exact).sum())
+        screened_only += int((near & ~exact).sum())
+    assert passed >= 5 and screened_only >= 5
+
+
+def test_screen_flags_every_vertex_of_every_rule_site():
+    graphs, moved = _screen_corpus(random.Random(35))
+    sites = cleared = 0
+    for g in graphs + moved:
+        dom, tri = _screen(g)
+        for u, v, _ in rule_dominating_edge(g):
+            assert dom[u] and dom[v]
+            sites += 1
+        for site in rule_triangle_zero(g) + rule_triangle_one(g):
+            assert all(tri[x] for x in site)
+            sites += 1
+        cleared += dom.count(False) + tri.count(False)
+    assert sites > 200 and cleared > 200
+
+
+def test_a_cut_triangle_table_flags_every_vertex(monkeypatch):
+    rng = random.Random(36)
+    # a dense block plus a path, whose vertices lie on no triangle
+    edges = random_graph(rng, 12, 0.8) + [(11, 12, 3.0), (12, 13, -2.0)]
+    g = WeightedGraph(14, edges)
+    triangles = len(triangle_table(g))
+    assert triangles > 10
+    monkeypatch.setattr(presolve, "TRIANGLE_BUDGET", triangles // 2)
+    _, tri = _screen(g)
+    assert all(tri)
+    _assert_presolve_matches_reference(g)
+    for g in _screen_corpus(rng)[0][:30]:
+        monkeypatch.setattr(presolve, "TRIANGLE_BUDGET", len(triangle_table(g)) // 2)
+        _assert_presolve_matches_reference(g)

@@ -334,6 +334,43 @@ def test_components_reached_after_the_deadline_run_no_lp(monkeypatch):
     assert dual <= trivial + 1e-9
 
 
+def test_small_components_reached_after_the_deadline_are_enumerated(monkeypatch):
+    """A component at or below ``enum_threshold`` after presolve is still
+    enumerated when it is reached after the deadline: it comes back optimal
+    and runs no LP."""
+    enumerated, rank2_calls = [], []
+    real_enum, real_rank2 = solver_mod.enumerate_component, solver_mod.burer_rank2
+
+    def enumerate_and_record(g):
+        sol, value = real_enum(g)
+        enumerated.append((g, sol, value))
+        return sol, value
+
+    def rank2(g, *args, **kwargs):
+        rank2_calls.append(g.n)
+        return real_rank2(g, *args, **kwargs)
+
+    def lp_solve(self, lb=None, ub=None):
+        raise AssertionError("LP solve after the deadline")
+
+    monkeypatch.setattr(solver_mod, "enumerate_component", enumerate_and_record)
+    monkeypatch.setattr(solver_mod, "burer_rank2", rank2)
+    monkeypatch.setattr(solver_mod.LpEngine, "solve", lp_solve)
+    large = random_graph(random.Random(58), 12, 0.5)
+    small = random_graph(random.Random(2), 7, 0.7)
+    edges = large + [(u + 12, v + 12, w) for u, v, w in small]
+    report = solve_maxcut(raw_from_edges(19, edges),
+                          Config(time_limit_s=1e-9, enum_threshold=10))
+    assert report.status == "time_limit"
+    # presolve merges no vertex of either block: 12 vertices go to
+    # branch-and-cut, all 7 of the small block to enumeration
+    assert rank2_calls == [12]
+    assert [g.n for g, _, _ in enumerated] == [7]
+    sub, sol, value = enumerated[0]
+    assert sol.weight == value == brute_force_maxcut(7, small)[0]
+    assert value == brute_force_maxcut(sub.n, sub.edge_list())[0]
+
+
 def test_qubo_end_to_end():
     rng = random.Random(57)
     for _ in range(15):

@@ -264,8 +264,10 @@ class _BoundedSimplex:
                 raise TimeUp
             bland = stall > self.BLAND_AFTER
             if bland and not perturbed:
+                # the bound moves can change the point: read it again
                 d = self._make_dual_feasible(perturb=True)
                 perturbed = True
+                continue
             # leaving row: the largest violation per unit dual steepest-edge
             # norm |B^-1[i]|, or the lowest basis index
             if bland:

@@ -13,8 +13,12 @@ projected to a closed walk in the base graph and split into simple cycles;
 each distinct cycle of one separation call is decomposed along chords into
 chordless violated cuts once.
 
-Triangle separation scores a table of the graph's triangles, listed once by
-``triangle_table``, against each new LP point.
+Table separation scores every odd F set of the graph's triangles and of
+its chordless 4-cycles against each new LP point. Both tables are listed
+once, by ``triangle_table`` and ``square_table``, from wedges in numpy. A
+cycle inequality defines a facet of the cut polytope exactly when its cycle
+is chordless (Barahona and Mahjoub), so these short cycles are the cheap
+facets: a torus's 4-cycles are its plaquettes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -32,8 +36,8 @@ EPS_SKIP = 1e-6        # aux arcs with weight >= 1 - EPS_SKIP are never built
 SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
 EMIT_TOL = 1e-9        # emitted cuts must have slack-form value < 1 - EMIT_TOL
 TRIANGLE_BUDGET = 50_000
-TRIANGLE_SLAB = 512    # edges whose wedges triangle_table lists at once
-DEGREE_CAP = 512       # skip triangles with one of the two lowest degrees above it
+TRIANGLE_SLAB = 512    # edges whose wedges a cycle table lists at once
+DEGREE_CAP = 512       # the cycle tables skip vertices of degree above it
 
 
 @dataclass
@@ -293,27 +297,116 @@ def triangle_table(g, budget=TRIANGLE_BUDGET):
         span = later[lo:lo + TRIANGLE_SLAB]
         e = np.repeat(eids[lo:lo + TRIANGLE_SLAB], span)
         e_uz = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(span) - span, span)
-        key = g.edge_v[e] * g.n + g.edge_v[e_uz]
-        e_vz = np.minimum(np.searchsorted(g.edge_keys, key), g.m - 1)
-        hit = g.edge_keys[e_vz] == key
+        e_vz, hit = _find_edges(g, g.edge_v[e] * g.n + g.edge_v[e_uz])
         rows.append(np.column_stack((e, e_uz, e_vz))[hit])
         count += int(hit.sum())
     return np.concatenate(rows)[:budget]
 
 
-# the four odd F sets of a triangle, one row each
-_ODD_F = ((True, False, False), (False, True, False),
-          (False, False, True), (True, True, True))
+def square_table(g, budget=TRIANGLE_BUDGET):
+    """The first ``budget`` chordless 4-cycles of ``g`` as a (t, 4) array of
+    edge ids.
 
+    Row (e_xa, e_ay, e_yb, e_bx) is the cycle x - a - y - b - x whose lowest
+    vertex is x, with a < b and neither diagonal (x, y) nor (a, b) an edge,
+    so each chordless 4-cycle appears once. Rows are ordered by (x, y, a, b);
+    cycles with a vertex of degree above DEGREE_CAP are skipped.
 
-def separate_triangles(x, table):
-    """Violated cycle inequalities on the rows of a ``triangle_table``.
-
-    Scores all four odd F sets of every row; cuts come in (row, F set) order.
+    The cycle is two wedges x - a - y and x - b - y with the same end pair.
+    The wedges of an edge e = (x, a), x < a, are the pairs (e, e_ay) with
+    e_ay an edge from a to some y > x: a slice of a's sorted arcs. They are
+    listed for whole runs of edges of one low end x, about TRIANGLE_SLAB
+    edges at a time, which bounds the wedges held at once, until the budget
+    is met. Each slab's wedges are sorted by (x, y, a), and every two wedges
+    of one end pair whose ends and middles are not adjacent close a row.
     """
+    n, m, deg = g.n, g.m, g.degrees
+    if not m:
+        return np.empty((0, 4), dtype=np.int64)
+    eids = np.arange(m)
+    # the arcs of both directions of every edge, sorted by (tail, head)
+    arc_key = np.concatenate((g.edge_keys, g.edge_v * n + g.edge_u))
+    order = np.argsort(arc_key)
+    arc_key, arc_eid = arc_key[order], np.concatenate((eids, eids))[order]
+    arc_head = arc_key % n
+    # a's arcs to heads y > x start right after its arc to x
+    first = np.searchsorted(arc_key, g.edge_v * n + g.edge_u, side="right")
+    later = np.cumsum(deg)[g.edge_v] - first
+    later[(deg[g.edge_u] > DEGREE_CAP) | (deg[g.edge_v] > DEGREE_CAP)] = 0
+    rows = [np.empty((0, 4), dtype=np.int64)]
+    count = lo = 0
+    while lo < m and count < budget:
+        hi = int(np.searchsorted(g.edge_u, g.edge_u[min(lo + TRIANGLE_SLAB, m) - 1],
+                                 side="right"))
+        span = later[lo:hi]
+        e_xa = np.repeat(eids[lo:hi], span)
+        arc = (np.repeat(first[lo:hi] - np.cumsum(span) + span, span)
+               + np.arange(len(e_xa)))
+        e_ay, y = arc_eid[arc], arc_head[arc]
+        x, a = g.edge_u[e_xa], g.edge_v[e_xa]
+        ends = x * n + y
+        keep = (deg[y] <= DEGREE_CAP) & ~_find_edges(g, ends)[1]
+        kept = np.flatnonzero(keep)[np.lexsort((a[keep], ends[keep]))]
+        ends = ends[kept]
+        pairs = np.searchsorted(ends, ends, side="right") - np.arange(len(kept)) - 1
+        i = np.repeat(np.arange(len(kept)), pairs)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        i, j = kept[i], kept[j]
+        hit = ~_find_edges(g, a[i] * n + a[j])[1]
+        rows.append(np.column_stack((e_xa[i], e_ay[i], e_ay[j], e_xa[j]))[hit])
+        count += int(hit.sum())
+        lo = hi
+    return np.concatenate(rows)[:budget]
+
+
+def _find_edges(g, keys):
+    """For keys u * n + v, u < v: edge ids (where found) and whether each is
+    an edge of ``g``, which has at least one edge."""
+    at = np.minimum(np.searchsorted(g.edge_keys, keys), g.m - 1)
+    return at, g.edge_keys[at] == keys
+
+
+def _odd_sets(width):
+    """The odd F sets of a cycle of ``width`` edges, as flag tuples: the
+    singletons in edge order, then the triples, and so on."""
+    return tuple(tuple(i in s for i in range(width))
+                 for k in range(1, width + 1, 2)
+                 for s in combinations(range(width), k))
+
+
+_ODD_F = {3: _odd_sets(3), 4: _odd_sets(4)}
+
+
+def _table_cuts(x, table, limit):
+    """Violated inequalities on the cycles of ``table``, every odd F set of
+    each scored: all of them in (row, F set) order, or the ``limit`` most
+    violated, most violated first, ties in (row, F set) order."""
+    width = table.shape[1]
+    odd = _ODD_F[width]
     xt = np.asarray(x, dtype=np.float64)[table][:, None, :]
-    terms = np.where(np.array(_ODD_F), 1.0 - xt, xt)  # (t, 4, 3) slack-form terms
-    lhs = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]
+    terms = np.where(np.array(odd), 1.0 - xt, xt)  # (t, F sets, width)
+    lhs = terms[:, :, 0]
+    for k in range(1, width):  # in edge order, as CycleCut.slack_form adds
+        lhs = lhs + terms[:, :, k]
     rows, masks = np.nonzero(lhs < 1.0 - VIOLATION_TOL)
-    return [CycleCut(tuple(table[r].tolist()), _ODD_F[f])
-            for r, f in zip(rows.tolist(), masks.tolist())]
+    if limit is not None:
+        top = np.argsort(lhs[rows, masks], kind="stable")[:limit]
+        rows, masks = rows[top], masks[top]
+    return [CycleCut(tuple(edges), odd[f])
+            for edges, f in zip(table[rows].tolist(), masks.tolist())]
+
+
+def separate_triangles(x, table, squares=None, limit=None):
+    """Violated cycle inequalities on the rows of a ``triangle_table``, then
+    on the rows of a ``square_table`` if one is given.
+
+    Scores every odd F set of every row. Each table gives all its cuts in
+    (row, F set) order, or with a ``limit`` only its ``limit`` most violated,
+    most violated first, ties in (row, F set) order. For x in [0, 1] a cycle
+    has at most one violated F set, as two odd sets differ in at least two
+    edges.
+    """
+    cuts = _table_cuts(x, table, limit)
+    if squares is not None:
+        cuts += _table_cuts(x, squares, limit)
+    return cuts

@@ -40,7 +40,7 @@ from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
 from .lp import LpEngine, TimeUp, expired
 from .presolve import format_stats, presolve_loop
 from .propagate import effective_bound, propagate
-from .separation import separate_exact, separate_triangles, triangle_table
+from .separation import separate_exact, separate_triangles, square_table, triangle_table
 from .transform import qubo_assignment_from_maxcut, qubo_to_maxcut
 
 log = logging.getLogger("sparsecut")
@@ -151,7 +151,8 @@ class ComponentSolver:
         self.engine = LpEngine(g, deadline)
         self.stats = SolveStats()
         self.best: CutSolution | None = None
-        self.triangles = None  # triangle_table(g), built at the first round
+        # triangle_table(g) and square_table(g), built at the first round
+        self.triangles = self.squares = None
 
     # -- incumbent handling ------------------------------------------------
 
@@ -248,12 +249,19 @@ class ComponentSolver:
                     self._offer(spanning_tree_rounding(g, state.x))
 
                 if self.triangles is None:
-                    self.triangles = triangle_table(g)
-                cuts = separate_triangles(state.x, self.triangles)
-                if not cuts:
-                    cuts = separate_exact(g, state.x, self.deadline)
+                    self.triangles, self.squares = triangle_table(g), square_table(g)
+                # the stage's cuts (the triangles', else the exact search's)
+                # and then the violated chordless 4-cycles not among them; the
+                # most violated are added, the stage's first among equals
+                cap = 2 * g.n
+                found = separate_triangles(state.x, self.triangles, self.squares, cap)
+                squares = [c for c in found if len(c.edges) == 4]
+                cuts = (found[: len(found) - len(squares)]
+                        or separate_exact(g, state.x, self.deadline))
+                stage = {c.key for c in cuts if len(c.edges) == 4}
+                cuts += [c for c in squares if c.key not in stage]
                 cuts.sort(key=lambda c: -c.violation(state.x))
-                added = self.engine.add_cuts(cuts[: 2 * g.n])  # the most violated
+                added = self.engine.add_cuts(cuts[:cap])
                 rounds += 1
                 if self.stats.nodes == 1:  # the root
                     log.info(

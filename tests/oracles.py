@@ -2,11 +2,12 @@
 values. Deliberately simple and slow; nothing here shares code with the
 package under test beyond the raw data containers, the LP's status codes,
 tolerances, error type and cut type, the cut-solution container, the
-fixing tolerances, the triangle separator's degree cap, the chordless
+fixing tolerances, the cycle tables' degree cap, the chordless
 decomposition's emit tolerance, the arc lists that the exact separator
 builds for its two-copy auxiliary graph (``build_aux_graph``), and
 presolve's mutable ``Adjacency``, triangle listing and symmetric-pair
-search."""
+search. ``highs_maxcut`` hands the problem to HiGHS, SciPy's independent
+MILP solver."""
 
 import heapq
 import itertools
@@ -110,6 +111,71 @@ def reference_enumerate(g, chunk=1 << 12):
     return CutSolution.from_assignment(g, y), best_w
 
 
+def split_exhaustive_maxcut(n, edges, block=1 << 10):
+    """Best cut weight over all 2^(n-1) bipartitions, vertex n - 1 on side 0,
+    for n up to about 30.
+
+    With 0/1 sides s, a cut weighs d.s - 2 sum_(u<v) w_uv s_u s_v for the
+    weighted degrees d. The free vertices split into a first half A and the
+    rest B: every side vector a of A is scored once, and each block of side
+    vectors b of B against all of them by one matrix product.
+    """
+    upper = np.zeros((n, n))
+    for u, v, w in edges:
+        upper[min(u, v), max(u, v)] += w
+    deg = upper.sum(axis=0) + upper.sum(axis=1)
+    half = (n - 1) // 2
+    a_idx, b_idx = np.arange(half), np.arange(half, n - 1)
+
+    def sides(k, lo, hi):
+        return ((np.arange(lo, hi)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+
+    def inner(s, idx):
+        return s @ deg[idx] - 2.0 * ((s @ upper[np.ix_(idx, idx)]) * s).sum(axis=1)
+
+    s_a = sides(half, 0, 1 << half)
+    f_a = inner(s_a, a_idx)
+    cross = s_a @ upper[np.ix_(a_idx, b_idx)]  # (2^|A|, |B|)
+    best = -math.inf
+    for lo in range(0, 1 << len(b_idx), block):
+        s_b = sides(len(b_idx), lo, min(lo + block, 1 << len(b_idx)))
+        values = inner(s_b, b_idx)[:, None] + f_a[None, :] - 2.0 * (s_b @ cross.T)
+        best = max(best, float(values.max()))
+    return best
+
+
+def highs_maxcut(n, edges):
+    """Optimal cut weight by HiGHS's MILP solver (SciPy), from the textbook
+    formulation: binary sides y (y_0 = 0) and per-edge z in [0, 1] with
+    z <= y_u + y_v and z <= 2 - y_u - y_v on positive edges, z >= y_u - y_v
+    and z >= y_v - y_u on the others, maximizing sum w z."""
+    from scipy import optimize
+
+    m = len(edges)
+    rows = np.zeros((2 * m, n + m))
+    rhs = np.zeros(2 * m)
+    for e, (u, v, w) in enumerate(edges):
+        z = n + e
+        if w > 0:
+            rows[2 * e, [z, u, v]] = (1.0, -1.0, -1.0)
+            rows[2 * e + 1, [z, u, v]] = (1.0, 1.0, 1.0)
+            rhs[2 * e + 1] = 2.0
+        else:
+            rows[2 * e, [z, u, v]] = (-1.0, 1.0, -1.0)
+            rows[2 * e + 1, [z, u, v]] = (-1.0, -1.0, 1.0)
+    upper = np.ones(n + m)
+    upper[0] = 0.0
+    res = optimize.milp(
+        np.concatenate([np.zeros(n), [-w for _, _, w in edges]]),
+        constraints=optimize.LinearConstraint(rows, -np.inf, rhs),
+        integrality=np.concatenate([np.ones(n), np.zeros(m)]),
+        bounds=optimize.Bounds(np.zeros(n + m), upper),
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS: {res.message}")
+    return -res.fun
+
+
 def brute_force_qubo(dimension, entries):
     """(min of x^T Q x, one argmin as a 1-based dict) by enumeration."""
     best, best_x = float("inf"), None
@@ -198,6 +264,20 @@ def torus_edges(rng, L):
     return edges
 
 
+def torus3d_edges(rng, L):
+    """0-based edges of an L x L x L toroidal grid with uniform +-1 weights."""
+    edges = []
+    for i in range(L):
+        for j in range(L):
+            for k in range(L):
+                v = (i * L + j) * L + k
+                for nb in (((i + 1) % L * L + j) * L + k,
+                           (i * L + (j + 1) % L) * L + k,
+                           (i * L + j) * L + (k + 1) % L):
+                    edges.append((min(v, nb), max(v, nb), float(rng.choice((-1, 1)))))
+    return edges
+
+
 def cycle_vertices(g, eids):
     """Vertex sequence of a simple cycle given by its (unordered) edge ids."""
     adj = {}
@@ -258,6 +338,41 @@ def reference_triangle_table(g, budget, degree_cap=DEGREE_CAP):
             if count >= budget:
                 break
     return np.concatenate(rows)[:budget]
+
+
+def reference_square_table(g, budget, degree_cap=DEGREE_CAP):
+    """Chordless 4-cycles by brute force over vertex quadruples: the first
+    ``budget`` rows (e_xa, e_ay, e_yb, e_bx), one per cycle x - a - y - b - x
+    with x its lowest vertex, a < b, neither diagonal an edge and no vertex
+    of degree above ``degree_cap``, ordered by (x, y, a, b)."""
+    ids = {}
+    for e, (u, v, _) in enumerate(g.edge_list()):
+        ids[u, v] = ids[v, u] = e
+    found = []
+    for quad in itertools.combinations(range(g.n), 4):
+        if max(g.degrees[list(quad)]) > degree_cap:
+            continue
+        x, rest = quad[0], quad[1:]
+        for y in rest:
+            a, b = (v for v in rest if v != y)
+            row = tuple(ids.get(p) for p in ((x, a), (a, y), (y, b), (b, x)))
+            if None not in row and (x, y) not in ids and (a, b) not in ids:
+                found.append(((x, y, a, b), row))
+    found.sort()
+    return np.array([row for _, row in found], dtype=np.int64).reshape(-1, 4)[:budget]
+
+
+def reference_separate_cycles(x, table):
+    """Violated cycle inequalities on each row of a cycle table, trying every
+    odd F set of the row: (row index, edges, F flags, slack-form value)."""
+    out = []
+    for r, edges in enumerate(table.tolist()):
+        for flags in itertools.product((False, True), repeat=len(edges)):
+            if sum(flags) % 2:
+                lhs = sum((1.0 - x[e]) if f else x[e] for e, f in zip(edges, flags))
+                if lhs < 1.0 - VIOLATION_TOL:
+                    out.append((r, tuple(edges), flags, lhs))
+    return out
 
 
 def reference_separate_triangles(g, x, budget):

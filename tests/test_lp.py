@@ -10,6 +10,7 @@ from sparsecut.lp import (
     AT_UPPER,
     BASIC,
     AGE_LIMIT,
+    FEAS_TOL,
     CutPool,
     CycleCut,
     LpEngine,
@@ -293,6 +294,34 @@ def test_simplex_matches_the_reference_optimum(pricing, scale, monkeypatch):
         infeasible += counts[2]
     assert wrong == 0, f"{wrong} of {solves} solves differ from the reference"
     assert solves > 1000 and infeasible > 10, (solves, infeasible)
+
+
+def test_bland_pivots_leave_a_row_violated_at_the_current_point(monkeypatch):
+    """With Bland's rule from the first pivot, the costs are perturbed before
+    it, which can move nonbasic columns and so the point. Every pivot still
+    takes the violated row of lowest basis index at the point the simplex
+    holds when the pivot is taken, with that row's violation."""
+    monkeypatch.setattr(_BoundedSimplex, "BLAND_AFTER", -1)
+    pivots = stale = 0
+    real_ratio_test = _BoundedSimplex._ratio_test
+
+    def ratio_test(self, alpha, violation, d, bland):
+        nonlocal pivots, stale
+        viol = np.maximum(self._l - self._x, self._x - self._u)[self.basis]
+        rows = np.flatnonzero(viol > FEAS_TOL)
+        pivots += 1
+        stale += not (bland and rows.size
+                      and viol[rows[np.argmin(self.basis[rows])]] == violation)
+        return real_ratio_test(self, alpha, violation, d, bland)
+
+    monkeypatch.setattr(_BoundedSimplex, "_ratio_test", ratio_test)
+    rng = random.Random(16)
+    for k in range(40):
+        n = 6 + k % 8
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.3, 0.8),
+                                          integral=k % 2 == 0))
+        _cut_rounds(LpEngine(g), g, rng, 5, fix=k % 3 == 0)
+    assert stale == 0 and pivots > 500, (stale, pivots)
 
 
 def test_lp_error_restarts_cold_and_is_counted():

@@ -6,7 +6,7 @@ import pytest
 
 import sparsecut.separation as separation
 from sparsecut.graph import WeightedGraph
-from sparsecut.lp import CycleCut
+from sparsecut.lp import VIOLATION_TOL, CycleCut
 from sparsecut.separation import (
     EPS_SKIP,
     SEP_GATE,
@@ -16,6 +16,7 @@ from sparsecut.separation import (
     extract_simple_cycles,
     separate_exact,
     separate_triangles,
+    square_table,
     triangle_table,
     twin_walk,
 )
@@ -25,9 +26,12 @@ from oracles import (
     most_violated_cycle_inequality,
     random_graph,
     reference_chordless_decompose,
+    reference_separate_cycles,
     reference_separate_triangles,
+    reference_square_table,
     reference_triangle_table,
     reference_twin_distance,
+    torus3d_edges,
     torus_edges,
 )
 
@@ -397,3 +401,80 @@ def test_triangle_table_matches_the_per_edge_reference(monkeypatch, cap, slab):
             got = triangle_table(g, budget)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (n, edges, budget)
+
+
+def _square_graphs(rng):
+    """Random sparse graphs, 2D tori with L = 4 (whose wraparound cycles are
+    squares too) and L = 5, and a 3D torus with L = 3."""
+    graphs = [WeightedGraph(16, torus_edges(rng, 4)), WeightedGraph(25, torus_edges(rng, 5)),
+              WeightedGraph(27, torus3d_edges(rng, 3))]
+    for _ in range(60):
+        n = rng.randint(0, 22)
+        edges = random_graph(rng, n, rng.uniform(0.05, 0.45)) if n > 1 else []
+        graphs.append(WeightedGraph(n, edges))
+    return graphs
+
+
+@pytest.mark.parametrize("cap, slab", [
+    (separation.DEGREE_CAP, separation.TRIANGLE_SLAB), (4, 3)])
+def test_square_table_matches_the_brute_force_listing(monkeypatch, cap, slab):
+    """Same rows in the same order as trying every vertex quadruple, under a
+    small budget, a low degree cap and small slabs too."""
+    monkeypatch.setattr(separation, "DEGREE_CAP", cap)
+    monkeypatch.setattr(separation, "TRIANGLE_SLAB", slab)
+    cut_short = 0
+    for g in _square_graphs(random.Random(93)):
+        full = reference_square_table(g, 10 ** 9, cap)
+        for budget in (0, 1, 7, 50_000):
+            want = full[:budget]
+            got = square_table(g, budget)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (g.n, g.edge_list(), budget)
+            cut_short += len(want) < len(full)
+    assert cut_short > 10  # some tables are cut at their budget
+
+
+def test_square_table_lists_the_torus_squares():
+    """An L = 4 torus has 16 plaquettes and 8 wraparound 4-cycles; an L = 5
+    torus has only its 25 plaquettes; a 3D L = 3 torus has 81 plaquettes
+    (its wraparound cycles are triangles)."""
+    rng = random.Random(94)
+    assert len(square_table(WeightedGraph(16, torus_edges(rng, 4)))) == 24
+    assert len(square_table(WeightedGraph(25, torus_edges(rng, 5)))) == 25
+    assert len(square_table(WeightedGraph(27, torus3d_edges(rng, 3)))) == 81
+
+
+def test_square_table_leaves_out_chorded_cycles_and_capped_vertices(monkeypatch):
+    ring = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
+    g = WeightedGraph(4, ring)
+    # edges e01 = 0, e03 = 1, e12 = 2, e23 = 3, in the order 0 - 1 - 2 - 3 - 0
+    assert square_table(g).tolist() == [[0, 2, 3, 1]]
+    for chord in ((0, 2, 1.0), (1, 3, 1.0)):
+        assert square_table(WeightedGraph(4, ring + [chord])).shape == (0, 4)
+    monkeypatch.setattr(separation, "DEGREE_CAP", 3)
+    assert len(square_table(WeightedGraph(5, ring + [(0, 4, 1.0)]))) == 1
+    g = WeightedGraph(6, ring + [(0, 4, 1.0), (0, 5, 1.0)])  # vertex 0 above the cap
+    assert square_table(g).shape == (0, 4)
+
+
+def test_table_cuts_are_the_most_violated_and_distinct():
+    """Each table's cuts are every violated (cycle, odd F set) pair in
+    (row, F set) order, or with a limit its ``limit`` most violated, most
+    violated first; the square cuts follow the triangle cuts. Each is
+    violated beyond VIOLATION_TOL and no key repeats."""
+    rng = random.Random(95)
+    for g in _square_graphs(rng):
+        triangles, squares = triangle_table(g), square_table(g)
+        for x in (np.full(g.m, 0.5), np.array([rng.random() for _ in range(g.m)]),
+                  np.array([rng.choice((0.0, 0.3, 0.8, 1.0)) for _ in range(g.m)])):
+            for limit in (None, 0, 3):
+                want = []
+                for table in (triangles, squares):
+                    found = reference_separate_cycles(x, table)
+                    if limit is not None:  # stable: ties stay in (row, F set) order
+                        found = sorted(found, key=lambda c: c[3])[:limit]
+                    want += [(edges, flags) for _, edges, flags, _ in found]
+                got = separate_triangles(x, triangles, squares, limit)
+                assert [(c.edges, c.in_f) for c in got] == want
+                assert all(c.violation(x) > VIOLATION_TOL for c in got)
+                assert len({c.key for c in got}) == len(got)

@@ -28,8 +28,12 @@ from sparsecut.solver import (
 from oracles import (
     brute_force_maxcut,
     brute_force_qubo,
+    exhaustive_maxcut,
+    highs_maxcut,
     random_graph,
     reference_enumerate,
+    split_exhaustive_maxcut,
+    torus3d_edges,
     torus_edges,
 )
 
@@ -168,6 +172,80 @@ def test_solver_matches_brute_force_with_all_paths():
             assert report.status == "optimal"
             assert report.best_value == pytest.approx(best), (trial, cfg)
             assert raw.cut_value(report.partition) == pytest.approx(best)
+
+
+def test_branch_and_cut_matches_brute_force_on_sparse_graphs_and_3d_tori():
+    """Random sparse graphs, solved by branch and cut alone, and 3D L = 3 +-1
+    tori (triangles and chordless squares in every cutting round), against
+    enumeration of every bipartition."""
+    rng = random.Random(57)
+    for _ in range(12):
+        n = rng.randint(12, 18)
+        edges = random_graph(rng, n, 3.0 / n)
+        if not edges:
+            continue
+        raw = raw_from_edges(n, edges)
+        report = solve_maxcut(raw, Config(enum_threshold=0))
+        best, _ = exhaustive_maxcut(n, edges)
+        assert report.status == "optimal"
+        assert report.best_value == pytest.approx(best), (n, edges)
+    for seed in (1, 2):
+        edges = torus3d_edges(random.Random(seed), 3)
+        report = solve_maxcut(raw_from_edges(27, edges))
+        assert report.status == "optimal"
+        assert report.best_value == split_exhaustive_maxcut(27, edges), seed
+
+
+def test_branch_and_cut_matches_highs_on_a_3d_torus():
+    """A 3D L = 4 +-1 torus: its cutting rounds score 240 chordless squares
+    (192 plaquettes and 48 wraparound 4-cycles)."""
+    pytest.importorskip("scipy.optimize")
+    edges = torus3d_edges(random.Random(1), 4)
+    report = solve_maxcut(raw_from_edges(64, edges))
+    assert report.status == "optimal"
+    assert report.best_value == pytest.approx(highs_maxcut(64, edges), abs=1e-6)
+
+
+def test_each_round_adds_distinct_cuts_within_the_cap(monkeypatch):
+    """Every batch handed to the LP holds at most 2n cuts and no key twice,
+    though on the 6 x 6 torus the exact search and the square table find
+    some of the same cycles; some batches hold both stage and square cuts."""
+    batches = []
+    shared = []  # per exact search: its cuts that the same round's squares hold
+    squares = set()
+    real_add_cuts = solver_mod.LpEngine.add_cuts
+    real_triangles = solver_mod.separate_triangles
+    real_exact = solver_mod.separate_exact
+
+    def add_cuts(self, cuts):
+        batches.append((self.graph.n, list(cuts)))
+        return real_add_cuts(self, cuts)
+
+    def separate_triangles(x, *tables):
+        cuts = real_triangles(x, *tables)
+        squares.clear()
+        squares.update(c.key for c in cuts if len(c.edges) == 4)
+        return cuts
+
+    def separate_exact(g, x, deadline=None):
+        cuts = real_exact(g, x, deadline)
+        shared.append(len(squares & {c.key for c in cuts}))
+        return cuts
+
+    monkeypatch.setattr(solver_mod.LpEngine, "add_cuts", add_cuts)
+    monkeypatch.setattr(solver_mod, "separate_triangles", separate_triangles)
+    monkeypatch.setattr(solver_mod, "separate_exact", separate_exact)
+    for n, edges in ((36, torus_edges(random.Random(58), 6)),
+                     (27, torus3d_edges(random.Random(59), 3))):
+        assert solve_maxcut(raw_from_edges(n, edges), Config(enum_threshold=0)).status == "optimal"
+    assert sum(shared) > 0
+    mixed = 0
+    for n, cuts in batches:
+        assert len(cuts) <= 2 * n
+        assert len({c.key for c in cuts}) == len(cuts)
+        widths = [len(c.edges) for c in cuts]
+        mixed += 4 in widths and any(w != 4 for w in widths)
+    assert mixed
 
 
 def test_fractional_weights_are_handled():

@@ -147,7 +147,7 @@ class _BoundedSimplex:
     is never stored; the rows live in one array that doubles when full."""
 
     REFACTOR_EVERY = 64
-    BLAND_AFTER = 500
+    BLAND_AFTER = 50     # degenerate pivots in a row before Bland's rule
     PIVOT_TOL = 1e-8
     MAX_ITERS = 50_000
     DEADLINE_EVERY = 32  # pivots between two looks at the clock
@@ -220,7 +220,7 @@ class _BoundedSimplex:
         passed, looking at the clock every DEADLINE_EVERY pivots.
 
         After BLAND_AFTER degenerate pivots in a row, Bland's rule picks the
-        rows and columns until a pivot makes progress, and the edge costs are
+        rows and columns until a pivot makes progress, and the costs are
         perturbed until the point is feasible; the solve then goes on with
         the true costs.
         """
@@ -306,19 +306,25 @@ class _BoundedSimplex:
 
     def _make_dual_feasible(self, perturb):
         """Reduced costs, with each nonbasic movable column put at the bound
-        its reduced cost prefers. With ``perturb`` the edges among them then
-        have their costs moved 1e-7 to 2e-7 (relative) further into that
-        side, which breaks the ties of a degenerate vertex; else the costs are
-        the true ones.
+        its reduced cost prefers. With ``perturb`` the columns among them,
+        slacks too, then have their costs moved 1e-7 to 2e-7 further into
+        that side, relative to the edge's weight or, for a slack, to the
+        largest weight; this breaks the ties of a degenerate vertex, the
+        zero duals of its tight cuts among them. Else the costs are the true
+        ones.
         """
         self._cost[: self.n] = self.c
+        self._cost[self.n :] = 0.0
         d = self._price()
         free = self._movable & (self.stat != BASIC)
         self.stat[free & (d > OPT_TOL)] = AT_UPPER
         self.stat[free & (d < -OPT_TOL)] = AT_LOWER
         if perturb:
-            e = np.flatnonzero(free[: self.n])
-            shift = 1e-7 * np.maximum(1.0, np.abs(self.c[e]))
+            e = np.flatnonzero(free)
+            weight = np.full(e.size, np.abs(self.c).max(initial=0.0))
+            edges = e < self.n
+            weight[edges] = np.abs(self.c[e[edges]])
+            shift = 1e-7 * np.maximum(1.0, weight)
             shift *= 1.0 + np.random.default_rng(0).random(e.size)
             self._cost[e] += np.where(self.stat[e] == AT_UPPER, shift, -shift)
             d = self._price()
@@ -327,9 +333,10 @@ class _BoundedSimplex:
 
     def _price(self):
         """Reduced costs d = c - y [A | I] with y = c_B B^-1: c - y A for the
-        edges and -y for the slacks, whose costs are 0."""
+        edges and c - y for the slacks, whose costs are 0 unless perturbed."""
         y = self._cost[self.basis] @ self._Binv
-        return np.concatenate([self._cost[: self.n] - y @ self.rows, -y])
+        return np.concatenate([self._cost[: self.n] - y @ self.rows,
+                               self._cost[self.n :] - y])
 
     def _ratio_test(self, alpha, violation, d, bland):
         """(entering column, columns to flip) for the leaving row's tableau

@@ -37,7 +37,10 @@ SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
 EMIT_TOL = 1e-9        # emitted cuts must have slack-form value < 1 - EMIT_TOL
 TRIANGLE_BUDGET = 50_000
 TRIANGLE_SLAB = 512    # edges whose wedges a cycle table lists at once
-DEGREE_CAP = 512       # the cycle tables skip vertices of degree above it
+SQUARE_CHUNK = 1 << 16  # about this many wedge pairs square_table builds at once
+# triangle_table skips the triangles whose lowest edge has an end of degree
+# above DEGREE_CAP, square_table the 4-cycles with any vertex above it
+DEGREE_CAP = 512
 
 
 @dataclass
@@ -318,7 +321,9 @@ def square_table(g, budget=TRIANGLE_BUDGET):
     listed for whole runs of edges of one low end x, about TRIANGLE_SLAB
     edges at a time, which bounds the wedges held at once, until the budget
     is met. Each slab's wedges are sorted by (x, y, a), and every two wedges
-    of one end pair whose ends and middles are not adjacent close a row.
+    of one end pair whose ends and middles are not adjacent close a row. An
+    end pair with k common neighbors makes k(k - 1)/2 such pairs, so they
+    are built about SQUARE_CHUNK at a time, and none after the budget is met.
     """
     n, m, deg = g.n, g.m, g.degrees
     if not m:
@@ -348,13 +353,20 @@ def square_table(g, budget=TRIANGLE_BUDGET):
         keep = (deg[y] <= DEGREE_CAP) & ~_find_edges(g, ends)[1]
         kept = np.flatnonzero(keep)[np.lexsort((a[keep], ends[keep]))]
         ends = ends[kept]
+        # wedge w pairs with the later wedges of its end pair, pairs[w] of them
         pairs = np.searchsorted(ends, ends, side="right") - np.arange(len(kept)) - 1
-        i = np.repeat(np.arange(len(kept)), pairs)
-        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        i, j = kept[i], kept[j]
-        hit = ~_find_edges(g, a[i] * n + a[j])[1]
-        rows.append(np.column_stack((e_xa[i], e_ay[i], e_ay[j], e_xa[j]))[hit])
-        count += int(hit.sum())
+        first_pair = np.cumsum(pairs) - pairs
+        w = 0
+        while w < len(kept) and count < budget:
+            stop = int(np.searchsorted(first_pair, first_pair[w] + SQUARE_CHUNK))
+            span = pairs[w:stop]
+            i = np.repeat(np.arange(w, stop), span)
+            j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(span) - span, span)
+            i, j = kept[i], kept[j]
+            hit = ~_find_edges(g, a[i] * n + a[j])[1]
+            rows.append(np.column_stack((e_xa[i], e_ay[i], e_ay[j], e_xa[j]))[hit])
+            count += int(hit.sum())
+            w = stop
         lo = hi
     return np.concatenate(rows)[:budget]
 

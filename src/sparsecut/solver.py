@@ -151,7 +151,8 @@ class ComponentSolver:
         self.engine = LpEngine(g, deadline)
         self.stats = SolveStats()
         self.best: CutSolution | None = None
-        # triangle_table(g) and square_table(g), built at the first round
+        # triangle_table(g) and square_table(g), or None for a component
+        # without chordless 4-cycles, built at the first round
         self.triangles = self.squares = None
 
     # -- incumbent handling ------------------------------------------------
@@ -249,18 +250,23 @@ class ComponentSolver:
                     self._offer(spanning_tree_rounding(g, state.x))
 
                 if self.triangles is None:
-                    self.triangles, self.squares = triangle_table(g), square_table(g)
+                    self.triangles, squares = triangle_table(g), square_table(g)
+                    self.squares = squares if len(squares) else None
                 # the stage's cuts (the triangles', else the exact search's)
-                # and then the violated chordless 4-cycles not among them; the
+                # and the violated chordless 4-cycles not among them; the 2n
                 # most violated are added, the stage's first among equals
                 cap = 2 * g.n
                 found = separate_triangles(state.x, self.triangles, self.squares, cap)
                 squares = [c for c in found if len(c.edges) == 4]
-                cuts = (found[: len(found) - len(squares)]
-                        or separate_exact(g, state.x, self.deadline))
-                stage = {c.key for c in cuts if len(c.edges) == 4}
-                cuts += [c for c in squares if c.key not in stage]
-                cuts.sort(key=lambda c: -c.violation(state.x))
+                cuts = found[: len(found) - len(squares)]  # most violated first
+                exact = not cuts
+                if exact:  # its chordless 4-cycles may be among the squares
+                    cuts = separate_exact(g, state.x, self.deadline)
+                    stage = {c.key for c in cuts if len(c.edges) == 4}
+                    squares = [c for c in squares if c.key not in stage]
+                if exact or squares:
+                    cuts += squares
+                    cuts.sort(key=lambda c: -c.violation(state.x))
                 added = self.engine.add_cuts(cuts[:cap])
                 rounds += 1
                 if self.stats.nodes == 1:  # the root

@@ -11,6 +11,7 @@ from sparsecut.lp import (
     BASIC,
     AGE_LIMIT,
     FEAS_TOL,
+    OPT_TOL,
     CutPool,
     CycleCut,
     LpEngine,
@@ -322,6 +323,35 @@ def test_bland_pivots_leave_a_row_violated_at_the_current_point(monkeypatch):
                                           integral=k % 2 == 0))
         _cut_rounds(LpEngine(g), g, rng, 5, fix=k % 3 == 0)
     assert stale == 0 and pivots > 500, (stale, pivots)
+
+
+def test_perturbed_costs_leave_no_nonbasic_reduced_cost_at_zero(monkeypatch):
+    """The perturbation moves every nonbasic movable column's cost, a cut
+    slack's too, strictly into the side of the bound it sits at, so no
+    reduced cost is left at 0 for a degenerate pivot to keep."""
+    monkeypatch.setattr(_BoundedSimplex, "BLAND_AFTER", -1)
+    calls = slacks = 0
+    real_make_dual_feasible = _BoundedSimplex._make_dual_feasible
+
+    def make_dual_feasible(self, perturb):
+        nonlocal calls, slacks
+        d = real_make_dual_feasible(self, perturb)
+        if perturb:
+            free = np.flatnonzero(self._movable & (self.stat != BASIC))
+            want = np.where(self.stat[free] == AT_UPPER, 1.0, -1.0)
+            assert np.all(d[free] * want > OPT_TOL), d[free]
+            calls += 1
+            slacks += int(np.sum(free >= self.n))
+        return d
+
+    monkeypatch.setattr(_BoundedSimplex, "_make_dual_feasible", make_dual_feasible)
+    rng = random.Random(17)
+    for k in range(20):
+        n = 6 + k % 8
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.3, 0.8),
+                                          integral=k % 2 == 0))
+        _cut_rounds(LpEngine(g), g, rng, 5, fix=k % 3 == 0)
+    assert calls > 20 and slacks > 100, (calls, slacks)
 
 
 def test_lp_error_restarts_cold_and_is_counted():

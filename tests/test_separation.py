@@ -444,6 +444,39 @@ def test_square_table_lists_the_torus_squares():
     assert len(square_table(WeightedGraph(27, torus3d_edges(rng, 3)))) == 81
 
 
+def test_square_table_builds_the_wedge_pairs_in_chunks(monkeypatch):
+    """On dense graphs an end pair has many common neighbors: tiny chunks
+    give the brute-force rows, and a table cut at a small budget builds
+    about one chunk of wedge pairs, not all of them."""
+    rng = random.Random(96)
+    graphs = [WeightedGraph(n, random_graph(rng, n, 0.6)) for n in (12, 18, 24)]
+    for chunk in (1, 7):
+        monkeypatch.setattr(separation, "SQUARE_CHUNK", chunk)
+        for g in graphs:
+            full = reference_square_table(g, 10 ** 9)
+            for budget in (0, 1, 7, 50_000):
+                assert np.array_equal(square_table(g, budget), full[:budget])
+
+    g = WeightedGraph(120, random_graph(rng, 120, 0.5))
+    want = square_table(g, 10)
+    lookups = []
+    real_find_edges = separation._find_edges
+
+    def find_edges(g, keys):
+        lookups.append(len(keys))
+        return real_find_edges(g, keys)
+
+    monkeypatch.setattr(separation, "_find_edges", find_edges)
+    monkeypatch.setattr(separation, "SQUARE_CHUNK", 1000)
+    assert np.array_equal(square_table(g, 10), want)
+    # one lookup of the first slab's wedge ends, then the chords of one chunk
+    assert len(lookups) == 2 and lookups[1] <= 1000 + separation.DEGREE_CAP
+    # where the first slab alone, vertex 0's edges among it, closes over ten
+    # chunks of squares
+    monkeypatch.setattr(separation, "_find_edges", real_find_edges)
+    assert np.sum(g.edge_u[square_table(g)[:, 0]] == 0) > 10_000
+
+
 def test_square_table_leaves_out_chorded_cycles_and_capped_vertices(monkeypatch):
     ring = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
     g = WeightedGraph(4, ring)

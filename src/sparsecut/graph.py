@@ -136,7 +136,7 @@ class WeightedGraph:
 def build_graph(raw) -> WeightedGraph:
     """Build a 0-based graph from a parsed instance; zero edges dropped."""
     rows = np.array(raw.edges, dtype=np.float64).reshape(-1, 3) - (1, 1, 0)
-    return WeightedGraph(raw.num_vertices, rows[np.abs(rows[:, 2]) > ZERO_EPS])
+    return WeightedGraph(raw.num_vertices, rows[rows[:, 2] != 0])
 
 
 def cut_weight(g: WeightedGraph, y) -> float:

@@ -14,10 +14,11 @@ each distinct cycle of one separation call is decomposed along chords into
 chordless violated cuts once.
 
 Table separation scores every odd F set of the graph's triangles and of
-its chordless 4-cycles against each new LP point. Both tables are listed
-once, by ``triangle_table`` and ``square_table``, from wedges in numpy. A
-cycle inequality defines a facet of the cut polytope exactly when its cycle
-is chordless (Barahona and Mahjoub), so these short cycles are the cheap
+its chordless 4-cycles against each new LP point, and ranks the violated
+ones of both tables together in numpy. Both tables are listed once, by
+``triangle_table`` and ``square_table``, from wedges in numpy. A cycle
+inequality defines a facet of the cut polytope exactly when its cycle is
+chordless (Barahona and Mahjoub), so these short cycles are the cheap
 facets: a torus's 4-cycles are its plaquettes.
 """
 
@@ -389,36 +390,34 @@ def _odd_sets(width):
 _ODD_F = {3: _odd_sets(3), 4: _odd_sets(4)}
 
 
-def _table_cuts(x, table, limit):
-    """Violated inequalities on the cycles of ``table``, every odd F set of
-    each scored: all of them in (row, F set) order, or the ``limit`` most
-    violated, most violated first, ties in (row, F set) order."""
-    width = table.shape[1]
-    odd = _ODD_F[width]
-    xt = np.asarray(x, dtype=np.float64)[table][:, None, :]
-    terms = np.where(np.array(odd), 1.0 - xt, xt)  # (t, F sets, width)
-    lhs = terms[:, :, 0]
-    for k in range(1, width):  # in edge order, as CycleCut.slack_form adds
-        lhs = lhs + terms[:, :, k]
-    rows, masks = np.nonzero(lhs < 1.0 - VIOLATION_TOL)
-    if limit is not None:
-        top = np.argsort(lhs[rows, masks], kind="stable")[:limit]
-        rows, masks = rows[top], masks[top]
-    return [CycleCut(tuple(edges), odd[f])
-            for edges, f in zip(table[rows].tolist(), masks.tolist())]
-
-
 def separate_triangles(x, table, squares=None, limit=None):
-    """Violated cycle inequalities on the rows of a ``triangle_table``, then
-    on the rows of a ``square_table`` if one is given.
+    """Violated cycle inequalities on the rows of a ``triangle_table`` and,
+    if one is given, of a ``square_table``.
 
-    Scores every odd F set of every row. Each table gives all its cuts in
-    (row, F set) order, or with a ``limit`` only its ``limit`` most violated,
-    most violated first, ties in (row, F set) order. For x in [0, 1] a cycle
-    has at most one violated F set, as two odd sets differ in at least two
-    edges.
+    Scores every odd F set of every row of each nonempty table. Returns all
+    the cuts in (table, row, F set) order, or with a ``limit`` the ``limit``
+    most violated of both tables: by ``CycleCut.violation``, then table, then
+    slack-form value (whose last bits the violation may round away), then in
+    that order. For x in [0, 1] a cycle has at most one violated F set, as
+    two odd sets differ in at least two edges.
     """
-    cuts = _table_cuts(x, table, limit)
-    if squares is not None:
-        cuts += _table_cuts(x, squares, limit)
-    return cuts
+    x = np.asarray(x, dtype=np.float64)
+    edges, flags, lhs, table_of = [], [], [], []  # per violated (row, F set)
+    for at, t in enumerate((table, squares)):
+        if t is not None and len(t):
+            odd = _ODD_F[t.shape[1]]
+            xt = x[t][:, None, :]
+            terms = np.where(np.array(odd), 1.0 - xt, xt)  # (t, F sets, width)
+            value = terms[:, :, 0]
+            for k in range(1, t.shape[1]):  # in edge order, as CycleCut.slack_form adds
+                value = value + terms[:, :, k]
+            rows, masks = np.nonzero(value < 1.0 - VIOLATION_TOL)
+            edges += t[rows].tolist()
+            flags += [odd[f] for f in masks.tolist()]
+            lhs.append(value[rows, masks])
+            table_of += [at] * len(rows)
+    pick = range(len(edges))
+    if limit is not None and edges:  # lhs - 1 is exactly -(1 - lhs): most violated first
+        lhs = np.concatenate(lhs)
+        pick = np.lexsort((lhs, table_of, lhs - 1.0))[:limit].tolist()
+    return [CycleCut(tuple(edges[i]), flags[i]) for i in pick]

@@ -4,17 +4,19 @@ decomposition and reduced-cost fixing, in a single thread.
 Pipeline: presolve contractions -> biconnected components -> per-component
 enumeration or branch-and-cut -> block-cut-tree stitching -> replay of the
 presolve trace onto the original graph. Every incumbent is re-evaluated on the
-original instance before it is reported.
+original instance before it is reported. The tolerances are absolute, so
+weights all below 1 are first scaled up by a power of two.
 
 Branch-and-cut takes open nodes in best-bound order. A node is its bound and
 its fixed edges. Every bound in the heap is valid for its node's subtree (the
 root's is the trivial bound), so each stop -- gap, node or time limit -- is
 read at the heap's top while that node is still queued, and the dual is the
 larger of the incumbent and the top's bound; components share one node
-budget. A node branches on the free fractional edge of largest
-``max(|w|, 1) * min(x, 1 - x)``. A component whose weights are all integers
-has integer cut weights, so its LP bounds are rounded down; no option sets
-this.
+budget. Each cutting round solves the LP once; its reduced-cost fixings take
+effect at the next round's solve. A node branches on the free fractional edge
+of largest ``max(|w|, 1) * min(x, 1 - x)``. A component whose weights are all
+integers has integer cut weights, so its LP bounds are rounded down; no option
+sets this.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from .graph import (
     CutSolution,
     ReductionTrace,
+    WeightedGraph,
     biconnected_components,
     build_graph,
     induce_subgraph,
@@ -151,8 +154,7 @@ class ComponentSolver:
         self.engine = LpEngine(g, deadline)
         self.stats = SolveStats()
         self.best: CutSolution | None = None
-        # triangle_table(g) and square_table(g), or None for a component
-        # without chordless 4-cycles, built at the first round
+        # triangle_table(g) and square_table(g), built at the first round
         self.triangles = self.squares = None
 
     # -- incumbent handling ------------------------------------------------
@@ -238,34 +240,23 @@ class ComponentSolver:
                 if eff <= inc + PRUNE_TOL:
                     return []
 
-                new_fixed, _ = propagate(
-                    g, state, bound, inc, lb, ub, fixed, self.integral
-                )
-                if len(new_fixed) > len(fixed):
-                    fixed = new_fixed
-                    continue
-
+                # new fixings hold edges at the nonbasic bound they sit on, so
+                # x stays the LP optimum: they take effect at the next solve
+                fixed, _ = propagate(g, state, bound, inc, lb, ub, fixed, self.integral)
                 x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
                 if cfg.heuristics or x_integral:  # an integral x is a cut's vector
                     self._offer(spanning_tree_rounding(g, state.x))
 
                 if self.triangles is None:
-                    self.triangles, squares = triangle_table(g), square_table(g)
-                    self.squares = squares if len(squares) else None
-                # the stage's cuts (the triangles', else the exact search's)
-                # and the violated chordless 4-cycles not among them; the 2n
-                # most violated are added, the stage's first among equals
+                    self.triangles, self.squares = triangle_table(g), square_table(g)
+                # the 2n most violated table cuts, or without a triangle among
+                # them, of the exact search's cuts and the squares it lacks
                 cap = 2 * g.n
-                found = separate_triangles(state.x, self.triangles, self.squares, cap)
-                squares = [c for c in found if len(c.edges) == 4]
-                cuts = found[: len(found) - len(squares)]  # most violated first
-                exact = not cuts
-                if exact:  # its chordless 4-cycles may be among the squares
-                    cuts = separate_exact(g, state.x, self.deadline)
-                    stage = {c.key for c in cuts if len(c.edges) == 4}
-                    squares = [c for c in squares if c.key not in stage]
-                if exact or squares:
-                    cuts += squares
+                cuts = separate_triangles(state.x, self.triangles, self.squares, cap)
+                if all(len(c.edges) == 4 for c in cuts):
+                    exact = separate_exact(g, state.x, self.deadline)
+                    keys = {c.key for c in exact}
+                    cuts = exact + [c for c in cuts if c.key not in keys]
                     cuts.sort(key=lambda c: -c.violation(state.x))
                 added = self.engine.add_cuts(cuts[:cap])
                 rounds += 1
@@ -288,7 +279,7 @@ class ComponentSolver:
         edge fixed (down child first).
 
         The edge is the free one with the largest ``max(|w|, 1) * min(x, 1 - x)``;
-        among scores within 1e-15 of the largest, the lowest edge id.
+        among scores within a relative 1e-15 of the largest, the lowest edge id.
         """
         frac = np.minimum(state.x, 1.0 - state.x)
         score = np.maximum(np.abs(self.g.edge_w), 1.0) * frac
@@ -297,7 +288,7 @@ class ComponentSolver:
         best = score.max()
         if best < 0:
             raise RuntimeError("no fractional edge available for branching")
-        e = int(np.flatnonzero(score > best - 1e-15)[0])
+        e = int(np.flatnonzero(score >= best - 1e-15 * max(1.0, best))[0])
         return [(bound, {**fixed, e: val}) for val in (0, 1)]
 
 
@@ -340,6 +331,12 @@ def _stitch(n, pieces):
 
 def solve_graph(g, cfg: Config):
     """Solve max-cut on a built graph; returns (solution, dual bound, status, stats)."""
+    top = float(np.abs(g.edge_w).max(initial=0.0))
+    if 0 < top < 1:  # the tolerances are absolute: solve a copy scaled into [1, 2)
+        k = 1 - math.frexp(top)[1]
+        scaled = WeightedGraph(g.n, np.column_stack((g.edge_u, g.edge_v, np.ldexp(g.edge_w, k))))
+        solution, dual, status, stats = solve_graph(scaled, cfg)
+        return CutSolution.from_assignment(g, solution.y), math.ldexp(dual, -k), status, stats
     deadline = time.monotonic() + cfg.time_limit_s if cfg.time_limit_s else None
     stats = SolveStats()
     trace = ReductionTrace()

@@ -491,22 +491,22 @@ def test_square_table_leaves_out_chorded_cycles_and_capped_vertices(monkeypatch)
 
 
 def test_table_cuts_are_the_most_violated_and_distinct():
-    """Each table's cuts are every violated (cycle, odd F set) pair in
-    (row, F set) order, or with a limit its ``limit`` most violated, most
-    violated first; the square cuts follow the triangle cuts. Each is
-    violated beyond VIOLATION_TOL and no key repeats."""
+    """The table cuts are every violated (cycle, odd F set) pair, the
+    triangles' then the squares', each in (row, F set) order; with a limit,
+    the ``limit`` most violated of both tables, ranked together by the
+    violation ``1 - lhs``, then by table, then by lhs, ties in that order.
+    Each is violated beyond VIOLATION_TOL and no key repeats."""
     rng = random.Random(95)
     for g in _square_graphs(rng):
         triangles, squares = triangle_table(g), square_table(g)
         for x in (np.full(g.m, 0.5), np.array([rng.random() for _ in range(g.m)]),
                   np.array([rng.choice((0.0, 0.3, 0.8, 1.0)) for _ in range(g.m)])):
             for limit in (None, 0, 3):
-                want = []
-                for table in (triangles, squares):
-                    found = reference_separate_cycles(x, table)
-                    if limit is not None:  # stable: ties stay in (row, F set) order
-                        found = sorted(found, key=lambda c: c[3])[:limit]
-                    want += [(edges, flags) for _, edges, flags, _ in found]
+                found = [(t, lhs, edges, flags) for t, table in enumerate((triangles, squares))
+                         for _, edges, flags, lhs in reference_separate_cycles(x, table)]
+                if limit is not None:  # stable: triangles first among equals
+                    found = sorted(found, key=lambda c: (-(1.0 - c[1]), c[0], c[1]))[:limit]
+                want = [(edges, flags) for _, _, edges, flags in found]
                 got = separate_triangles(x, triangles, squares, limit)
                 assert [(c.edges, c.in_f) for c in got] == want
                 assert all(c.violation(x) > VIOLATION_TOL for c in got)

@@ -248,6 +248,86 @@ def test_each_round_adds_distinct_cuts_within_the_cap(monkeypatch):
     assert mixed
 
 
+def test_fixings_take_effect_at_the_next_rounds_solve(monkeypatch):
+    """Reduced-cost fixing holds edges at the nonbasic bound they sit on, so
+    the LP point stays optimal: every fixing pass of a node is followed by
+    its round's separation, never by a second solve of the same point."""
+    events = []
+    real_solve = solver_mod.LpEngine.solve
+    real_propagate = solver_mod.propagate
+    real_triangles = solver_mod.separate_triangles
+
+    def solve(self, lb=None, ub=None):
+        events.append("solve")
+        return real_solve(self, lb, ub)
+
+    def propagate(g, state, bound, inc, lb, ub, fixed, integral=False):
+        new_fixed, dead = real_propagate(g, state, bound, inc, lb, ub, fixed, integral)
+        events.append("fix" if len(new_fixed) > len(fixed) else "propagate")
+        return new_fixed, dead
+
+    def separate_triangles(x, *tables):
+        events.append("separate")
+        return real_triangles(x, *tables)
+
+    monkeypatch.setattr(solver_mod.LpEngine, "solve", solve)
+    monkeypatch.setattr(solver_mod, "propagate", propagate)
+    monkeypatch.setattr(solver_mod, "separate_triangles", separate_triangles)
+    rng = random.Random(7)
+    edges = [(u, v, rng.choice((-3, -2, -1, 1, 2, 3))) for u, v, _ in torus_edges(rng, 6)]
+    report = solve_maxcut(raw_from_edges(36, edges), Config(enum_threshold=0, presolve=False))
+    assert report.status == "optimal"
+    assert "fix" in events
+    for i, event in enumerate(events):
+        if event in ("fix", "propagate"):
+            assert events[i - 1] == "solve" and events[i + 1] == "separate", i
+
+
+# the max-cut values of tests/oracles.torus_edges(random.Random(seed), 6)
+# with its +-1 weights, as HiGHS finds them
+TORUS6_OPTIMUM = {8: 22, 9: 14, 10: 26, 14: 28, 26: 16, 28: 18, 37: 20}
+
+
+def _scaled_torus6(seed, scale):
+    return raw_from_edges(36, [(u, v, w * scale)
+                               for u, v, w in torus_edges(random.Random(seed), 6)])
+
+
+def test_heavy_weights_branch_and_reach_the_scaled_optimum():
+    """Above a branching score of 16, a tie window of absolute 1e-15 held no
+    score, not even the largest, and branching raised IndexError."""
+    runs = [(s, 64, Config(enum_threshold=0)) for s in (8, 9, 10, 26, 28)]
+    runs += [(s, 1e5, cfg) for s in (8, 9, 10, 26) for cfg in (Config(), Config(enum_threshold=0))]
+    for seed, scale, cfg in runs:
+        report = solve_maxcut(_scaled_torus6(seed, scale), cfg)
+        assert report.status == "optimal"
+        assert report.best_value == TORUS6_OPTIMUM[seed] * scale, (seed, scale, cfg)
+
+
+def test_tiny_weights_reach_the_scaled_optimum():
+    """The tolerances are in weight units: with every |w| far below 1 they
+    pruned the optimum (or, at 1e-13, the graph lost every edge), and each
+    run still reported optimal. The QUBO path and solve_graph are covered."""
+    for seed, scale in ((14, 1e-9), (14, 1e-10), (14, 1e-11), (14, 1e-13),
+                        (37, 1e-10), (37, 1e-13)):
+        want = TORUS6_OPTIMUM[seed] * scale
+        raw = _scaled_torus6(seed, scale)
+        report = solve_maxcut(raw, Config())
+        assert report.status == "optimal"
+        assert report.best_value == pytest.approx(want, rel=1e-9), (seed, scale)
+        sol, dual, status, _ = solve_graph(build_graph(raw), Config())
+        assert status == "optimal"
+        assert sol.weight == pytest.approx(want, rel=1e-9)
+        assert dual == pytest.approx(want, rel=1e-9)
+    rng = random.Random(61)
+    entries = [(i, j, rng.choice((-3, -1, 2, 5))) for i in range(1, 11)
+               for j in range(i, 11) if rng.random() < 0.5]
+    best, _ = brute_force_qubo(10, entries)
+    report = solve_qubo(RawQuboInstance(10, [(i, j, q * 1e-13) for i, j, q in entries]))
+    assert report.status == "optimal"
+    assert report.best_value == pytest.approx(best * 1e-13, rel=1e-9)
+
+
 def test_fractional_weights_are_handled():
     rng = random.Random(53)
     for _ in range(10):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Adjacency, ReductionTrace, WeightedGraph
-from .separation import DEGREE_CAP, TRIANGLE_BUDGET, triangle_table
+from .separation import DEGREE_CAP, TRIANGLE_BUDGET, cycle_tables
 
 REL_TOL = 1e-9  # a >= b passes if a >= b - REL_TOL * max(1, |a|, |b|), a > b if a > b + that
 SCREEN_TOL = 1e-6  # relative, and looser than REL_TOL: the screen never clears a site
@@ -211,7 +211,7 @@ def _screen(g):
     low = np.minimum(sums[u], sums[v])
     hit = aw - (low - aw) >= -SCREEN_TOL * (1.0 + low)
     dom = (np.bincount(np.concatenate((u[hit], v[hit])), minlength=g.n) > 0).tolist()
-    table = triangle_table(g, TRIANGLE_BUDGET + 1)
+    table = cycle_tables(g, TRIANGLE_BUDGET + 1, 0)[0]
     if len(table) == 0 or len(table) > TRIANGLE_BUDGET:
         return dom, [len(table) > 0] * g.n
     # ``ring`` holds the corners x, y, z, x, y and ``w_opp`` the weight of the

@@ -16,7 +16,8 @@ chordless violated cuts once.
 Table separation scores every odd F set of the graph's triangles and of
 its chordless 4-cycles against each new LP point, and ranks the violated
 ones of both tables together in numpy. Both tables are listed once, by
-``triangle_table`` and ``square_table``, from wedges in numpy. A cycle
+``cycle_tables`` in one numpy pass over the wedges: the lookup of a wedge's
+end pair that rules out a 4-cycle's diagonal also finds the triangles. A cycle
 inequality defines a facet of the cut polytope exactly when its cycle is
 chordless (Barahona and Mahjoub), so these short cycles are the cheap
 facets: a torus's 4-cycles are its plaquettes.
@@ -37,10 +38,10 @@ EPS_SKIP = 1e-6        # aux arcs with weight >= 1 - EPS_SKIP are never built
 SEP_GATE = 1e-6        # pursue twin paths shorter than 1 - SEP_GATE
 EMIT_TOL = 1e-9        # emitted cuts must have slack-form value < 1 - EMIT_TOL
 TRIANGLE_BUDGET = 50_000
-TRIANGLE_SLAB = 512    # edges whose wedges a cycle table lists at once
-SQUARE_CHUNK = 1 << 16  # about this many wedge pairs square_table builds at once
-# triangle_table skips the triangles whose lowest edge has an end of degree
-# above DEGREE_CAP, square_table the 4-cycles with any vertex above it
+TRIANGLE_SLAB = 512    # about this many edges whose wedges cycle_tables lists at once
+SQUARE_CHUNK = 1 << 16  # about this many wedge pairs cycle_tables builds at once
+# cycle_tables skips the triangles whose lowest edge has an end of degree
+# above DEGREE_CAP, and the 4-cycles with any vertex above it
 DEGREE_CAP = 512
 
 
@@ -275,73 +276,48 @@ def separate_exact(g, x, deadline=None):
     return cuts
 
 
-def triangle_table(g, budget=TRIANGLE_BUDGET):
-    """The first ``budget`` triangles of ``g`` as a (t, 3) array of edge ids.
+def cycle_tables(g, budget=TRIANGLE_BUDGET, square_budget=TRIANGLE_BUDGET):
+    """The first ``budget`` triangles and the first ``square_budget``
+    chordless 4-cycles of ``g``, as (t, 3) and (t, 4) arrays of edge ids.
 
-    Row (e, e_uz, e_vz) is the triangle that edge e = (u, v), u < v, closes
-    with a common neighbor z > v, so each triangle appears once, from its
-    lowest edge. Rows are ordered by e, then z; edges with an endpoint of
-    degree above DEGREE_CAP are skipped.
+    Triangle row (e_xa, e_xy, e_ay) is the triangle x < a < y, listed once
+    from its lowest edge (x, a); rows are ordered by (x, a, y), and triangles
+    whose lowest edge has an end of degree above DEGREE_CAP are skipped.
+    Square row (e_xa, e_ay, e_yb, e_bx) is the cycle x - a - y - b - x whose
+    lowest vertex is x, with a < b and neither diagonal (x, y) nor (a, b) an
+    edge, so each chordless 4-cycle appears once. Rows are ordered by (x, y,
+    a, b); cycles with a vertex of degree above DEGREE_CAP are skipped.
 
-    Edges are sorted by (u, v), so the wedges (u; v, z) of e are the pairs
-    (e, e_uz) with e_uz a later edge of the same low end u; edge (v, z) is
-    looked up among the sorted edge keys. Wedges are listed for
-    TRIANGLE_SLAB edges at a time, which bounds the memory, until the budget
-    is met.
-    """
-    deg = g.degrees
-    eids = np.arange(g.m)
-    later = np.searchsorted(g.edge_u, g.edge_u, side="right") - eids - 1
-    later[(deg[g.edge_u] > DEGREE_CAP) | (deg[g.edge_v] > DEGREE_CAP)] = 0
-    rows = [np.empty((0, 3), dtype=np.int64)]
-    count = 0
-    for lo in range(0, g.m, TRIANGLE_SLAB):
-        if count >= budget:
-            break
-        span = later[lo:lo + TRIANGLE_SLAB]
-        e = np.repeat(eids[lo:lo + TRIANGLE_SLAB], span)
-        e_uz = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(span) - span, span)
-        e_vz, hit = _find_edges(g, g.edge_v[e] * g.n + g.edge_v[e_uz])
-        rows.append(np.column_stack((e, e_uz, e_vz))[hit])
-        count += int(hit.sum())
-    return np.concatenate(rows)[:budget]
-
-
-def square_table(g, budget=TRIANGLE_BUDGET):
-    """The first ``budget`` chordless 4-cycles of ``g`` as a (t, 4) array of
-    edge ids.
-
-    Row (e_xa, e_ay, e_yb, e_bx) is the cycle x - a - y - b - x whose lowest
-    vertex is x, with a < b and neither diagonal (x, y) nor (a, b) an edge,
-    so each chordless 4-cycle appears once. Rows are ordered by (x, y, a, b);
-    cycles with a vertex of degree above DEGREE_CAP are skipped.
-
-    The cycle is two wedges x - a - y and x - b - y with the same end pair.
-    The wedges of an edge e = (x, a), x < a, are the pairs (e, e_ay) with
-    e_ay an edge from a to some y > x: a slice of a's sorted arcs. They are
-    listed for whole runs of edges of one low end x, about TRIANGLE_SLAB
-    edges at a time, which bounds the wedges held at once, until the budget
-    is met. Each slab's wedges are sorted by (x, y, a), and every two wedges
-    of one end pair whose ends and middles are not adjacent close a row. An
-    end pair with k common neighbors makes k(k - 1)/2 such pairs, so they
-    are built about SQUARE_CHUNK at a time, and none after the budget is met.
+    Both come from one pass over the wedges x - a - y with x lowest. The
+    wedges of an edge e = (x, a), x < a, are the pairs (e, e_ay) with e_ay an
+    edge from a to some y > x (y > a when no 4-cycle is asked for): a slice
+    of a's sorted arcs. They are listed for whole runs of edges of one low
+    end x, about TRIANGLE_SLAB edges at a time, which bounds the wedges held
+    at once, until both budgets are met.
+    Each wedge's end pair (x, y) is looked up among the sorted edge keys: a
+    wedge with adjacent ends and a < y is a triangle row. The other wedges of
+    a slab are sorted by (x, y, a), and every two wedges of one end pair
+    whose middles are not adjacent close a 4-cycle. An end pair with k
+    common neighbors makes k(k - 1)/2 such pairs, so they are built about
+    SQUARE_CHUNK at a time, and none after the square budget is met.
     """
     n, m, deg = g.n, g.m, g.degrees
-    if not m:
-        return np.empty((0, 4), dtype=np.int64)
+    triangles = [np.empty((0, 3), dtype=np.int64)]
+    squares = [np.empty((0, 4), dtype=np.int64)]
     eids = np.arange(m)
     # the arcs of both directions of every edge, sorted by (tail, head)
     arc_key = np.concatenate((g.edge_keys, g.edge_v * n + g.edge_u))
     order = np.argsort(arc_key)
     arc_key, arc_eid = arc_key[order], np.concatenate((eids, eids))[order]
     arc_head = arc_key % n
-    # a's arcs to heads y > x start right after its arc to x
-    first = np.searchsorted(arc_key, g.edge_v * n + g.edge_u, side="right")
+    # a's arcs to heads y > x start right after its arc to x; without
+    # 4-cycles, only the heads y > a, which close triangles, are listed
+    low = g.edge_u if square_budget > 0 else g.edge_v
+    first = np.searchsorted(arc_key, g.edge_v * n + low, side="right")
     later = np.cumsum(deg)[g.edge_v] - first
     later[(deg[g.edge_u] > DEGREE_CAP) | (deg[g.edge_v] > DEGREE_CAP)] = 0
-    rows = [np.empty((0, 4), dtype=np.int64)]
-    count = lo = 0
-    while lo < m and count < budget:
+    n_tri = n_sq = lo = 0
+    while lo < m and (n_tri < budget or n_sq < square_budget):
         hi = int(np.searchsorted(g.edge_u, g.edge_u[min(lo + TRIANGLE_SLAB, m) - 1],
                                  side="right"))
         span = later[lo:hi]
@@ -351,25 +327,31 @@ def square_table(g, budget=TRIANGLE_BUDGET):
         e_ay, y = arc_eid[arc], arc_head[arc]
         x, a = g.edge_u[e_xa], g.edge_v[e_xa]
         ends = x * n + y
-        keep = (deg[y] <= DEGREE_CAP) & ~_find_edges(g, ends)[1]
+        e_xy, closed = _find_edges(g, ends)
+        hit = closed & (a < y)
+        triangles.append(np.column_stack((e_xa, e_xy, e_ay))[hit])
+        n_tri += int(hit.sum())
+        lo = hi
+        if n_sq >= square_budget:
+            continue
+        keep = (deg[y] <= DEGREE_CAP) & ~closed
         kept = np.flatnonzero(keep)[np.lexsort((a[keep], ends[keep]))]
         ends = ends[kept]
         # wedge w pairs with the later wedges of its end pair, pairs[w] of them
         pairs = np.searchsorted(ends, ends, side="right") - np.arange(len(kept)) - 1
         first_pair = np.cumsum(pairs) - pairs
         w = 0
-        while w < len(kept) and count < budget:
+        while w < len(kept) and n_sq < square_budget:
             stop = int(np.searchsorted(first_pair, first_pair[w] + SQUARE_CHUNK))
             span = pairs[w:stop]
             i = np.repeat(np.arange(w, stop), span)
             j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(span) - span, span)
             i, j = kept[i], kept[j]
             hit = ~_find_edges(g, a[i] * n + a[j])[1]
-            rows.append(np.column_stack((e_xa[i], e_ay[i], e_ay[j], e_xa[j]))[hit])
-            count += int(hit.sum())
+            squares.append(np.column_stack((e_xa[i], e_ay[i], e_ay[j], e_xa[j]))[hit])
+            n_sq += int(hit.sum())
             w = stop
-        lo = hi
-    return np.concatenate(rows)[:budget]
+    return np.concatenate(triangles)[:budget], np.concatenate(squares)[:square_budget]
 
 
 def _find_edges(g, keys):
@@ -391,8 +373,8 @@ _ODD_F = {3: _odd_sets(3), 4: _odd_sets(4)}
 
 
 def separate_triangles(x, table, squares=None, limit=None):
-    """Violated cycle inequalities on the rows of a ``triangle_table`` and,
-    if one is given, of a ``square_table``.
+    """Violated cycle inequalities on the rows of a triangle table and, if
+    one is given, of a 4-cycle table, both as ``cycle_tables`` lists them.
 
     Scores every odd F set of every row of each nonempty table. Returns all
     the cuts in (table, row, F set) order, or with a ``limit`` the ``limit``

@@ -15,8 +15,9 @@ larger of the incumbent and the top's bound; components share one node
 budget. Each cutting round solves the LP once; its reduced-cost fixings take
 effect at the next round's solve. A node branches on the free fractional edge
 of largest ``max(|w|, 1) * min(x, 1 - x)``. A component whose weights are all
-integers has integer cut weights, so its LP bounds are rounded down; no option
-sets this.
+integers has cuts that weigh multiples of the weights' greatest common
+divisor, so its LP bounds are rounded down to such a multiple; no option sets
+this.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .instances import RawMaxCutInstance, RawQuboInstance, ResultReport
 from .lp import LpEngine, TimeUp, expired
 from .presolve import format_stats, presolve_loop
 from .propagate import effective_bound, propagate
-from .separation import separate_exact, separate_triangles, square_table, triangle_table
+from .separation import cycle_tables, separate_exact, separate_triangles
 from .transform import qubo_assignment_from_maxcut, qubo_to_maxcut
 
 log = logging.getLogger("sparsecut")
@@ -147,14 +148,16 @@ class ComponentSolver:
     def __init__(self, g, cfg: Config, deadline, node_budget=math.inf):
         self.g = g
         self.cfg = cfg
-        # integer weights give integer cuts: LP bounds are rounded down
-        self.integral = bool(np.all(g.edge_w == np.floor(g.edge_w)))
+        # integer weights give cuts that weigh multiples of their greatest
+        # common divisor: LP bounds are rounded down to one (0: no rounding)
+        w = g.edge_w
+        self.unit = math.gcd(*map(int, w.tolist())) if np.all(w == np.floor(w)) else 0
         self.deadline = deadline
         self.node_budget = node_budget
         self.engine = LpEngine(g, deadline)
         self.stats = SolveStats()
         self.best: CutSolution | None = None
-        # triangle_table(g) and square_table(g), built at the first round
+        # the two tables of cycle_tables(g), built at the first round
         self.triangles = self.squares = None
 
     # -- incumbent handling ------------------------------------------------
@@ -236,19 +239,19 @@ class ComponentSolver:
                     return []
                 bound = state.objective
                 inc = self.best.weight
-                eff = effective_bound(bound, self.integral)
+                eff = effective_bound(bound, self.unit)
                 if eff <= inc + PRUNE_TOL:
                     return []
 
                 # new fixings hold edges at the nonbasic bound they sit on, so
                 # x stays the LP optimum: they take effect at the next solve
-                fixed, _ = propagate(g, state, bound, inc, lb, ub, fixed, self.integral)
+                fixed, _ = propagate(g, state, bound, inc, lb, ub, fixed, self.unit)
                 x_integral = bool(np.all(np.minimum(state.x, 1.0 - state.x) < INT_TOL))
                 if cfg.heuristics or x_integral:  # an integral x is a cut's vector
                     self._offer(spanning_tree_rounding(g, state.x))
 
                 if self.triangles is None:
-                    self.triangles, self.squares = triangle_table(g), square_table(g)
+                    self.triangles, self.squares = cycle_tables(g)
                 # the 2n most violated table cuts, or without a triangle among
                 # them, of the exact search's cuts and the squares it lacks
                 cap = 2 * g.n

@@ -17,7 +17,12 @@ from sparsecut.lp import (
     LpEngine,
     _BoundedSimplex,
 )
-from sparsecut.separation import separate_exact, separate_triangles, triangle_table
+from sparsecut.separation import (
+    TRIANGLE_BUDGET,
+    cycle_tables,
+    separate_exact,
+    separate_triangles,
+)
 
 
 def triangle(w=(1.0, 1.0, 1.0)):
@@ -246,7 +251,7 @@ def _differential_run(g, rng, scale):
     """
     engines = [LpEngine(g), LpEngine(g)]
     engines[1]._simplex = ReferenceSimplex(g.edge_w, np.zeros(g.m), np.ones(g.m))
-    table = triangle_table(g)
+    table = cycle_tables(g, TRIANGLE_BUDGET, 0)[0]
     solves = wrong = infeasible = 0
     for rnd in range(5):
         lb, ub = np.zeros(g.m), np.ones(g.m)
@@ -428,7 +433,7 @@ def _cut_rounds(engine, g, rng, rounds, fix=False):
     """Solve, then add the most violated triangle (else exact) cycle cuts of
     the LP point, ``rounds`` times; with ``fix`` each round also fixes a few
     edges at random. Returns the last state."""
-    table = triangle_table(g)
+    table = cycle_tables(g, TRIANGLE_BUDGET, 0)[0]
     lb, ub = np.zeros(g.m), np.ones(g.m)
     for _ in range(rounds):
         if fix:

@@ -16,7 +16,7 @@ from sparsecut.presolve import (
     rule_triangle_zero,
 )
 
-from sparsecut.separation import triangle_table
+from sparsecut.separation import TRIANGLE_BUDGET, cycle_tables
 from sparsecut.transform import maxcut_to_qubo, qubo_to_maxcut
 
 from oracles import (
@@ -342,12 +342,13 @@ def test_a_cut_triangle_table_flags_every_vertex(monkeypatch):
     # a dense block plus a path, whose vertices lie on no triangle
     edges = random_graph(rng, 12, 0.8) + [(11, 12, 3.0), (12, 13, -2.0)]
     g = WeightedGraph(14, edges)
-    triangles = len(triangle_table(g))
+    triangles = len(cycle_tables(g, TRIANGLE_BUDGET, 0)[0])
     assert triangles > 10
     monkeypatch.setattr(presolve, "TRIANGLE_BUDGET", triangles // 2)
     _, tri = _screen(g)
     assert all(tri)
     _assert_presolve_matches_reference(g)
     for g in _screen_corpus(rng)[0][:30]:
-        monkeypatch.setattr(presolve, "TRIANGLE_BUDGET", len(triangle_table(g)) // 2)
+        monkeypatch.setattr(presolve, "TRIANGLE_BUDGET",
+                            len(cycle_tables(g, TRIANGLE_BUDGET, 0)[0]) // 2)
         _assert_presolve_matches_reference(g)

@@ -10,14 +10,14 @@ from sparsecut.lp import VIOLATION_TOL, CycleCut
 from sparsecut.separation import (
     EPS_SKIP,
     SEP_GATE,
+    TRIANGLE_BUDGET,
     ClosedWalk,
     build_aux_graph,
     chordless_decompose,
+    cycle_tables,
     extract_simple_cycles,
     separate_exact,
     separate_triangles,
-    square_table,
-    triangle_table,
     twin_walk,
 )
 
@@ -338,7 +338,7 @@ def _cycle_vertices(g, eids):
 
 def test_separate_triangles_finds_all_odd_sets():
     g = WeightedGraph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-    table = triangle_table(g)
+    table = cycle_tables(g, TRIANGLE_BUDGET, 0)[0]
     assert table.tolist() == [[0, 1, 2]]
     x = np.array([1.0, 1.0, 1.0])  # violates x0 + x1 + x2 <= 2
     cuts = separate_triangles(x, table)
@@ -363,9 +363,9 @@ def test_separate_triangles_respects_budget():
     rng = random.Random(14)
     edges = random_graph(rng, 12, 0.8)
     g = WeightedGraph(12, edges)
-    unlimited = triangle_table(g, 10 ** 9)
+    unlimited = cycle_tables(g, 10 ** 9, 0)[0]
     assert len(unlimited) > 5
-    assert np.array_equal(triangle_table(g, 5), unlimited[:5])
+    assert np.array_equal(cycle_tables(g, 5, 0)[0], unlimited[:5])
 
 
 def test_triangle_cuts_match_the_per_edge_reference():
@@ -375,7 +375,7 @@ def test_triangle_cuts_match_the_per_edge_reference():
         n = rng.randint(3, 25)
         g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.2, 0.9)))
         for budget in (5, 50_000):
-            table = triangle_table(g, budget)
+            table = cycle_tables(g, budget, 0)[0]
             for x in (np.zeros(g.m), np.ones(g.m), np.full(g.m, 0.5),
                       np.array([rng.random() for _ in range(g.m)])):
                 got = separate_triangles(x, table)
@@ -398,7 +398,7 @@ def test_triangle_table_matches_the_per_edge_reference(monkeypatch, cap, slab):
         g = WeightedGraph(n, edges)
         for budget in (0, 1, 7, 50_000):
             want = reference_triangle_table(g, budget, cap)
-            got = triangle_table(g, budget)
+            got = cycle_tables(g, budget, 0)[0]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (n, edges, budget)
 
@@ -427,7 +427,7 @@ def test_square_table_matches_the_brute_force_listing(monkeypatch, cap, slab):
         full = reference_square_table(g, 10 ** 9, cap)
         for budget in (0, 1, 7, 50_000):
             want = full[:budget]
-            got = square_table(g, budget)
+            got = cycle_tables(g, 0, budget)[1]
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (g.n, g.edge_list(), budget)
             cut_short += len(want) < len(full)
@@ -439,9 +439,9 @@ def test_square_table_lists_the_torus_squares():
     torus has only its 25 plaquettes; a 3D L = 3 torus has 81 plaquettes
     (its wraparound cycles are triangles)."""
     rng = random.Random(94)
-    assert len(square_table(WeightedGraph(16, torus_edges(rng, 4)))) == 24
-    assert len(square_table(WeightedGraph(25, torus_edges(rng, 5)))) == 25
-    assert len(square_table(WeightedGraph(27, torus3d_edges(rng, 3)))) == 81
+    for n, edges, squares in ((16, torus_edges(rng, 4), 24), (25, torus_edges(rng, 5), 25),
+                              (27, torus3d_edges(rng, 3), 81)):
+        assert len(cycle_tables(WeightedGraph(n, edges), 0, TRIANGLE_BUDGET)[1]) == squares
 
 
 def test_square_table_builds_the_wedge_pairs_in_chunks(monkeypatch):
@@ -455,10 +455,10 @@ def test_square_table_builds_the_wedge_pairs_in_chunks(monkeypatch):
         for g in graphs:
             full = reference_square_table(g, 10 ** 9)
             for budget in (0, 1, 7, 50_000):
-                assert np.array_equal(square_table(g, budget), full[:budget])
+                assert np.array_equal(cycle_tables(g, 0, budget)[1], full[:budget])
 
     g = WeightedGraph(120, random_graph(rng, 120, 0.5))
-    want = square_table(g, 10)
+    want = cycle_tables(g, 0, 10)[1]
     lookups = []
     real_find_edges = separation._find_edges
 
@@ -468,26 +468,67 @@ def test_square_table_builds_the_wedge_pairs_in_chunks(monkeypatch):
 
     monkeypatch.setattr(separation, "_find_edges", find_edges)
     monkeypatch.setattr(separation, "SQUARE_CHUNK", 1000)
-    assert np.array_equal(square_table(g, 10), want)
+    assert np.array_equal(cycle_tables(g, 0, 10)[1], want)
     # one lookup of the first slab's wedge ends, then the chords of one chunk
     assert len(lookups) == 2 and lookups[1] <= 1000 + separation.DEGREE_CAP
     # where the first slab alone, vertex 0's edges among it, closes over ten
     # chunks of squares
     monkeypatch.setattr(separation, "_find_edges", real_find_edges)
-    assert np.sum(g.edge_u[square_table(g)[:, 0]] == 0) > 10_000
+    squares = cycle_tables(g, 0, TRIANGLE_BUDGET)[1]
+    assert np.sum(g.edge_u[squares[:, 0]] == 0) > 10_000
 
 
 def test_square_table_leaves_out_chorded_cycles_and_capped_vertices(monkeypatch):
     ring = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)]
     g = WeightedGraph(4, ring)
     # edges e01 = 0, e03 = 1, e12 = 2, e23 = 3, in the order 0 - 1 - 2 - 3 - 0
-    assert square_table(g).tolist() == [[0, 2, 3, 1]]
+    assert cycle_tables(g, 0, TRIANGLE_BUDGET)[1].tolist() == [[0, 2, 3, 1]]
     for chord in ((0, 2, 1.0), (1, 3, 1.0)):
-        assert square_table(WeightedGraph(4, ring + [chord])).shape == (0, 4)
+        g = WeightedGraph(4, ring + [chord])
+        assert cycle_tables(g, 0, TRIANGLE_BUDGET)[1].shape == (0, 4)
     monkeypatch.setattr(separation, "DEGREE_CAP", 3)
-    assert len(square_table(WeightedGraph(5, ring + [(0, 4, 1.0)]))) == 1
+    g = WeightedGraph(5, ring + [(0, 4, 1.0)])
+    assert len(cycle_tables(g, 0, TRIANGLE_BUDGET)[1]) == 1
     g = WeightedGraph(6, ring + [(0, 4, 1.0), (0, 5, 1.0)])  # vertex 0 above the cap
-    assert square_table(g).shape == (0, 4)
+    assert cycle_tables(g, 0, TRIANGLE_BUDGET)[1].shape == (0, 4)
+
+
+def test_cycle_tables_budgets_are_independent(monkeypatch):
+    """Each table is the same whatever the other's budget, on sparse and
+    dense graphs. With no 4-cycles asked for, the pass makes one lookup per
+    slab, of its wedge ends, and builds no wedge pair."""
+    rng = random.Random(97)
+    graphs = _square_graphs(rng)
+    graphs += [WeightedGraph(n, random_graph(rng, n, 0.7)) for n in (12, 18, 24)]
+    budgets = (0, 1, 7, 50_000)
+    for g in graphs:
+        full = reference_square_table(g, 10 ** 9)
+        for b1 in budgets:
+            want = reference_triangle_table(g, b1)
+            for b2 in budgets:
+                triangles, squares = cycle_tables(g, b1, b2)
+                assert triangles.dtype == want.dtype and triangles.shape == want.shape
+                assert np.array_equal(triangles, want), (g.n, b1, b2)
+                assert np.array_equal(squares, full[:b2]), (g.n, b1, b2)
+                assert squares.shape == full[:b2].shape
+
+    lookups = []
+    real_find_edges = separation._find_edges
+
+    def find_edges(g, keys):
+        lookups.append(len(keys))
+        return real_find_edges(g, keys)
+
+    # with one-edge slabs, a slab is the run of edges of one low end
+    monkeypatch.setattr(separation, "TRIANGLE_SLAB", 1)
+    monkeypatch.setattr(separation, "_find_edges", find_edges)
+    g = graphs[-1]
+    triangles, squares = cycle_tables(g, 50_000, 0)
+    assert len(lookups) == len(np.unique(g.edge_u)) and squares.shape == (0, 4)
+    assert np.array_equal(triangles, reference_triangle_table(g, 50_000))
+    lookups.clear()
+    cycle_tables(g, 50_000, 7)
+    assert len(lookups) > len(np.unique(g.edge_u))  # the wedge pairs' chords
 
 
 def test_table_cuts_are_the_most_violated_and_distinct():
@@ -498,7 +539,7 @@ def test_table_cuts_are_the_most_violated_and_distinct():
     Each is violated beyond VIOLATION_TOL and no key repeats."""
     rng = random.Random(95)
     for g in _square_graphs(rng):
-        triangles, squares = triangle_table(g), square_table(g)
+        triangles, squares = cycle_tables(g, TRIANGLE_BUDGET, TRIANGLE_BUDGET)
         for x in (np.full(g.m, 0.5), np.array([rng.random() for _ in range(g.m)]),
                   np.array([rng.choice((0.0, 0.3, 0.8, 1.0)) for _ in range(g.m)])):
             for limit in (None, 0, 3):

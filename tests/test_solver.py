@@ -113,9 +113,11 @@ def test_branch_takes_the_heaviest_fractional_free_edge():
 
 def test_component_integrality_is_read_from_its_weights():
     edges = [(0, 1, 3.0), (0, 2, -2.0), (1, 2, 1e7), (2, 3, 1.0)]
-    assert ComponentSolver(WeightedGraph(4, edges), Config(), None).integral is True
+    assert ComponentSolver(WeightedGraph(4, edges), Config(), None).unit == 1
     edges[3] = (2, 3, 0.25)
-    assert ComponentSolver(WeightedGraph(4, edges), Config(), None).integral is False
+    assert ComponentSolver(WeightedGraph(4, edges), Config(), None).unit == 0
+    edges = [(0, 1, 6.0), (0, 2, -4.0), (1, 2, 2e7), (2, 3, 2.0)]
+    assert ComponentSolver(WeightedGraph(4, edges), Config(), None).unit == 2
 
 
 def test_fractional_instances_built_without_a_flag_report_the_true_optimum():
@@ -302,6 +304,19 @@ def test_heavy_weights_branch_and_reach_the_scaled_optimum():
         report = solve_maxcut(_scaled_torus6(seed, scale), cfg)
         assert report.status == "optimal"
         assert report.best_value == TORUS6_OPTIMUM[seed] * scale, (seed, scale, cfg)
+
+
+def test_integer_weights_round_bounds_to_their_common_divisor():
+    """Integer weights round LP bounds down to a multiple of their greatest
+    common divisor: flooring them to integers only, a torus with every
+    weight doubled took 35 nodes where the +-1 torus took 1."""
+    for seed in (8, 9, 10, 26):
+        nodes = solve_maxcut(_scaled_torus6(seed, 1), Config()).bnb_nodes
+        for scale in (2, 8, 64):
+            report = solve_maxcut(_scaled_torus6(seed, scale), Config())
+            assert report.status == "optimal"
+            assert report.best_value == TORUS6_OPTIMUM[seed] * scale
+            assert report.bnb_nodes == nodes, (seed, scale)
 
 
 def test_tiny_weights_reach_the_scaled_optimum():

@@ -81,6 +81,10 @@ class WeightedGraph:
         bad = np.flatnonzero((u < 0) | (v >= self.n))
         if len(bad):
             raise ValueError(f"vertex id out of range in edge ({u[bad[0]]}, {v[bad[0]]})")
+        bad = np.flatnonzero(~np.isfinite(rows[:, 2]))
+        if len(bad):
+            e = bad[0]
+            raise ValueError(f"weight {rows[e, 2]} of edge ({u[e]}, {v[e]}) is not finite")
         keys = u * self.n + v
         order = np.argsort(keys, kind="stable")
         self.m = len(order)

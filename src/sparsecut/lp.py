@@ -4,7 +4,7 @@ The relaxation is  max w^T x  subject to the pool's cycle inequalities and the
 per-edge bounds [lb, ub] within [0, 1]. :class:`LpEngine` owns the cut pool
 and a warm-started bounded-variable dual simplex: a dense basis inverse kept
 by product-form (eta) updates, refactorized every REFACTOR_EVERY pivots, a
-dual steepest-edge choice of the leaving row and a bound-flipping ratio test.
+dual steepest-edge choice of the leaving row and the textbook ratio test.
 Every column is boxed, so any basis becomes dual feasible by moving nonbasic
 columns to the bounds their reduced costs prefer: after added cuts or changed
 bounds, a solve starts from the previous basis without a phase 1. The inverse
@@ -232,8 +232,7 @@ class _BoundedSimplex:
         self._l = np.concatenate([self.lb, np.zeros(m)])
         self._u = np.concatenate([self.ub, np.maximum(self.rhs - low, 0.0)])
         self._cost = np.concatenate([self.c, np.zeros(m)])
-        self._range = self._u - self._l
-        self._movable = self._range > FEAS_TOL
+        self._movable = self._u - self._l > FEAS_TOL
 
         if self.basis is None:
             self.basis = np.arange(n, n + m)
@@ -279,12 +278,10 @@ class _BoundedSimplex:
             to_lower = x[leaving] < self._l[leaving]
             rho = self._Binv[r]
             alpha = np.concatenate([rho @ A, rho])  # row r of B^-1 [A | I]
-            step = self._ratio_test(alpha if to_lower else -alpha, viol[r], d, bland)
-            if step is None:
+            q = self._ratio_test(alpha if to_lower else -alpha, d, bland)
+            if q is None:
                 return False
-            q, flips = step
             stall = 0 if abs(d[q]) > OPT_TOL else stall + 1
-            self.stat[flips] = AT_LOWER + AT_UPPER - self.stat[flips]
             self.stat[leaving] = AT_LOWER if to_lower else AT_UPPER
             self.stat[q] = BASIC
             self.basis[r] = q
@@ -338,32 +335,25 @@ class _BoundedSimplex:
         return np.concatenate([self._cost[: self.n] - y @ self.rows,
                                self._cost[self.n :] - y])
 
-    def _ratio_test(self, alpha, violation, d, bland):
-        """(entering column, columns to flip) for the leaving row's tableau
-        row ``alpha``, signed so that the row's violation is repaired by
-        moving toward the violated bound, or None if no nonbasic move repairs
-        the row: the LP is infeasible.
+    def _ratio_test(self, alpha, d, bland):
+        """The entering column for the leaving row's tableau row ``alpha``,
+        signed so that the row's violation is repaired by moving toward the
+        violated bound, or None if no nonbasic move repairs the row: the LP
+        is infeasible.
 
-        Each column that moves the leaving variable toward its violated bound
-        has a breakpoint d_j / alpha_rj of the dual step. Passing it flips the
-        column to its other bound, which repairs |alpha_rj| (u_j - l_j) of the
-        violation; the column whose flip would leave at most FEAS_TOL enters.
-        Ties go to the largest |alpha_rj|, or the lowest column under Bland.
+        The textbook dual ratio test: each movable column that moves the
+        leaving variable toward its violated bound has a dual step
+        d_j / alpha_rj, and the smallest enters, so every reduced cost keeps
+        its sign. Ties go to the largest |alpha_rj|, or the lowest column
+        under Bland.
         """
         t = alpha * _REPAIR_SIGN[self.stat]
         cols = np.flatnonzero((t >= self.PIVOT_TOL) & self._movable)
-        weight = t[cols]  # |alpha_rj|
-        ratio = np.maximum(d[cols] / alpha[cols], 0.0)
-        order = np.argsort(ratio, kind="stable")
-        cols, ratio, weight = cols[order], ratio[order], weight[order]
-        repaired = np.cumsum(weight * self._range[cols])
-        k = int(np.searchsorted(repaired, violation - FEAS_TOL))
-        if k == cols.size:
+        if not cols.size:
             return None
-        end = np.searchsorted(ratio, ratio[k] + self._tie, "right")
-        if bland:
-            return int(cols[k:end].min()), cols[:k]
-        return int(cols[k + np.argmax(weight[k:end])]), cols[:k]
+        ratio = np.maximum(d[cols] / alpha[cols], 0.0)
+        cols = cols[ratio <= ratio.min() + self._tie]
+        return int(cols[0] if bland else cols[np.argmax(t[cols])])
 
     def _refactor(self):
         try:

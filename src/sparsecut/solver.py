@@ -97,7 +97,7 @@ def _trivial_bound(g) -> float:
     return float(np.clip(g.edge_w, 0.0, None).sum())
 
 
-def enumerate_component(g) -> tuple[CutSolution, float]:
+def enumerate_component(g, deadline=None) -> tuple[CutSolution, float]:
     """Optimal cut by enumeration over 2^(k-1) bipartitions of the alive vertices.
 
     Alive vertex i takes bit i of the mask; the last one (bit k - 1) stays on
@@ -106,7 +106,8 @@ def enumerate_component(g) -> tuple[CutSolution, float]:
     degrees ``d`` and the edge matrix ``U``. The free bits split into a low
     half A and a high half B, so a mask scores ``f_A(a) + f_B(b) - 2 aᵀ U_AB b``:
     a block of at most ENUM_CHUNK masks is one matrix product and one argmax,
-    which bounds the memory whatever k is. Returns the cut and its weight.
+    which bounds the memory whatever k is. Returns the cut and its weight;
+    raises TimeUp before a block after the first once ``deadline`` has passed.
     """
     alive = np.asarray(g.alive_vertices(), dtype=np.int64)
     k = len(alive)
@@ -129,6 +130,10 @@ def enumerate_component(g) -> tuple[CutSolution, float]:
     rows = ENUM_CHUNK >> na
     best_mask, best_w = 0, -math.inf
     for start in range(0, 1 << nb, rows):
+        # the first block always runs: a component of at most ENUM_CHUNK
+        # bipartitions reached past the deadline is still solved exactly
+        if start and expired(deadline):
+            raise TimeUp
         s_b, f_b = half(np.arange(start, min(start + rows, 1 << nb)), na, na + nb)
         scores = s_b @ cross
         scores += f_b[:, None]
@@ -300,10 +305,14 @@ class ComponentSolver:
 def _solve_component(sub, cfg, deadline, stats: SolveStats):
     """Returns (solution, dual bound, status). A component reached past the
     deadline or with no nodes left stops at its root before any LP, with
-    rank-2's cut and the trivial bound."""
+    rank-2's cut and the trivial bound; so does one whose enumeration the
+    deadline stops."""
     if sub.n <= cfg.enum_threshold:  # induce_subgraph leaves no isolated vertex
-        sol, value = enumerate_component(sub)
-        return sol, value, "optimal"
+        try:
+            sol, value = enumerate_component(sub, deadline)
+            return sol, value, "optimal"
+        except TimeUp:
+            pass
     budget = cfg.node_limit - stats.nodes if cfg.node_limit else math.inf
     solver = ComponentSolver(sub, cfg, deadline, node_budget=budget)
     sol, dual, status = solver.solve()

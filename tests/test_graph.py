@@ -57,6 +57,9 @@ def test_rejects_self_loops_and_parallel_edges():
         ([(0, 1, 1.0), (0, 1, 2.0)], "parallel edge (0, 1)"),
         ([(0, 1, 1.0), (-1, 1, 2.0)], "out of range in edge (-1, 1)"),
         ([(0, 1, 1.0), (2, 1, 2.0)], "out of range in edge (1, 2)"),
+        ([(1, 0, float("nan"))], "weight nan of edge (0, 1) is not finite"),
+        ([(0, 1, float("inf"))], "weight inf of edge (0, 1) is not finite"),
+        ([(0, 1, float("-inf"))], "weight -inf of edge (0, 1) is not finite"),
     ]
     for edges, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -306,19 +306,26 @@ def test_bland_pivots_leave_a_row_violated_at_the_current_point(monkeypatch):
     """With Bland's rule from the first pivot, the costs are perturbed before
     it, which can move nonbasic columns and so the point. Every pivot still
     takes the violated row of lowest basis index at the point the simplex
-    holds when the pivot is taken, with that row's violation."""
+    holds when the pivot is taken: the ratio test gets that row of
+    B^-1 [A | I], signed so that it repairs the row's violation."""
     monkeypatch.setattr(_BoundedSimplex, "BLAND_AFTER", -1)
     pivots = stale = 0
     real_ratio_test = _BoundedSimplex._ratio_test
 
-    def ratio_test(self, alpha, violation, d, bland):
+    def ratio_test(self, alpha, d, bland):
         nonlocal pivots, stale
         viol = np.maximum(self._l - self._x, self._x - self._u)[self.basis]
         rows = np.flatnonzero(viol > FEAS_TOL)
         pivots += 1
-        stale += not (bland and rows.size
-                      and viol[rows[np.argmin(self.basis[rows])]] == violation)
-        return real_ratio_test(self, alpha, violation, d, bland)
+        if not (bland and rows.size):
+            stale += 1
+        else:
+            r = rows[np.argmin(self.basis[rows])]
+            leaving = self.basis[r]
+            sign = 1.0 if self._x[leaving] < self._l[leaving] else -1.0
+            row = np.concatenate([self._Binv[r] @ self.rows, self._Binv[r]])
+            stale += not np.array_equal(alpha, sign * row)
+        return real_ratio_test(self, alpha, d, bland)
 
     monkeypatch.setattr(_BoundedSimplex, "_ratio_test", ratio_test)
     rng = random.Random(16)
@@ -328,6 +335,44 @@ def test_bland_pivots_leave_a_row_violated_at_the_current_point(monkeypatch):
                                           integral=k % 2 == 0))
         _cut_rounds(LpEngine(g), g, rng, 5, fix=k % 3 == 0)
     assert stale == 0 and pivots > 500, (stale, pivots)
+
+
+def test_a_pivot_changes_the_status_of_its_two_columns_only(monkeypatch):
+    """Each pivot makes the entering column basic and the leaving one
+    nonbasic, and moves no other column between its bounds: the ratio test
+    flips no column."""
+    pivots = 0
+    before = []  # the statuses at the pivot's ratio test, until its end
+    real_ratio_test = _BoundedSimplex._ratio_test
+    real_compute_x = _BoundedSimplex._compute_x
+
+    def ratio_test(self, *args):
+        stat = self.stat.copy()
+        step = real_ratio_test(self, *args)
+        before[:] = [] if step is None else [stat]
+        return step
+
+    def compute_x(self):  # called at the end of every pivot
+        nonlocal pivots
+        if before:
+            old = before.pop()
+            changed = np.flatnonzero(self.stat != old)
+            entered = np.flatnonzero((old != BASIC) & (self.stat == BASIC))
+            left = np.flatnonzero((old == BASIC) & (self.stat != BASIC))
+            assert entered.size == left.size == 1, (entered, left)
+            assert sorted(changed) == sorted([*entered, *left]), changed
+            pivots += 1
+        real_compute_x(self)
+
+    monkeypatch.setattr(_BoundedSimplex, "_ratio_test", ratio_test)
+    monkeypatch.setattr(_BoundedSimplex, "_compute_x", compute_x)
+    rng = random.Random(24)
+    for k in range(40):
+        n = 6 + k % 8
+        g = WeightedGraph(n, random_graph(rng, n, rng.uniform(0.3, 0.8),
+                                          integral=k % 2 == 0))
+        _cut_rounds(LpEngine(g), g, rng, 5, fix=k % 3 == 0)
+    assert pivots > 500, pivots
 
 
 def test_perturbed_costs_leave_no_nonbasic_reduced_cost_at_zero(monkeypatch):

@@ -514,8 +514,8 @@ def test_small_components_reached_after_the_deadline_are_enumerated(monkeypatch)
     enumerated, rank2_calls = [], []
     real_enum, real_rank2 = solver_mod.enumerate_component, solver_mod.burer_rank2
 
-    def enumerate_and_record(g):
-        sol, value = real_enum(g)
+    def enumerate_and_record(g, *args):
+        sol, value = real_enum(g, *args)
         enumerated.append((g, sol, value))
         return sol, value
 
@@ -542,6 +542,33 @@ def test_small_components_reached_after_the_deadline_are_enumerated(monkeypatch)
     sub, sol, value = enumerated[0]
     assert sol.weight == value == brute_force_maxcut(7, small)[0]
     assert value == brute_force_maxcut(sub.n, sub.edge_list())[0]
+
+
+def test_the_deadline_stops_an_enumeration_between_blocks():
+    """A 36-vertex torus enumerated under a 0.2 s limit scores 2^21 blocks
+    of bipartitions unless the deadline stops it: it comes back soon, at
+    time_limit with a finite gap, and its value and dual enclose the
+    optimum."""
+    raw = raw_from_edges(36, torus_edges(random.Random(8), 6))
+    best = solve_maxcut(raw)
+    assert best.status == "optimal"
+    start = time.monotonic()
+    report = solve_maxcut(raw, Config(enum_threshold=36, presolve=False,
+                                      time_limit_s=0.2))
+    assert time.monotonic() - start < 5.0
+    assert report.status == "time_limit"
+    gap = report.primal_dual_gap_percent
+    assert math.isfinite(gap)
+    dual = report.best_value + gap / 100.0 * max(1.0, abs(report.best_value))
+    assert report.best_value <= best.best_value <= dual + 1e-9
+
+
+def test_weights_that_are_not_finite_are_rejected():
+    for w in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            solve_maxcut(RawMaxCutInstance(3, [(1, 2, w), (2, 3, 1.0), (1, 3, 1.0)]))
+        with pytest.raises(ValueError, match="not finite"):
+            solve_qubo(RawQuboInstance(2, [(1, 1, 1.0), (1, 2, w)]))
 
 
 def test_qubo_end_to_end():

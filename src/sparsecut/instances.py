@@ -22,7 +22,8 @@ MAX_TOTAL_WEIGHT = 1e300
 
 
 class ParseError(ValueError):
-    """Raised for malformed instance files; carries the offending line number."""
+    """Raised for malformed instances, parsed or built in code; a parsed
+    one's carries the offending line number."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:
@@ -36,6 +37,11 @@ class RawMaxCutInstance:
     num_vertices: int
     # (u, v, w) with 1 <= u < v <= num_vertices, no duplicates after parsing
     edges: list[tuple[int, int, float]]
+
+    def check(self):
+        """Raise ParseError naming the first edge, by its 1-based ids, that
+        ``parse_maxcut`` would reject or merge."""
+        _check_triplets(self.num_vertices, self.edges, _MAXCUT, _edge_key)
 
     def cut_value(self, partition):
         """Weight of the cut induced by a vertex->{0,1} map (1-based keys)."""
@@ -51,6 +57,11 @@ class RawQuboInstance:
     dimension: int
     # (i, j, q) sparse coefficients, duplicates already summed, 1-based
     entries: list[tuple[int, int, float]]
+
+    def check(self):
+        """Raise ParseError naming the first entry, by its 1-based indices,
+        that ``parse_qubo`` would reject."""
+        _check_triplets(self.dimension, self.entries, _QUBO)
 
     def objective(self, x):
         """Value of x^T Q x for a variable->{0,1} map (1-based keys)."""
@@ -159,6 +170,25 @@ def _read_triplets(text, words, key=lambda i, j, line_no: (i, j)):
     if sum(abs(value) for value in merged.values()) > MAX_TOTAL_WEIGHT:
         raise ParseError(f"total |weight| of the {words.items} exceeds {MAX_TOTAL_WEIGHT:g}")
     return n, [(i, j, value) for (i, j), value in merged.items()]
+
+
+def _check_triplets(n, triplets, words, key=None):
+    """The checks of ``_read_triplets`` on triplets built in code: raises
+    ParseError, with no line number, naming the first triplet at fault by its
+    own ids. With a ``key``, as for edges, a pair met twice is an error too."""
+    pairs = set()
+    for i, j, value in triplets:
+        if key is not None:
+            pair = key(i, j, None)
+            if pair in pairs:
+                raise ParseError(f"parallel {words.item} {pair}")
+            pairs.add(pair)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"{words.index} out of range in {words.item} ({i}, {j})")
+        if not math.isfinite(value):
+            raise ParseError(f"{words.item} ({i}, {j}) weight is not finite")
+    if sum(abs(value) for _, _, value in triplets) > MAX_TOTAL_WEIGHT:
+        raise ParseError(f"total |weight| of the {words.items} exceeds {MAX_TOTAL_WEIGHT:g}")
 
 
 def _edge_key(u, v, line_no):

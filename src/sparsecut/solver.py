@@ -13,11 +13,14 @@ root's is the trivial bound), so each stop -- gap, node or time limit -- is
 read at the heap's top while that node is still queued, and the dual is the
 larger of the incumbent and the top's bound; components share one node
 budget. Each cutting round solves the LP once; its reduced-cost fixings take
-effect at the next round's solve. A node branches on the free fractional edge
-of largest ``max(|w|, 1) * min(x, 1 - x)``. A component whose weights are all
-integers has cuts that weigh multiples of the weights' greatest common
-divisor, so its LP bounds are rounded down to such a multiple; no option sets
-this.
+effect at the next round's solve. A node's rounds stop when its LP is
+infeasible, its bound is pruned or a round adds no cut, which must come: every
+other round adds a cut the pool lacks, and the pool purges only as a node
+starts. After a round that adds no cut at a fractional x, the node branches on
+the free fractional edge of largest ``max(|w|, 1) * min(x, 1 - x)``. A
+component whose weights are all integers has cuts that weigh multiples of the
+weights' greatest common divisor, so its LP bounds are rounded down to such a
+multiple; no option sets this.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ PRUNE_TOL = 1e-9
 # README for why the default stops at 15
 DEFAULT_ENUM_THRESHOLD = 15
 ENUM_CHUNK = 1 << 14     # bipartitions scored at once by enumerate_component
-TAILING_OFF_TOL = 1e-4   # a round that raises the bound less than this stalls
-TAILING_OFF_ROUNDS = 3   # this many stalled rounds in a row end a node
 
 
 @dataclass
@@ -228,9 +229,7 @@ class ComponentSolver:
         lb = np.zeros(g.m)
         ub = np.ones(g.m)
         self.engine.purge_cuts()
-        prev_bound = math.inf
         eff = math.inf
-        tail = 0
         rounds = 0
         try:
             while True:
@@ -273,11 +272,8 @@ class ComponentSolver:
                         "round %d: dual=%.6f, primal=%.6f, cuts=+%d, time=%.2f",
                         rounds, bound, inc, added, time.monotonic() - self._start,
                     )
-                tail = tail + 1 if prev_bound - bound < TAILING_OFF_TOL else 0
-                prev_bound = bound
-                # no progress: nothing new to add (every violated cut, if any, is
-                # already in the pool), or the bound has stalled at a fractional x
-                if not added or (tail >= TAILING_OFF_ROUNDS and not x_integral):
+                # every violated cut found, if any, is already in the pool
+                if not added:
                     return [] if x_integral else self._branch(state, fixed, eff)
         except TimeUp:
             return [(min(parent_bound, eff), fixed)]
@@ -406,6 +402,7 @@ def _report(start, value, dual, status, nodes, partition) -> ResultReport:
 def solve_maxcut(raw: RawMaxCutInstance, cfg: Config | None = None) -> ResultReport:
     """Solve a parsed max-cut instance and assemble the result report."""
     start = time.monotonic()
+    raw.check()
     partition, dual, status, nodes = _solve_instance(raw, cfg)
     return _report(start, raw.cut_value(partition), dual, status, nodes, partition)
 
@@ -423,6 +420,7 @@ def racing_solve(raw: RawMaxCutInstance, cfg: Config | None = None,
 def solve_qubo(raw: RawQuboInstance, cfg: Config | None = None) -> ResultReport:
     """Solve min x^T Q x through the max-cut reduction; reports the QUBO value."""
     start = time.monotonic()
+    raw.check()
     mc = qubo_to_maxcut(raw)
     mc_partition, dual, status, nodes = _solve_instance(mc, cfg)
     x = qubo_assignment_from_maxcut(mc_partition, raw.dimension)

@@ -253,6 +253,12 @@ def random_graph(rng, n, density, weight_lo=-5, weight_hi=5, integral=True):
     return edges
 
 
+def complete_edges(rng, n):
+    """0-based edges of the complete graph on n vertices with uniform +-1
+    weights."""
+    return [(u, v, float(rng.choice((-1, 1)))) for u in range(n) for v in range(u + 1, n)]
+
+
 def torus_edges(rng, L):
     """0-based edges of an L x L toroidal grid with uniform +-1 weights."""
     edges = []

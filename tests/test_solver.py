@@ -28,6 +28,7 @@ from sparsecut.solver import (
 from oracles import (
     brute_force_maxcut,
     brute_force_qubo,
+    complete_edges,
     exhaustive_maxcut,
     highs_maxcut,
     random_graph,
@@ -109,6 +110,33 @@ def test_branch_takes_the_heaviest_fractional_free_edge():
     state.x = np.array([0.5, 1 - 5e-7, 0.0, 1e-9, 1.0, 0.0])
     with pytest.raises(RuntimeError):
         solver._branch(state, fixed, 7.5)
+
+
+def test_a_node_branches_only_after_a_round_that_adds_no_cut(monkeypatch):
+    """A node cuts while its rounds add cuts, however little they raise the
+    bound: on the 5 x 5 torus a rule that ended a node after rounds of small
+    gain branched the root at once. The 7 x 7 torus and the K14 do branch."""
+    events = []  # the count each add_cuts returns, and "branch" per branching
+    real_add_cuts = solver_mod.LpEngine.add_cuts
+    real_branch = ComponentSolver._branch
+
+    def add_cuts(self, cuts):
+        events.append(real_add_cuts(self, cuts))
+        return events[-1]
+
+    def branch(self, *args):
+        events.append("branch")
+        return real_branch(self, *args)
+
+    monkeypatch.setattr(solver_mod.LpEngine, "add_cuts", add_cuts)
+    monkeypatch.setattr(ComponentSolver, "_branch", branch)
+    for n, edges in ((25, torus_edges(random.Random(3), 5)),
+                     (49, torus_edges(random.Random(13), 7)),
+                     (14, complete_edges(random.Random(19), 14))):
+        report = solve_maxcut(raw_from_edges(n, edges), Config(enum_threshold=0))
+        assert report.status == "optimal"
+    branches = [i for i, e in enumerate(events) if e == "branch"]
+    assert branches and all(events[i - 1] == 0 for i in branches)
 
 
 def test_component_integrality_is_read_from_its_weights():
@@ -571,6 +599,29 @@ def test_weights_that_are_not_finite_are_rejected():
             solve_qubo(RawQuboInstance(2, [(1, 1, 1.0), (1, 2, w)]))
 
 
+@pytest.mark.parametrize("solve, raw, message", [
+    (solve_maxcut, RawMaxCutInstance(2, [(1, 2, math.inf)]), "edge (1, 2) weight is not finite"),
+    (solve_maxcut, RawMaxCutInstance(2, [(0, 1, 1.0)]), "vertex id out of range in edge (0, 1)"),
+    (solve_maxcut, RawMaxCutInstance(2, [(1, 3, 1.0)]), "vertex id out of range in edge (1, 3)"),
+    (solve_maxcut, RawMaxCutInstance(2, [(2, 2, 1.0)]), "self-loop at vertex 2"),
+    (solve_maxcut, RawMaxCutInstance(3, [(2, 3, 1.0), (3, 2, 1.0)]), "parallel edge (2, 3)"),
+    (solve_maxcut, RawMaxCutInstance(3, [(1, 2, 1e308), (2, 3, 1e308), (1, 3, 1e308)]),
+     "total |weight| of the edges exceeds 1e+300"),
+    (solve_qubo, RawQuboInstance(2, [(1, 1, 1.0), (1, 2, math.nan)]),
+     "entry (1, 2) weight is not finite"),
+    (solve_qubo, RawQuboInstance(2, [(1, 3, 1.0)]), "index out of range in entry (1, 3)"),
+    (solve_qubo, RawQuboInstance(2, [(0, 2, 1.0)]), "index out of range in entry (0, 2)"),
+    (solve_qubo, RawQuboInstance(1, [(1, 1, 1e308), (1, 1, 1e308)]),
+     "total |weight| of the entries exceeds 1e+300"),
+])
+def test_library_errors_name_the_users_ids(solve, raw, message):
+    """An instance built in code is checked as a parse would check it, by its
+    own 1-based ids: an edge, or a QUBO entry, not its max-cut image's edge."""
+    with pytest.raises(ValueError) as err:
+        solve(raw)
+    assert str(err.value) == message
+
+
 def test_qubo_end_to_end():
     rng = random.Random(57)
     for _ in range(15):
@@ -692,7 +743,9 @@ def test_gap_exit_keeps_the_best_open_bound_as_the_dual(seed):
 
 
 def test_gap_limit_reports_the_gap_to_the_open_bound():
-    raw = raw_from_edges(144, torus_edges(random.Random(1), 12))
+    """Weights up to 100 leave room for a bound within 2 % of the incumbent
+    before the proof: the K16 stops at the open bound of its children."""
+    raw = raw_from_edges(16, random_graph(random.Random(1), 16, 1.0, -100, 100))
     report = solve_maxcut(raw, Config(gap_percent=2))
     assert report.status == "gap_limit"
     assert 0 < report.primal_dual_gap_percent <= 2
@@ -815,15 +868,15 @@ def test_deadline_stops_the_simplex_mid_solve(monkeypatch):
 @pytest.mark.parametrize("heuristics", [True, False])
 def test_a_deadline_at_any_clock_read_keeps_the_answer_sound(monkeypatch, heuristics):
     """The clock jumps past the deadline at its k-th read, for every read k of
-    a solve that branches (3 nodes) and runs exact separation.
+    a solve that branches (3 nodes on a +-1 K14) and runs exact separation.
     Wherever the time-out lands (heuristics, an LP solve, separation, between
     rounds or nodes), the run ends at time_limit or optimal with a finite gap,
     and value <= optimum <= dual, the optimum coming from enumeration.
     Without heuristics the first incumbent is not optimal, so a node wrongly
     pruned at its time-out shows as a wrong optimal value."""
-    edges = torus_edges(random.Random(3), 5)
-    raw = raw_from_edges(25, edges)
-    _, best = enumerate_component(WeightedGraph(25, edges))
+    edges = complete_edges(random.Random(19), 14)
+    raw = raw_from_edges(14, edges)
+    _, best = enumerate_component(WeightedGraph(14, edges))
     cfg = Config(enum_threshold=0, time_limit_s=600.0, heuristics=heuristics)
     real_clock = time.monotonic
     reads = [0]

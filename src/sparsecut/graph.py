@@ -21,6 +21,9 @@ import numpy as np
 
 # Weight sums below this magnitude are treated as cancelled parallel edges.
 ZERO_EPS = 1e-12
+# Largest total |weight| of an instance. The solver's sums reach a few times
+# the total (1.5 times in the QUBO transform) and stay far from overflow.
+MAX_TOTAL_WEIGHT = 1e300
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,11 @@ class WeightedGraph:
         if len(bad):
             e = bad[0]
             raise ValueError(f"weight {rows[e, 2]} of edge ({u[e]}, {v[e]}) is not finite")
+        limit = 1.5 * MAX_TOTAL_WEIGHT  # what the max-cut image of a QUBO can weigh
+        with np.errstate(over="ignore"):  # a sum past the largest double is inf
+            total = np.abs(rows[:, 2]).sum()
+        if total > limit:
+            raise ValueError(f"total |weight| {total:g} exceeds {limit:g}")
         keys = u * self.n + v
         order = np.argsort(keys, kind="stable")
         self.m = len(order)
@@ -165,12 +173,15 @@ class CutSolution:
 
 class Adjacency:
     """Mutable form of a graph that contracts in place: ``adj[v]`` maps each
-    neighbor of ``v`` to the edge weight and ``abs_sum[v]`` sums their |w|."""
+    neighbor of ``v`` to the nonzero edge weight and ``abs_sum[v]`` sums
+    their |w|. A zero-weight edge is in no cut's weight, so it is left out,
+    as ``build_graph`` and ``merge`` leave it out."""
 
     def __init__(self, g: WeightedGraph):
         adj = self.adj = [{} for _ in range(g.n)]
         for u, v, w in g.edge_list():
-            adj[u][v] = adj[v][u] = w
+            if w:
+                adj[u][v] = adj[v][u] = w
         self.abs_sum = g.abs_degrees.tolist()
 
     def _link(self, u, v, w):

@@ -16,9 +16,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-# Largest total |weight| of an instance. The solver's sums reach a few times
-# the total (1.5 times in the QUBO transform) and stay far from overflow.
-MAX_TOTAL_WEIGHT = 1e300
+from .graph import MAX_TOTAL_WEIGHT
 
 
 class ParseError(ValueError):

@@ -13,8 +13,10 @@ whose slacks are basic; the slack identity is never multiplied, and the
 duals are updated along the pivot row and priced exactly before a solve
 returns. A solve still running at its deadline raises :class:`TimeUp`.
 
-The pool keeps its cuts in row order with an age array beside them; a purge
-removes the rows aged AGE_LIMIT from the pool and the simplex together.
+The pool keeps its cuts in row order with an age array beside them. A cut
+ages in each solve that leaves its slack basic (its dual 0), tight or not,
+and a purge removes the rows aged AGE_LIMIT whose slacks are basic in the
+current basis from the pool and the simplex together: the basis stays.
 
 Reduced-cost sign convention (maximization): nonbasic-at-lower variables have
 reduced cost <= 0, nonbasic-at-upper >= 0, basic exactly 0. Forcing a nonbasic
@@ -38,7 +40,6 @@ _REPAIR_SIGN = np.array([0.0, -1.0, 1.0])
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 VIOLATION_TOL = 1e-5
-PURGE_SLACK_TOL = 1e-7
 AGE_LIMIT = 10
 
 log = logging.getLogger("sparsecut")
@@ -110,8 +111,8 @@ class LpState:
 
 class CutPool:
     """Active cycle cuts in LP row order: ``entries[i]`` is row i of the
-    simplex, and ``ages[i]`` counts the solves in a row that left it
-    nonbinding. A cut whose key is already in the pool is refused."""
+    simplex, and ``ages[i]`` counts the solves in a row that left its slack
+    basic. A cut whose key is already in the pool is refused."""
 
     def __init__(self):
         self.entries: list[CycleCut] = []
@@ -144,7 +145,7 @@ class CutPool:
 class _BoundedSimplex:
     """Dual simplex for  max c^T x,  A x <= b,  l <= x <= u (dense). Column
     j < n is edge j and column n + i the slack of row i, whose identity column
-    is never stored; the rows live in one array that doubles when full."""
+    is never stored. There is always a basis: the slack basis until a solve."""
 
     REFACTOR_EVERY = 64
     BLAND_AFTER = 50     # degenerate pivots in a row before Bland's rule
@@ -158,8 +159,7 @@ class _BoundedSimplex:
         self.lb = np.asarray(lb, dtype=float).copy()
         self.ub = np.asarray(ub, dtype=float).copy()
         self.deadline = deadline
-        self._rows, self._rhs = np.zeros((16, self.n)), np.zeros(16)
-        self.rows, self.rhs = self._rows[:0], self._rhs[:0]  # views of the first m
+        self.rows, self.rhs = np.zeros((0, self.n)), np.zeros(0)
         self.reset_basis()
         self.iterations = 0
         # dual ratios are reduced costs over tableau entries, so ties between
@@ -173,44 +173,39 @@ class _BoundedSimplex:
         cost 0, so the basis stays dual feasible, and the new rows (N_B, I)
         of B border B^-1 with the rows (-N_B B^-1, I)."""
         n, m, k = self.n, len(self.rhs), len(rhs)
-        while m + k > len(self._rhs):  # grow the store by doubling
-            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
-            self._rhs = np.concatenate([self._rhs, np.zeros_like(self._rhs)])
-        self._rows[m : m + k], self._rhs[m : m + k] = rows, rhs
-        self.rows, self.rhs = self._rows[: m + k], self._rhs[: m + k]
+        self.rows = np.vstack([self.rows, rows])
+        self.rhs = np.concatenate([self.rhs, rhs])
         if self._Binv is not None:
             nb = np.hstack([self.rows[m:], np.zeros((k, m))])[:, self.basis]
             self._Binv = np.block([[self._Binv, np.zeros((m, k))],
                                    [-(nb @ self._Binv), np.eye(k)]])
-        if self.basis is not None:
-            self.basis = np.concatenate([self.basis, np.arange(n + m, n + m + k)])
-            self.stat = np.concatenate([self.stat, np.full(k, BASIC, dtype=np.int8)])
+        self.basis = np.concatenate([self.basis, np.arange(n + m, n + m + k)])
+        self.stat = np.concatenate([self.stat, np.full(k, BASIC, dtype=np.int8)])
 
     def remove_rows(self, indices):
-        """Delete rows. When every deleted row's slack is basic, the basis
-        stays: deleting a unit column of B and its row deletes one row and
-        one column of B^-1. Otherwise the basis is reset."""
+        """Delete rows whose slacks are basic in the basis a solve left. The
+        basis stays: deleting a unit column of B and its row deletes one row
+        and one column of B^-1."""
         n, keep = self.n, np.ones(len(self.rhs), dtype=bool)
-        keep[list(indices)] = False
-        if self.basis is None or np.any(self.stat[n:][~keep] != BASIC):
-            self.reset_basis()
-        else:
-            kept = np.isin(self.basis, n + np.flatnonzero(~keep), invert=True)
-            if self._Binv is not None:
-                self._Binv = self._Binv[np.ix_(kept, keep)]
-            cols = np.concatenate([np.ones(n, dtype=bool), keep])
-            self.basis = (np.cumsum(cols) - 1)[self.basis[kept]]
-            self.stat = self.stat[cols]
-        m = int(keep.sum())
-        self._rows[:m], self._rhs[:m] = self.rows[keep], self.rhs[keep]
-        self.rows, self.rhs = self._rows[:m], self._rhs[:m]
+        keep[indices] = False
+        kept = np.isin(self.basis, n + np.flatnonzero(~keep), invert=True)
+        self._Binv = self._Binv[np.ix_(kept, keep)]
+        cols = np.concatenate([np.ones(n, dtype=bool), keep])
+        self.basis = (np.cumsum(cols) - 1)[self.basis[kept]]
+        self.stat = self.stat[cols]
+        self.rows, self.rhs = self.rows[keep], self.rhs[keep]
 
     def set_bounds(self, lb, ub):
         self.lb = np.asarray(lb, dtype=float).copy()
         self.ub = np.asarray(ub, dtype=float).copy()
 
     def reset_basis(self):
-        self.basis = self.stat = self._Binv = None
+        """The slack basis; the next solve factorizes it."""
+        n, m = self.n, len(self.rhs)
+        self.basis = np.arange(n, n + m)
+        self.stat = np.full(n + m, AT_LOWER, dtype=np.int8)
+        self.stat[self.basis] = BASIC
+        self._Binv = None
 
     # -- solve ------------------------------------------------------------
 
@@ -234,10 +229,6 @@ class _BoundedSimplex:
         self._cost = np.concatenate([self.c, np.zeros(m)])
         self._movable = self._u - self._l > FEAS_TOL
 
-        if self.basis is None:
-            self.basis = np.arange(n, n + m)
-            self.stat = np.full(n + m, AT_LOWER, dtype=np.int8)
-            self.stat[self.basis] = BASIC
         if self._Binv is None:
             self._refactor()
         self.iterations = 0
@@ -386,9 +377,6 @@ class _BoundedSimplex:
     def statuses(self):
         return self.stat[: self.n].copy()
 
-    def row_slacks(self):
-        return self._x[self.n :].copy()
-
 
 class LpEngine:
     """Cut-pool LP for one max-cut (sub)instance; owns pool and warm basis.
@@ -433,8 +421,7 @@ class LpEngine:
             basis_status=self._simplex.statuses(),
             iterations=self._simplex.iterations,
         )
-        self.pool.ages = np.where(
-            self._simplex.row_slacks() > PURGE_SLACK_TOL, self.pool.ages + 1, 0)
+        self.pool.ages = np.where(self._basic_slacks(), self.pool.ages + 1, 0)
         return state
 
     def add_cuts(self, cuts) -> int:
@@ -448,10 +435,14 @@ class LpEngine:
         return len(new)
 
     def purge_cuts(self) -> int:
-        """Drop cuts nonbinding for AGE_LIMIT consecutive solves; the basis
-        stays when all their slacks are basic."""
-        doomed = np.flatnonzero(self.pool.ages >= AGE_LIMIT)
+        """Drop the cuts aged AGE_LIMIT whose slacks are basic in the current
+        basis, which stays. That basis can be newer than the ages, since an
+        infeasible solve ages nothing."""
+        doomed = np.flatnonzero((self.pool.ages >= AGE_LIMIT) & self._basic_slacks())
         if doomed.size:
             self.pool.remove_indices(doomed)
             self._simplex.remove_rows(doomed)
         return len(doomed)
+
+    def _basic_slacks(self):
+        return self._simplex.stat[self.graph.m :] == BASIC

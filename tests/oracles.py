@@ -1045,6 +1045,3 @@ class ReferenceSimplex:
 
     def statuses(self):
         return self.stat[: self.n].copy()
-
-    def row_slacks(self):
-        return self._x[self.n :].copy()

@@ -176,6 +176,33 @@ def test_warm_start_after_adding_cuts_matches_cold_solve():
     assert state_warm.objective == pytest.approx(state_cold.objective)
 
 
+def test_a_tight_cut_whose_slack_is_basic_ages_and_is_purged_warm():
+    """A cut ages in each solve that leaves its slack basic, tight or not. On
+    the unit triangle under its four cuts the optimum x = (0, 1, 1) is
+    degenerate: two cuts are tight with basic slacks and one is loose. After
+    AGE_LIMIT solves the purge drops all three and keeps the basis, so the
+    next solve takes no pivot and matches a cold solve of the cut left."""
+    g = triangle((1.0, 1.0, 1.0))
+    engine = LpEngine(g)
+    engine.add_cuts([CycleCut((0, 1, 2), in_f) for in_f in (
+        (True, True, True), (True, False, False), (False, True, False), (False, False, True))])
+    for _ in range(AGE_LIMIT):
+        before = engine.solve()
+    simplex = engine._simplex
+    basic = simplex.stat[g.m:] == BASIC
+    assert np.allclose(before.x, [0.0, 1.0, 1.0])
+    assert list(np.flatnonzero(basic & (simplex._x[g.m:] < FEAS_TOL))) == [2, 3]
+    assert list(engine.pool.ages) == [0, AGE_LIMIT, AGE_LIMIT, AGE_LIMIT]
+    assert engine.purge_cuts() == 3
+    assert engine.pool.entries == [CycleCut((0, 1, 2), (True, True, True))]
+    assert _inverse_error(simplex) < 1e-12
+    after = engine.solve()
+    cold = LpEngine(g)
+    cold.add_cuts(engine.pool.entries)
+    assert after.iterations == 0
+    assert after.objective == pytest.approx(cold.solve().objective) == 2.0
+
+
 def test_cut_aging_and_purge():
     g = triangle((2.0, 1.0, 1.0))
     engine = LpEngine(g)
@@ -552,7 +579,7 @@ def test_carried_inverse_stays_the_inverse_of_the_basis():
 
 
 def test_purge_of_basic_slacks_keeps_the_basis():
-    """A purge that removes only rows with basic slacks keeps the basis; the
+    """A purge removes only rows with basic slacks and keeps the basis; the
     next solve equals a cold solve of the rows left, with zero pivots."""
     rng = random.Random(23)
     warm_purges = 0
@@ -565,8 +592,9 @@ def test_purge_of_basic_slacks_keeps_the_basis():
             before = engine.solve()
         simplex = engine._simplex
         doomed = np.flatnonzero(engine.pool.ages >= AGE_LIMIT)
-        if not doomed.size or np.any(simplex.stat[g.m + doomed] != BASIC):
+        if not doomed.size:
             continue
+        assert np.all(simplex.stat[g.m + doomed] == BASIC)
         assert engine.purge_cuts() == len(doomed)
         pool = engine.pool
         assert len(pool.ages) == len(pool.entries) == len(simplex.rhs)
@@ -580,3 +608,43 @@ def test_purge_of_basic_slacks_keeps_the_basis():
         assert np.allclose(after.x, before.x)
         warm_purges += 1
     assert warm_purges >= 10, warm_purges
+
+
+def test_a_purge_after_an_infeasible_solve_reads_the_current_basis():
+    """An infeasible solve ages nothing, so the ages can come from an older
+    basis than the one the purge finds. Fixing the cycle of an aged cut at a
+    point that violates it makes the child LP infeasible; the purge then
+    drops the aged rows whose slacks are basic in the basis that solve
+    stopped at, and only those, B^-1 stays the inverse of the basis, and the
+    parent's LP solved next equals a cold solve of the rows left."""
+    rng = random.Random(25)
+    purges = moved = 0
+    for k in range(60):
+        n = 7 + k % 6
+        g = WeightedGraph(n, random_graph(rng, n, 0.6))
+        engine = LpEngine(g)
+        _cut_rounds(engine, g, rng, rounds=6)
+        for _ in range(AGE_LIMIT):
+            engine.solve()
+        pool, ages = engine.pool, engine.pool.ages.copy()
+        aged = np.flatnonzero(ages >= AGE_LIMIT)
+        if not aged.size:
+            continue
+        cut = pool.entries[rng.choice(aged)]
+        lb, ub = np.zeros(g.m), np.ones(g.m)
+        lb[list(cut.edges)] = ub[list(cut.edges)] = cut.in_f
+        assert not engine.solve(lb, ub).feasible
+        assert np.array_equal(pool.ages, ages)
+        simplex = engine._simplex
+        doomed = (ages >= AGE_LIMIT) & (simplex.stat[g.m:] == BASIC)
+        kept = [c for c, gone in zip(pool.entries, doomed) if not gone]
+        moved += int(np.sum(~doomed[aged]))
+        assert engine.purge_cuts() == doomed.sum()
+        assert pool.entries == kept and len(simplex.rhs) == len(kept)
+        assert _inverse_error(simplex) < 1e-8
+        after = engine.solve()
+        cold = LpEngine(g)
+        cold.add_cuts(kept)
+        assert after.objective == pytest.approx(cold.solve().objective, abs=1e-9)
+        purges += 1
+    assert purges >= 40 and moved >= 20, (purges, moved)

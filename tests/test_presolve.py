@@ -17,6 +17,7 @@ from sparsecut.presolve import (
 )
 
 from sparsecut.separation import TRIANGLE_BUDGET, cycle_tables
+from sparsecut.solver import Config, solve_graph
 from sparsecut.transform import maxcut_to_qubo, qubo_to_maxcut
 
 from oracles import (
@@ -153,6 +154,28 @@ def test_presolve_safety_on_random_instances():
         # replaying a reduced optimum yields an original optimum
         y_full = trace.replay(red_y)
         assert cut_weight(g, y_full) == pytest.approx(best)
+
+
+def test_zero_weight_edges_neither_crash_presolve_nor_move_the_optimum():
+    """Presolve leaves zero-weight edges out of its adjacency, so the
+    symmetry rule never divides by a zero weight: with presolve on,
+    ``solve_graph`` proves the brute-force optimum of random graphs where
+    about a third of the edges weigh 0."""
+    rng = random.Random(35)
+    solved = 0
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        edges = [(u, v, 0.0 if rng.random() < 0.3 else w)
+                 for u, v, w in random_graph(rng, n, 0.6)]
+        if not any(w == 0 for _, _, w in edges):
+            continue
+        best, _ = brute_force_maxcut(n, edges)
+        solution, dual, status, _ = solve_graph(WeightedGraph(n, edges), Config())
+        assert status == "optimal"
+        assert solution.weight == pytest.approx(best)
+        assert dual == pytest.approx(best)
+        solved += 1
+    assert solved > 100, solved
 
 
 def test_presolve_stats_are_populated():

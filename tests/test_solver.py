@@ -11,7 +11,7 @@ import pytest
 import sparsecut.heuristics as heuristics
 import sparsecut.separation as separation
 import sparsecut.solver as solver_mod
-from sparsecut.graph import CutSolution, WeightedGraph, build_graph
+from sparsecut.graph import MAX_TOTAL_WEIGHT, CutSolution, WeightedGraph, build_graph
 from sparsecut.heuristics import kernighan_lin
 from sparsecut.instances import RawMaxCutInstance, RawQuboInstance
 from sparsecut.lp import LpState, TimeUp, _BoundedSimplex
@@ -620,6 +620,20 @@ def test_library_errors_name_the_users_ids(solve, raw, message):
     with pytest.raises(ValueError) as err:
         solve(raw)
     assert str(err.value) == message
+
+
+def test_a_graph_whose_total_weight_overflows_is_refused():
+    """Three 1e308 edges, whose total passes the largest double, are refused
+    as the graph is built, where ``solve_graph`` reported ``optimal`` 0.0
+    (inf without presolve and enumeration). A QUBO within the parser's
+    bound, all of it off the diagonal, still solves, though its max-cut
+    image weighs 1.485 times as much."""
+    with pytest.raises(ValueError, match=r"total \|weight\| inf exceeds 1.5e\+300"):
+        WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+    with pytest.raises(ValueError, match="exceeds"):
+        WeightedGraph(3, [(0, 1, MAX_TOTAL_WEIGHT), (1, 2, MAX_TOTAL_WEIGHT)])
+    report = solve_qubo(RawQuboInstance(2, [(1, 2, 0.99 * MAX_TOTAL_WEIGHT)]))
+    assert report.status == "optimal" and report.best_value == 0.0
 
 
 def test_qubo_end_to_end():
